@@ -26,9 +26,10 @@ from .forest import (
     train_forest,
 )
 from .lexicon import load_lexicon_set
-from .page import ADULT, Page, iter_corpus
+from .page import Page, iter_corpus, load_labeled_corpus
 from .pipeline import (
     FilterState,
+    StageReport,
     build_safe_index,
     filter_page,
     load_blacklist,
@@ -64,11 +65,7 @@ def _vote_threshold(cfg: dict, n_trees: int) -> float:
 
 
 def _load_labeled(cfg: dict) -> list[Page]:
-    pages = [
-        p
-        for p in iter_corpus(cfg["corpus"])
-        if isinstance(p, Page) and p.label is not None
-    ]
+    pages = load_labeled_corpus(cfg["corpus"])
     if not pages:
         raise ConfigError("no labeled pages")
     return pages
@@ -136,11 +133,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     vectors = [extract_features(p, lexicons) for p in pages]
     if cfg.get("full_pipeline"):
         state = FilterState(blacklist_trigger=int(cfg.get("blacklist_trigger", 3)))
+        stage_report = StageReport()
         predictions = []
         for page in pages:
             verdict, state = filter_page(page, forest, lexicons, state)
+            stage_report.tally(verdict)
             predictions.append(verdict.label)
-        _, stage_report, _ = build_safe_index(pages, forest, lexicons, FilterState())
     else:
         # forest stage only: no blacklist, disclaimer, or TLD shortcuts
         predictions = [classify(forest, fv) for fv in vectors]

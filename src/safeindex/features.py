@@ -4,8 +4,11 @@ Layout: in_url, in_ndd, nbr_img, then nb_X / ratio_X / prop_X for each of
 the eleven content lexicons in canonical order.
 
 URL attributes use raw substring matching (URLs have no token
-boundaries); content attributes match lexicon terms against the token
-stream, with multi-word terms matched as contiguous token sequences.
+boundaries).  The content attributes of all eleven lists come from one
+pass over the token stream through a single TermMatcher, which indexes
+the terms of every list together; multi-word terms match as contiguous
+token sequences.  The disclaimer stage of the pipeline runs its own
+TermMatcher over the disclaimer phrases.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .lexicon import CONTENT_LEXICON_NAMES, Lexicon, LexiconSet
 from .page import Page
@@ -57,66 +60,81 @@ def substring_hits(haystack: str, lexicon: Lexicon) -> int:
     return sum(1 for term in lexicon.terms if term in haystack)
 
 
-class _Matcher:
-    """Single-pass token matcher for one lexicon.
+class TermMatcher:
+    """One token-level index over any number of term lists.
 
-    Multi-word terms are indexed by their first word; matches at distinct
-    start positions count separately, overlaps allowed.
+    The token-level form of an Aho-Corasick goto table (CACM 1975): each
+    first token maps to the lengths of the terms that start with it, and
+    each term's token tuple maps to the ids of the lists that hold it.  At
+    every position the scan makes one slice and one lookup per length, so
+    a term shared by two lists costs one lookup and counts in both.
+    Matches at distinct start positions count separately, overlaps allowed.
     """
 
-    def __init__(self, lexicon: Lexicon):
-        self.singles: set[str] = set()
-        self.phrases: dict[str, list[tuple[str, ...]]] = {}
-        for term in lexicon.terms:
-            parts = tuple(term.split(" "))
-            if len(parts) == 1:
-                self.singles.add(term)
-            else:
-                self.phrases.setdefault(parts[0], []).append(parts)
-        self.term_count = lexicon.term_count
+    def __init__(self, term_lists: Sequence[Iterable[str]]):
+        self.list_count = len(term_lists)
+        self.spans: dict[str, tuple[int, ...]] = {}
+        self.list_ids: dict[tuple[str, ...], tuple[int, ...]] = {}
+        for list_id, terms in enumerate(term_lists):
+            own = (list_id,)
+            for term in terms:
+                parts = tuple(term.split(" "))
+                ids = self.list_ids.setdefault(parts, own)
+                if ids[-1] != list_id:  # the term is in an earlier list too
+                    self.list_ids[parts] = ids + own
+                spans = self.spans.get(parts[0], ())
+                if len(parts) not in spans:
+                    self.spans[parts[0]] = tuple(sorted(spans + (len(parts),)))
 
-    def scan(self, tokens: tuple[str, ...]) -> tuple[int, int, int]:
-        """(total matches, distinct terms matched, token positions covered)."""
-        total = 0
-        seen: set = set()
-        covered: set[int] = set()
+    def scan(self, tokens: Sequence[str]) -> list[tuple[int, int, int]]:
+        """(total matches, distinct terms matched, token positions covered)
+        for each list, from one pass over the tokens."""
+        tokens = tuple(tokens)
         n = len(tokens)
-        singles = self.singles
-        phrases = self.phrases
+        totals = [0] * self.list_count
+        seen: list[set] = [set() for _ in range(self.list_count)]
+        covered: list[set[int]] = [set() for _ in range(self.list_count)]
+        spans_of, list_ids = self.spans, self.list_ids
         for i, tok in enumerate(tokens):
-            if tok in singles:
-                total += 1
-                seen.add(tok)
-                covered.add(i)
-            for parts in phrases.get(tok, ()):
-                end = i + len(parts)
-                if end <= n and tuple(tokens[i:end]) == parts:
-                    total += 1
-                    seen.add(parts)
-                    covered.update(range(i, end))
-        return total, len(seen), len(covered)
+            if tok not in spans_of:
+                continue
+            for span in spans_of[tok]:
+                if i + span > n:
+                    break  # spans ascend; a cut-off slice could equal a shorter term
+                parts = tokens[i:i + span]
+                for list_id in list_ids.get(parts, ()):
+                    totals[list_id] += 1
+                    seen[list_id].add(parts)
+                    covered[list_id].update(range(i, i + span))
+        return [(t, len(s), len(c)) for t, s, c in zip(totals, seen, covered)]
 
 
 @lru_cache(maxsize=64)
-def _matcher(lexicon: Lexicon) -> _Matcher:
-    return _Matcher(lexicon)
+def matcher_for(term_lists: tuple[Iterable[str], ...]) -> TermMatcher:
+    """The matcher for a tuple of hashable term lists (a LexiconSet holds a
+    dict and cannot key a cache), built once and shared by every page."""
+    return TermMatcher(term_lists)
+
+
+def _scan(tokens: tuple[str, ...], lexicon: Lexicon) -> tuple[int, int, int]:
+    return matcher_for((lexicon.terms,)).scan(tokens)[0]
 
 
 def nb_metric(tokens: tuple[str, ...], lexicon: Lexicon) -> int:
     """Occurrences of lexicon terms in the token stream, with multiplicity."""
-    return _matcher(lexicon).scan(tokens)[0]
+    return _scan(tokens, lexicon)[0]
 
 
 def ratio_metric(tokens: tuple[str, ...], lexicon: Lexicon) -> float:
     """Fraction of the lexicon's terms present at least once."""
-    return _matcher(lexicon).scan(tokens)[1] / lexicon.term_count
+    return _scan(tokens, lexicon)[1] / lexicon.term_count
 
 
 def prop_metric(tokens: tuple[str, ...], lexicon: Lexicon) -> float:
     """Fraction of token positions covered by at least one match."""
     if not tokens:
         return 0.0
-    return _matcher(lexicon).scan(tokens)[2] / len(tokens)
+    return _scan(tokens, lexicon)[2] / len(tokens)
 
 
 def extract_features(page: Page, lexicons: LexiconSet) -> FeatureVector:
@@ -126,9 +144,9 @@ def extract_features(page: Page, lexicons: LexiconSet) -> FeatureVector:
         float(substring_hits(page.url.registrable_domain, lexicons.url_terms)),
         float(page.image_count),
     ]
-    for name in CONTENT_LEXICON_NAMES:
-        lexicon = lexicons.content(name)
-        total, distinct, covered = _matcher(lexicon).scan(page.tokens)
+    content = [lexicons.content(name) for name in CONTENT_LEXICON_NAMES]
+    scans = matcher_for(tuple(lex.terms for lex in content)).scan(page.tokens)
+    for lexicon, (total, distinct, covered) in zip(content, scans):
         values.append(float(total))
         values.append(distinct / lexicon.term_count)
         values.append(covered / len(page.tokens) if page.tokens else 0.0)

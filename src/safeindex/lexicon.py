@@ -83,41 +83,36 @@ class Lexicon:
         return "\n".join(sorted(self.terms)) + "\n"
 
 
-def parse_lexicon(name: str, source: str) -> Lexicon:
-    """Build a Lexicon from line-oriented text.
+def _parse_terms(source: str) -> tuple[str, ...]:
+    """Normalized terms of line-oriented text, in first-seen order.
 
     Empty lines and '#' comments are skipped; duplicates after
     normalization are merged silently.
     """
-    terms = set()
+    terms = []
     for line in source.splitlines():
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        terms.add(normalize_term(stripped))
-    if not terms:
-        raise LexiconError(f"empty lexicon: {name!r}")
-    return Lexicon(name, frozenset(terms))
+        if stripped and not stripped.startswith("#"):
+            terms.append(normalize_term(stripped))
+    return tuple(dict.fromkeys(terms))
 
 
-def load_lexicon(name: str, path: str | Path) -> Lexicon:
+def _read_terms(path: str | Path) -> tuple[str, ...]:
+    """_parse_terms() of a UTF-8 file; other encodings raise LexiconError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise LexiconError(f"lexicon file {path} is not valid UTF-8: {exc}") from exc
-    return parse_lexicon(name, text)
+    return _parse_terms(text)
 
 
-def _parse_phrases(source: str) -> tuple[str, ...]:
-    phrases = []
-    for line in source.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        phrase = normalize_term(stripped)
-        if phrase not in phrases:
-            phrases.append(phrase)
-    return tuple(phrases)
+def parse_lexicon(name: str, source: str) -> Lexicon:
+    """Build a Lexicon from line-oriented text; see _parse_terms()."""
+    return Lexicon(name, frozenset(_parse_terms(source)))
+
+
+def load_lexicon(name: str, path: str | Path) -> Lexicon:
+    return Lexicon(name, frozenset(_read_terms(path)))
 
 
 @dataclass(frozen=True)
@@ -170,9 +165,7 @@ def load_lexicon_set(manifest_path: str | Path) -> LexiconSet:
     }
     url_terms = load_lexicon(URL_LIST_NAME, resolve(URL_LIST_NAME))
     if DISCLAIMER_LIST_NAME in manifest:
-        disclaimer = _parse_phrases(
-            resolve(DISCLAIMER_LIST_NAME).read_text(encoding="utf-8")
-        )
+        disclaimer = _read_terms(resolve(DISCLAIMER_LIST_NAME))
     else:
         disclaimer = ()
     return LexiconSet(lexicons, url_terms, disclaimer)

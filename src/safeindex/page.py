@@ -49,7 +49,7 @@ class Page:
 
 @dataclass(frozen=True)
 class PageLoadFailure:
-    """A corpus entry whose file could not be read."""
+    """A corpus entry whose file could not be read or whose URL is malformed."""
 
     path: str
     url: str
@@ -157,17 +157,17 @@ def read_manifest(manifest_path: str | Path) -> list[tuple[str, str, str | None]
 
 
 def iter_corpus(manifest_path: str | Path):
-    """Yield Page objects for a manifest; unreadable files yield
-    PageLoadFailure entries instead of raising."""
+    """Yield Page objects for a manifest; unreadable files and malformed
+    URLs yield PageLoadFailure entries instead of raising."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     for path, url, label in read_manifest(manifest_path):
         try:
             html = (base / path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            yield PageLoadFailure(path, url, str(exc))
-            continue
-        yield page_from_html(url, html, label)
+            page = page_from_html(url, html, label)
+        except (OSError, UnicodeDecodeError, MalformedUrlError) as exc:
+            page = PageLoadFailure(path, url, str(exc))
+        yield page
 
 
 def load_labeled_corpus(manifest_path: str | Path) -> list[Page]:

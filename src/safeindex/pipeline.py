@@ -9,11 +9,11 @@ counted once per distinct URL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .features import extract_features
+from .features import extract_features, matcher_for
 from .forest import Forest, forest_score
 from .lexicon import LexiconSet
 from .page import ADULT, SAFE, Page, PageLoadFailure
@@ -49,28 +49,21 @@ class StageReport:
     skipped: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "blacklist": self.blacklist,
-            "disclaimer": self.disclaimer,
-            "tld_xxx": self.tld_xxx,
-            "forest_adult": self.forest_adult,
-            "forest_safe": self.forest_safe,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
-
-def _contains_phrase(tokens: tuple[str, ...], phrase: str) -> bool:
-    parts = phrase.split(" ")
-    span = len(parts)
-    first = parts[0]
-    for i, tok in enumerate(tokens):
-        if tok == first and list(tokens[i:i + span]) == parts:
-            return True
-    return False
+    def tally(self, verdict: Verdict) -> None:
+        """Count one verdict under the stage that gave it."""
+        if verdict.reason == REASON_FOREST:
+            stage = "forest_adult" if verdict.label == ADULT else "forest_safe"
+        else:
+            stage = verdict.reason  # the short-circuit reasons name their counters
+        setattr(self, stage, getattr(self, stage) + 1)
 
 
 def has_disclaimer(tokens: tuple[str, ...], phrases: Iterable[str]) -> bool:
-    return any(_contains_phrase(tokens, p) for p in phrases)
+    """True when any phrase occurs in the tokens as a contiguous run."""
+    phrases = tuple(phrases)
+    return bool(phrases) and matcher_for((phrases,)).scan(tokens)[0][0] > 0
 
 
 def filter_page(
@@ -115,18 +108,9 @@ def build_safe_index(
             report.skipped += 1
             continue
         verdict, state = filter_page(page, forest, lexicons, state)
-        if verdict.reason == REASON_FOREST:
-            if verdict.label == ADULT:
-                report.forest_adult += 1
-            else:
-                report.forest_safe += 1
-                index.append(page.url.full_url)
-        elif verdict.reason == REASON_BLACKLIST:
-            report.blacklist += 1
-        elif verdict.reason == REASON_DISCLAIMER:
-            report.disclaimer += 1
-        else:
-            report.tld_xxx += 1
+        report.tally(verdict)
+        if verdict.label == SAFE:
+            index.append(page.url.full_url)
     return index, report, state
 
 

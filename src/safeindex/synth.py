@@ -207,8 +207,10 @@ def generate_corpus(
         frac = rng.uniform(0.18, 0.45) if is_adult else overlap
         n_terms = max(1, int(length * frac))
         units = _term_units(rng, terms, n_terms)
-        while sum(len(u) for u in units) < length:
+        n_tokens = sum(len(u) for u in units)
+        while n_tokens < length:
             units.append([neutral[rng.integers(len(neutral))]])
+            n_tokens += 1
         rng.shuffle(units)
         tokens = [tok for unit in units for tok in unit]
 

@@ -195,6 +195,59 @@ class TestFilter:
         assert stages["tld_xxx"] == 0
 
 
+    def test_malformed_url_row_is_skipped(self, workspace, lexicons, capsys):
+        root = workspace["root"]
+        pages = generate_corpus(lexicons, 6, 3, seed=4, url_prefix="m")
+        manifest = write_corpus(pages, root / "malformed")
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        bad_url = pages[2].url.full_url
+        rows[3] = rows[3].replace(bad_url, "http:///nohost")
+        manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        index = root / "malformed_index.txt"
+        report = root / "malformed_report.json"
+        code = main(
+            [
+                "filter",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(manifest),
+                "--model", str(workspace["model"]),
+                "--index", str(index),
+                "--report", str(report),
+            ]
+        )
+        assert code == 0
+        assert '"skipped": 1' in capsys.readouterr().out
+        stages = json.loads(report.read_text(encoding="utf-8"))
+        assert stages["skipped"] == 1
+        assert sum(stages.values()) == 6
+        indexed = index.read_text(encoding="utf-8").splitlines()
+        others = {p.url.full_url for p in pages} - {bad_url}
+        assert set(indexed) <= others
+        assert len(indexed) == stages["forest_safe"]
+
+    def test_non_utf8_disclaimer_exits_1(self, workspace, capsys):
+        root = workspace["root"]
+        bundled = files("safeindex").joinpath("data/lexicons")
+        entries = json.loads(bundled.joinpath("manifest.json").read_text(encoding="utf-8"))
+        entries = {name: str(bundled.joinpath(path)) for name, path in entries.items()}
+        bad = root / "bad_disclaimer.txt"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        entries["disclaimer"] = str(bad)
+        lex_manifest = root / "bad_lexicons.json"
+        lex_manifest.write_text(json.dumps(entries), encoding="utf-8")
+        code = main(
+            [
+                "filter",
+                "--lexicons", str(lex_manifest),
+                "--corpus", str(workspace["eval_manifest"]),
+                "--model", str(workspace["model"]),
+                "--index", str(root / "unused_index.txt"),
+            ]
+        )
+        assert code == 1
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+
 class TestEval:
     def test_prints_confusion_and_metrics(self, workspace, capsys):
         code = main(
@@ -240,6 +293,45 @@ class TestEval:
         out = capsys.readouterr().out
         assert code == 0
         assert "stage report:" in out
+
+    def test_full_pipeline_stages_follow_blacklist_trigger(self, workspace):
+        root = workspace["root"]
+        corpus = root / "trigger"
+        corpus.mkdir()
+        (corpus / "gate.html").write_text("<p>you must be 18 to enter</p>", encoding="utf-8")
+        (corpus / "plain.html").write_text("<p>garden notes for march</p>", encoding="utf-8")
+        manifest = corpus / "manifest.csv"
+        manifest.write_text(
+            "path,url,label\n"
+            "gate.html,http://gated.com/1,adult\n"
+            "plain.html,http://gated.com/2,adult\n"
+            "plain.html,http://gated.com/3,adult\n"
+            "plain.html,http://garden.org/1,safe\n",
+            encoding="utf-8",
+        )
+        config = root / "trigger.json"
+        config.write_text(json.dumps({"blacklist_trigger": 1}), encoding="utf-8")
+        report = root / "trigger_report.json"
+        code = main(
+            [
+                "eval",
+                "--config", str(config),
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(manifest),
+                "--model", str(workspace["model"]),
+                "--full-pipeline",
+                "--report", str(report),
+            ]
+        )
+        assert code == 0
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        stages, cm = doc["stages"], doc["confusion"]
+        # one strike blacklists gated.com, so its later pages stop there
+        assert stages["disclaimer"] == 1
+        assert stages["blacklist"] == 2
+        adult_stages = ("blacklist", "disclaimer", "tld_xxx", "forest_adult")
+        assert sum(stages[s] for s in adult_stages) == cm["tp"] + cm["fp"]
+        assert stages["forest_safe"] == cm["tn"] + cm["fn"]
 
 
 class TestInspectModel:

@@ -7,9 +7,11 @@ from safeindex import (
     CONTENT_LEXICON_NAMES,
     FeatureVector,
     Lexicon,
+    Page,
     extract_features,
     nb_metric,
     page_from_html,
+    parse_url,
     prop_metric,
     ratio_metric,
     substring_hits,
@@ -17,10 +19,28 @@ from safeindex import (
 from safeindex.features import write_feature_csv
 
 from fixture_docs import DOCS, FIXTURE_LEXICONS
-from helpers import oracle_features, oracle_nb, oracle_prop, oracle_ratio
+from helpers import (
+    make_lexicon_set,
+    oracle_features,
+    oracle_nb,
+    oracle_prop,
+    oracle_ratio,
+)
 
 WORDS = st.sampled_from(["hot", "teen", "mia", "vex", "video", "plain", "word"])
 TOKEN_STREAMS = st.lists(WORDS, max_size=30).map(tuple)
+
+# Lists that share one index: "hot" and "mia vex" each sit in two lists,
+# and multi-word terms start with single-word terms of other lists.
+SHARED_LEXICONS = make_lexicon_set(
+    overrides={
+        "en-words": {"hot", "teen"},
+        "tags-en": {"hot", "video"},
+        "queries": {"hot teen", "teen hot teen", "mia vex"},
+        "pornstars": {"mia vex"},
+        "small-set": {"mia"},
+    }
+)
 
 
 class TestAttributeLayout:
@@ -131,6 +151,12 @@ class TestExtractFeatures:
         # tube, and xxx
         assert fv["in_url"] == 4.0
         assert fv["in_ndd"] == 3.0
+
+    @given(TOKEN_STREAMS)
+    def test_shared_index_matches_oracle(self, tokens):
+        page = Page(parse_url("http://a.example.com/"), tokens, 0)
+        got = extract_features(page, SHARED_LEXICONS).values
+        assert list(got) == oracle_features(page, SHARED_LEXICONS)
 
     def test_image_count_attribute(self):
         page = page_from_html("http://a.example.com/", "<img src='a'><img src='b'>")

@@ -127,6 +127,15 @@ class TestLoadLexiconSet:
         lexicons = load_lexicon_set(self._write_manifest(tmp_path, entries))
         assert lexicons.disclaimer_phrases == ()
 
+    def test_non_utf8_disclaimer_raises(self, tmp_path):
+        entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}
+        entries["in-url"] = ["porn"]
+        entries["disclaimer"] = ["you must be 18"]
+        manifest = self._write_manifest(tmp_path, entries)
+        (tmp_path / "disclaimer.txt").write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(LexiconError, match="UTF-8"):
+            load_lexicon_set(manifest)
+
     def test_missing_entry_raises(self, tmp_path):
         entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}
         # no in-url entry

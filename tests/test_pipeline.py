@@ -131,6 +131,10 @@ class TestBuildSafeIndex:
         ]
         index, report, _ = build_safe_index(pages, SAFE_FOREST, tiny_lexicons)
         assert index == ["http://a.com/1", "http://c.com/1"]
+        # the CLI's JSON reports keep this key order
+        assert list(report.as_dict()) == [
+            "blacklist", "disclaimer", "tld_xxx", "forest_adult", "forest_safe", "skipped",
+        ]
         assert report.as_dict() == {
             "blacklist": 0,
             "disclaimer": 0,
