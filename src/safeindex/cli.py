@@ -135,8 +135,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         state = FilterState(blacklist_trigger=int(cfg.get("blacklist_trigger", 3)))
         stage_report = StageReport()
         predictions = []
-        for page in pages:
-            verdict, state = filter_page(page, forest, lexicons, state)
+        for page, fv in zip(pages, vectors):
+            verdict, state = filter_page(page, forest, lexicons, state, fv)
             stage_report.tally(verdict)
             predictions.append(verdict.label)
     else:

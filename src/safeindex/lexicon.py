@@ -83,7 +83,7 @@ class Lexicon:
         return "\n".join(sorted(self.terms)) + "\n"
 
 
-def _parse_terms(source: str) -> tuple[str, ...]:
+def parse_terms(source: str) -> tuple[str, ...]:
     """Normalized terms of line-oriented text, in first-seen order.
 
     Empty lines and '#' comments are skipped; duplicates after
@@ -98,17 +98,17 @@ def _parse_terms(source: str) -> tuple[str, ...]:
 
 
 def _read_terms(path: str | Path) -> tuple[str, ...]:
-    """_parse_terms() of a UTF-8 file; other encodings raise LexiconError."""
+    """parse_terms() of a UTF-8 file; other encodings raise LexiconError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise LexiconError(f"lexicon file {path} is not valid UTF-8: {exc}") from exc
-    return _parse_terms(text)
+    return parse_terms(text)
 
 
 def parse_lexicon(name: str, source: str) -> Lexicon:
-    """Build a Lexicon from line-oriented text; see _parse_terms()."""
-    return Lexicon(name, frozenset(_parse_terms(source)))
+    """Build a Lexicon from line-oriented text; see parse_terms()."""
+    return Lexicon(name, frozenset(parse_terms(source)))
 
 
 def load_lexicon(name: str, path: str | Path) -> Lexicon:

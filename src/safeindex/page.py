@@ -1,7 +1,12 @@
 """Turn raw web pages (URL + HTML or plain text) into normalized input.
 
-The HTML handling is a tolerant scanner, not a validating parser: bad
-markup never raises, it just degrades to best-effort text extraction.
+HTML is stripped by one regular expression.  On closed markup it gives the
+tokens and image count of the standard library's html.parser.  Bad markup
+never raises, and the scan stays linear: a start tag's quoted values may
+hold '<' and '>', but an unquoted '<' ends the attempt, so "<a b<c>" is
+the text "<a b" and the tag "<c>"; end tags, "<!...>" and "<?...>" end at
+the next '>' and stop at '<'; an unterminated comment, script or style
+block runs to the end of the document.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from html.parser import HTMLParser
+from html import unescape
 from pathlib import Path
 
 from .errors import ConfigError, MalformedUrlError
@@ -20,6 +25,25 @@ SAFE = "safe"
 # Word = run of alphanumerics, with apostrophes/hyphens kept when they sit
 # between alphanumerics ("l'amour", "coming-of-age").
 _WORD_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
+
+# Any markup, matched from its '<'.  Tag names end where html.parser ends
+# them, and only ASCII letters fold case in them.  A script or style start
+# tag not closed by "/>" takes its body up to the matching end tag.  The
+# one capture group holds the name of an <img> start tag.
+_TAG_NAME_END = r"(?=[\t\n\r\f />])"
+_TAG_BODY = r"""(?:[^<>"']|"[^"]*"|'[^']*')*"""
+_MARKUP_RE = re.compile(
+    rf"""<(?:
+        !--.*?(?:--\s*>|\Z)
+      | (?ai:script){_TAG_NAME_END}{_TAG_BODY}(?<!/)>.*?(?:</\s*(?ai:script)\s*>|\Z)
+      | (?ai:style){_TAG_NAME_END}{_TAG_BODY}(?<!/)>.*?(?:</\s*(?ai:style)\s*>|\Z)
+      | (?P<img>(?ai:img)){_TAG_NAME_END}{_TAG_BODY}>
+      | [a-zA-Z]{_TAG_BODY}>
+      | /[^<>]*>
+      | [!?][^<>]*>
+    )""",
+    re.DOTALL | re.VERBOSE,
+)
 
 # Two-level public suffixes for which the registrable domain keeps three
 # labels instead of two.  Deliberately small; extensible per call.
@@ -61,47 +85,22 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(_WORD_RE.findall(text.lower()))
 
 
-class _TextExtractor(HTMLParser):
-    """Drops script/style content, strips tags, counts img tags."""
-
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self._skip_depth = 0
-        self.chunks: list[str] = []
-        self.image_count = 0
-
-    def handle_starttag(self, tag, attrs):
-        if tag in ("script", "style"):
-            self._skip_depth += 1
-        elif tag == "img":
-            self.image_count += 1
-
-    def handle_startendtag(self, tag, attrs):
-        if tag == "img":
-            self.image_count += 1
-
-    def handle_endtag(self, tag):
-        if tag in ("script", "style") and self._skip_depth:
-            self._skip_depth -= 1
-
-    def handle_data(self, data):
-        if not self._skip_depth:
-            self.chunks.append(data)
-
-
 def extract_text(html: str) -> tuple[tuple[str, ...], int]:
     """(tokens, image_count) for an HTML or plain-text document."""
-    extractor = _TextExtractor()
-    extractor.feed(html)
-    extractor.close()
-    return tokenize(" ".join(extractor.chunks)), extractor.image_count
+    # split() puts the capture group, None unless the markup is an <img>
+    # tag, between the text runs.
+    parts = _MARKUP_RE.split(html)
+    images = parts[1::2]
+    text = unescape(" ".join(parts[::2]))
+    return tokenize(text), len(images) - images.count(None)
 
 
 def parse_url(url: str, extra_suffixes: frozenset[str] = frozenset()) -> UrlParts:
     """Split a URL into (full lowercased url, registrable domain, tld).
 
-    The scheme is optional; "host/path" is accepted.  Raises
-    MalformedUrlError when no host can be found.
+    The scheme is optional; "host/path" is accepted.  An IP-literal host
+    ("[::1]", "192.168.0.1") is its own registrable domain and has the
+    empty TLD.  Raises MalformedUrlError when no host can be found.
     """
     if not url or not url.strip():
         raise MalformedUrlError("empty URL")
@@ -109,20 +108,25 @@ def parse_url(url: str, extra_suffixes: frozenset[str] = frozenset()) -> UrlPart
 
     rest = lowered.split("://", 1)[1] if "://" in lowered else lowered
     authority = rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0]
-    # strip userinfo and port
+    # strip userinfo, then the port; an IPv6 literal keeps its colons
     authority = authority.rsplit("@", 1)[-1]
-    host = authority.split(":", 1)[0]
+    if authority.startswith("["):
+        host = authority[1:authority.find("]")] if "]" in authority else ""
+    else:
+        host = authority.split(":", 1)[0]
     if not host:
         raise MalformedUrlError(f"no recognizable host in {url!r}")
     labels = host.strip(".").split(".")
     if not labels or any(not lbl for lbl in labels):
         raise MalformedUrlError(f"no recognizable host in {url!r}")
 
-    suffixes = TWO_LEVEL_SUFFIXES | extra_suffixes
-    if len(labels) >= 3 and ".".join(labels[-2:]) in suffixes:
+    if ":" in host or labels[-1].isdigit():  # an IP literal; no TLD is numeric
+        return UrlParts(lowered, host.strip("."), "")
+    tail = ".".join(labels[-2:])
+    if len(labels) >= 3 and (tail in TWO_LEVEL_SUFFIXES or tail in extra_suffixes):
         registrable = ".".join(labels[-3:])
     else:
-        registrable = ".".join(labels[-2:]) if len(labels) >= 2 else labels[0]
+        registrable = tail
     return UrlParts(lowered, registrable, labels[-1])
 
 

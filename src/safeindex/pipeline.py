@@ -13,9 +13,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .features import extract_features, matcher_for
+from .errors import ConfigError
+from .features import FeatureVector, extract_features, matcher_for
 from .forest import Forest, forest_score
-from .lexicon import LexiconSet
+from .lexicon import LexiconSet, parse_terms
 from .page import ADULT, SAFE, Page, PageLoadFailure
 
 REASON_BLACKLIST = "blacklist"
@@ -71,8 +72,12 @@ def filter_page(
     forest: Forest,
     lexicons: LexiconSet,
     state: FilterState,
+    features: FeatureVector | None = None,
 ) -> tuple[Verdict, FilterState]:
-    """Run the staged filter on one page, updating the blacklist state."""
+    """Run the staged filter on one page, updating the blacklist state.
+
+    A caller that already holds the page's `features` passes them in.
+    """
     domain = page.url.registrable_domain
     if domain in state.blacklist:
         verdict = Verdict(ADULT, REASON_BLACKLIST)
@@ -81,7 +86,9 @@ def filter_page(
     elif page.url.tld == "xxx":
         verdict = Verdict(ADULT, REASON_TLD_XXX)
     else:
-        score = forest_score(forest, extract_features(page, lexicons))
+        if features is None:
+            features = extract_features(page, lexicons)
+        score = forest_score(forest, features)
         label = ADULT if score > forest.vote_threshold else SAFE
         verdict = Verdict(label, REASON_FOREST, score)
 
@@ -116,12 +123,10 @@ def build_safe_index(
 
 def load_blacklist(path: str | Path) -> set[str]:
     """One registrable domain per line; '#' comments and blanks skipped."""
-    domains = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        stripped = line.strip().lower()
-        if stripped and not stripped.startswith("#"):
-            domains.add(stripped)
-    return domains
+    try:
+        return set(parse_terms(Path(path).read_text(encoding="utf-8")))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"blacklist file {path} is not valid UTF-8: {exc}") from exc
 
 
 def save_blacklist(domains: set[str], path: str | Path) -> None:

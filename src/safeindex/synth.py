@@ -18,7 +18,6 @@ from .lexicon import (
     DISCLAIMER_LIST_NAME,
     REFERENCE_SIZES,
     URL_LIST_NAME,
-    Lexicon,
     LexiconSet,
 )
 from .page import ADULT, SAFE, Page, parse_url
@@ -106,17 +105,6 @@ def generate_lexicon_materials(
 
     materials[DISCLAIMER_LIST_NAME] = list(DISCLAIMER_PHRASES)
     return materials
-
-
-def build_lexicon_set(materials: dict[str, list[str]]) -> LexiconSet:
-    return LexiconSet(
-        lexicons={
-            name: Lexicon(name, frozenset(materials[name]))
-            for name in CONTENT_LEXICON_NAMES
-        },
-        url_terms=Lexicon(URL_LIST_NAME, frozenset(materials[URL_LIST_NAME])),
-        disclaimer_phrases=tuple(materials[DISCLAIMER_LIST_NAME]),
-    )
 
 
 def write_lexicon_files(dest_dir: str | Path, seed: int = DEFAULT_LEXICON_SEED) -> Path:

@@ -3,8 +3,12 @@ from importlib.resources import files
 
 import pytest
 
-from safeindex import ADULT, load_forest
+import safeindex.cli
+import safeindex.pipeline
+from safeindex import ADULT, build_safe_index, load_forest
 from safeindex.cli import main
+from safeindex.features import extract_features
+from safeindex.page import load_labeled_corpus
 from safeindex.synth import generate_corpus, write_corpus
 
 LEXICON_MANIFEST = str(files("safeindex").joinpath("data/lexicons/manifest.json"))
@@ -247,6 +251,23 @@ class TestFilter:
         assert code == 1
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    def test_non_utf8_blacklist_exits_1(self, workspace, capsys):
+        root = workspace["root"]
+        blacklist = root / "utf16_blacklist.txt"
+        blacklist.write_bytes(b"\xff\xfeb\x00a\x00d\x00.\x00c\x00o\x00m\x00")
+        code = main(
+            [
+                "filter",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(workspace["eval_manifest"]),
+                "--model", str(workspace["model"]),
+                "--index", str(root / "utf16_index.txt"),
+                "--blacklist", str(blacklist),
+            ]
+        )
+        assert code == 1
+        assert "blacklist" in capsys.readouterr().err
+
 
 class TestEval:
     def test_prints_confusion_and_metrics(self, workspace, capsys):
@@ -293,6 +314,41 @@ class TestEval:
         out = capsys.readouterr().out
         assert code == 0
         assert "stage report:" in out
+
+    def test_full_pipeline_extracts_each_page_once(self, workspace, lexicons, monkeypatch):
+        root = workspace["root"]
+        pages = generate_corpus(
+            lexicons, 30, 15, seed=5, url_prefix="once",
+            xxx_fraction=0.3, disclaimer_fraction=0.3,
+        )
+        manifest = write_corpus(pages, root / "once")
+        calls = []
+
+        def counting(page, lex):
+            calls.append(page.url.full_url)
+            return extract_features(page, lex)
+
+        monkeypatch.setattr(safeindex.cli, "extract_features", counting)
+        monkeypatch.setattr(safeindex.pipeline, "extract_features", counting)
+        report = root / "once_report.json"
+        code = main(
+            [
+                "eval",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(manifest),
+                "--model", str(workspace["model"]),
+                "--full-pipeline",
+                "--report", str(report),
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 30
+        monkeypatch.undo()
+        # the stages are those of the filter that extracts on its own
+        _, expected, _ = build_safe_index(
+            load_labeled_corpus(manifest), load_forest(workspace["model"]), lexicons
+        )
+        assert json.loads(report.read_text(encoding="utf-8"))["stages"] == expected.as_dict()
 
     def test_full_pipeline_stages_follow_blacklist_trigger(self, workspace):
         root = workspace["root"]

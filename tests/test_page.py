@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safeindex import (
     ADULT,
@@ -13,7 +17,75 @@ from safeindex import (
 from safeindex.page import PageLoadFailure, load_labeled_corpus, read_manifest, tokenize
 from safeindex.errors import ConfigError
 
-from fixture_docs import DOCS, oracle_extract
+from fixture_docs import DOCS, EDGE_DOCS, oracle_extract
+
+# Fragments of closed markup for the differential test against the
+# html.parser oracle.  Every fragment is complete, so a document built from
+# them never ends inside a tag, comment, script or style block.
+_WS = st.sampled_from([" ", "  ", "\n", "\t"])
+_WORDS = st.sampled_from([
+    "hot", "Teen", "café", "l'amour", "coming-of-age", "abc123", "42",
+    "snake_case", "naïve", "x", "img", "script",
+])
+_TEXT = st.lists(
+    st.one_of(_WORDS, _WS, st.sampled_from(["a < b", "x > y", "<3", ".", "-", "'", "&"])),
+    min_size=1, max_size=6,
+).map("".join)
+_ENTITY = st.sampled_from(
+    ["&amp;", "&eacute;", "&#233;", "&#xE9;", "&lt;", "&gt;", "&nbsp;", "&copy", "&lt;img&gt;"]
+)
+_VALUE_TEXT = st.lists(
+    st.one_of(_WORDS, _WS, st.sampled_from([">", "<", "/", "=", "<img src=x>", "&amp;"])),
+    max_size=4,
+).map("".join)
+_ATTR = st.tuples(
+    st.sampled_from(["href", "src", "title", "data-x", "ALT"]),
+    st.one_of(
+        _VALUE_TEXT.map(lambda v: f'="{v}"'),
+        _VALUE_TEXT.map(lambda v: "='" + v.replace("'", "") + "'"),
+        st.sampled_from(["=bare", "=a.png", "=/path/x.html", " = spaced", ""]),
+    ),
+).map("".join)
+
+
+@st.composite
+def _start_tag(draw, names):
+    attrs = draw(st.lists(st.tuples(_WS, _ATTR).map("".join), max_size=3))
+    head = "<" + draw(names) + "".join(attrs)
+    close = draw(st.sampled_from([">", "/>", " />", " >"]))
+    if close == "/>" and attrs and not attrs[-1].endswith(("'", '"')):
+        close = " />"  # a '/' right after a bare value belongs to the value
+    return head + close
+
+
+_TAG_NAMES = st.sampled_from(["p", "div", "a", "b", "span", "br", "img", "IMG", "Img", "imgx", "i"])
+_END_TAG = st.sampled_from(["</p>", "</div>", "</img>", "</ span >", "</>", "</1x>", "</A\n>"])
+_RAW_BODY = st.lists(
+    st.one_of(_WORDS, _WS, st.sampled_from(
+        ["<", "</p>", "<img src=x>", "'<b>'", "<!-- c -->", "&amp;", "a<b", "</scripts>"]
+    )),
+    max_size=5,
+).map("".join)
+
+
+@st.composite
+def _raw_block(draw):
+    name = draw(st.sampled_from(["script", "style", "SCRIPT", "Style"]))
+    start = draw(_start_tag(st.just(name)))
+    if start.endswith("/>"):
+        return start  # self-closing: what follows is ordinary markup
+    end = draw(st.sampled_from(["</{}>", "</{} >", "</ {}>", "</{}\n>"]))
+    return start + draw(_RAW_BODY) + end.format(draw(st.sampled_from([name, name.upper()])))
+
+
+_COMMENT = st.builds(lambda body: f"<!-- {body} -->", _RAW_BODY.filter(lambda b: "--" not in b))
+_DECL = st.sampled_from(["<!DOCTYPE html>", "<!doctype html public 'x'>", "<?xml version='1.0'?>"])
+_CLOSED_MARKUP_DOCS = st.lists(
+    st.one_of(
+        _TEXT, _ENTITY, _start_tag(_TAG_NAMES), _END_TAG, _raw_block(), _COMMENT, _DECL,
+    ),
+    max_size=12,
+).map("".join)
 
 
 class TestTokenize:
@@ -42,8 +114,13 @@ class TestTokenize:
 
 class TestExtractText:
     def test_matches_oracle_on_fixture_corpus(self):
-        for url, doc in DOCS:
+        for url, doc in DOCS + EDGE_DOCS:
             assert extract_text(doc) == oracle_extract(doc), url
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CLOSED_MARKUP_DOCS)
+    def test_matches_oracle_on_closed_markup(self, doc):
+        assert extract_text(doc) == oracle_extract(doc)
 
     def test_drops_script_and_style(self):
         tokens, _ = extract_text(
@@ -62,6 +139,32 @@ class TestExtractText:
         tokens, images = extract_text("<p>open<p>again</div><b>bold")
         assert tokens == ("open", "again", "bold")
         assert images == 0
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "<p>kept</p><!-- dropped <img src=x> to the end",
+            "<p>kept</p><script>dropped <img src=x> to the end",
+            "<p>kept</p><STYLE type='text/css'>dropped to the end",
+        ],
+    )
+    def test_unterminated_comment_or_raw_block_runs_to_end(self, doc):
+        assert extract_text(doc) == (("kept",), 0)
+
+    def test_unquoted_lt_ends_a_tag_attempt(self):
+        assert extract_text("<a b<c>") == (("a", "b"), 0)
+        assert extract_text("<img src=x<p>y") == (("img", "src", "x", "y"), 0)
+
+    def test_unknown_marked_section_does_not_raise(self):
+        assert extract_text("<![if gte mso 9]>one<![endif]><![foo]>two") == (("one", "two"), 0)
+
+    # pages of repeated unclosed markup, on which html.parser is quadratic
+    @pytest.mark.parametrize("unit", ['<a title="x ', "<a b ", "<!-- x ", "<!x ", "</x "])
+    def test_hostile_markup_is_linear(self, unit):
+        doc = unit * (48_000 // len(unit))
+        start = time.perf_counter()
+        extract_text(doc)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestParseUrl:
@@ -94,7 +197,21 @@ class TestParseUrl:
     def test_xxx_tld(self):
         assert parse_url("http://site.xxx/").tld == "xxx"
 
-    @pytest.mark.parametrize("bad", ["", "   ", "http:///path", "http://:80/x"])
+    def test_ipv4_hosts_keyed_by_full_address(self):
+        first, second = parse_url("http://10.0.0.1/a"), parse_url("192.168.0.1:8080/b")
+        assert first.registrable_domain == "10.0.0.1"
+        assert second.registrable_domain == "192.168.0.1"
+        assert first.tld == second.tld == ""
+
+    def test_ipv6_host_with_port(self):
+        parts = parse_url("http://user@[::1]:8080/x")
+        assert parts.registrable_domain == "::1"
+        assert parts.tld == ""
+        assert parse_url("http://[2001:DB8::1]/").registrable_domain == "2001:db8::1"
+
+    @pytest.mark.parametrize(
+        "bad", ["", "   ", "http:///path", "http://:80/x", "http://[::1/x", "http://[]:80/"]
+    )
     def test_malformed_raises(self, bad):
         with pytest.raises(MalformedUrlError):
             parse_url(bad)
