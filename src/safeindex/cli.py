@@ -43,7 +43,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         try:
             merged.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     for key, value in vars(args).items():
         if key in ("config", "func") or value is None:

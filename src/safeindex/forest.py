@@ -126,6 +126,10 @@ def best_split(
     then attribute name, then lower threshold.  Returns None when no
     candidate has positive gain or every split starves a side below
     min_leaf_weight.
+
+    Every candidate of every attribute is scored in one pass over arrays,
+    with the same operations in the same order as entropy() applied to one
+    boundary at a time, so the choice is bit-identical to that loop.
     """
     total = float(w.sum())
     total_adult = float(w[y].sum())
@@ -134,40 +138,61 @@ def best_split(
         return None
     parent = entropy(total_adult, total_safe)
 
-    candidates: list[tuple[float, float, str, float]] = []
-    for j, name in enumerate(attr_names):
-        order = np.argsort(X[:, j], kind="stable")
-        xv = X[order, j]
-        wv = w[order]
-        adultv = np.where(y[order], wv, 0.0)
-        cw = np.cumsum(wv)
-        ca = np.cumsum(adultv)
-        for i in np.flatnonzero(xv[:-1] < xv[1:]):
-            wl = float(cw[i])
-            wr = total - wl
-            if wl < min_leaf_weight or wr < min_leaf_weight:
-                continue
-            la = float(ca[i])
-            ls = max(wl - la, 0.0)
-            ra = max(total_adult - la, 0.0)
-            rs = max(total_safe - ls, 0.0)
-            children = (wl * entropy(la, ls) + wr * entropy(ra, rs)) / total
-            gain = parent - children
-            if gain <= 0:
-                continue
-            gain_ratio = gain / entropy(wl, wr)
-            threshold = (float(xv[i]) + float(xv[i + 1])) / 2.0
-            candidates.append((gain_ratio, gain, name, threshold))
-
-    if not candidates:
-        return None
-    # epsilon keeps the guard from starving on all-equal gains (float noise)
-    mean_gain = sum(c[1] for c in candidates) / len(candidates)
-    eligible = [c for c in candidates if c[1] >= mean_gain - 1e-12]
-    gr, gain, name, threshold = min(
-        eligible, key=lambda c: (-c[0], -c[1], c[2], c[3])
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ws = w[order]
+    cw = np.cumsum(ws, axis=0)
+    ca = np.cumsum(np.where(y[order], ws, 0.0), axis=0)
+    # boundaries attribute by attribute, each attribute's in row order
+    col, row = np.nonzero((xs[:-1] < xs[1:]).T)
+    wl = cw[row, col]
+    wr = total - wl
+    keep = (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
+    col, row, wl, wr = col[keep], row[keep], wl[keep], wr[keep]
+    la = ca[row, col]
+    ls = np.maximum(wl - la, 0.0)
+    ra = np.maximum(total_adult - la, 0.0)
+    rs = np.maximum(total_safe - ls, 0.0)
+    h_left, h_right, h_split = _entropies(
+        np.stack([la, ra, wl]), np.stack([ls, rs, wr])
     )
-    return SplitChoice(name, threshold, gr)
+    gain = parent - (wl * h_left + wr * h_right) / total
+    positive = gain > 0
+    if not positive.any():
+        return None
+    col, row, gain = col[positive], row[positive], gain[positive]
+    gain_ratio = gain / h_split[positive]
+
+    # gains added left to right in candidate order (np.sum adds pairwise,
+    # which can move the mean in the last bit); epsilon keeps the guard
+    # from starving on all-equal gains (float noise)
+    mean_gain = sum(gain.tolist()) / len(gain)
+    eligible = gain >= mean_gain - 1e-12
+    col, row = col[eligible], row[eligible]
+    gain, gain_ratio = gain[eligible], gain_ratio[eligible]
+    threshold = (xs[row, col] + xs[row + 1, col]) / 2.0
+    names = np.asarray(attr_names)[col]
+    best = np.lexsort((threshold, names, -gain, -gain_ratio))[0]
+    return SplitChoice(
+        attr_names[col[best]], float(threshold[best]), float(gain_ratio[best])
+    )
+
+
+def _entropies(adult: np.ndarray, safe: np.ndarray) -> np.ndarray:
+    """entropy() of every weight pair, elementwise and bit for bit.
+
+    The logs come from math.log2, once per distinct probability: np.log2
+    may use vector code that differs from it in the last bit, which can
+    change a chosen split.  Pairs must have a positive total.
+    """
+    total = adult + safe
+    p = np.stack([adult / total, safe / total])
+    present = np.stack([adult, safe]) > 0
+    distinct, inverse = np.unique(p[present], return_inverse=True)
+    logs = np.fromiter(map(math.log2, distinct.tolist()), float, len(distinct))
+    terms = np.zeros_like(p)
+    terms[present] = p[present] * logs[inverse]
+    return (0.0 - terms[0]) - terms[1]
 
 
 def grow_tree(
@@ -266,7 +291,7 @@ def train_forest(
     initial = np.where(y, config.fn_cost, 1.0)
     initial *= n / initial.sum()
     w = initial.copy()
-    rng = np.random.default_rng(config.rng_seed)
+    rng = None  # made at the first restart: most trainings never need it
 
     trees: list[TreeNode] = []
     stats: list[TreeStats] = []
@@ -281,6 +306,8 @@ def train_forest(
 
         eps = float(w[wrong].sum() / w.sum())
         if eps >= 0.5:
+            if rng is None:
+                rng = np.random.default_rng(config.rng_seed)
             w = initial * rng.uniform(0.8, 1.2, n)
             w *= n / w.sum()
         elif eps > 0.0:
@@ -338,14 +365,20 @@ def forest_to_json(forest: Forest) -> str:
 def forest_from_json(text: str) -> Forest:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SafeIndexError(f"model file is not valid JSON: {exc}") from exc
-    if doc.get("version") != MODEL_VERSION:
-        raise SafeIndexError(f"unsupported model version {doc.get('version')!r}")
-    return Forest(
-        tuple(_node_from_obj(t) for t in doc["trees"]),
-        float(doc["vote_threshold"]),
-    )
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != MODEL_VERSION:
+        raise SafeIndexError(f"unsupported model version {version!r}")
+    try:
+        return Forest(
+            tuple(_node_from_obj(t) for t in doc["trees"]),
+            float(doc["vote_threshold"]),
+        )
+    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+        raise SafeIndexError(
+            f"malformed model ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def save_forest(forest: Forest, path: str | Path) -> None:
@@ -353,7 +386,11 @@ def save_forest(forest: Forest, path: str | Path) -> None:
 
 
 def load_forest(path: str | Path) -> Forest:
-    return forest_from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SafeIndexError(f"model file {path} is not valid UTF-8: {exc}") from exc
+    return forest_from_json(text)
 
 
 # ---------------------------------------------------------------------------

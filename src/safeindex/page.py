@@ -12,6 +12,7 @@ block runs to the end of the document.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from html import unescape
@@ -141,22 +142,25 @@ def read_manifest(manifest_path: str | Path) -> list[tuple[str, str, str | None]
     Header must be path,url,label; label is one of adult, safe, unlabeled.
     """
     manifest_path = Path(manifest_path)
+    try:
+        text = manifest_path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"corpus manifest {manifest_path} is not valid UTF-8: {exc}") from exc
     rows = []
-    with open(manifest_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"path", "url", "label"} <= set(reader.fieldnames):
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or not {"path", "url", "label"} <= set(reader.fieldnames):
+        raise ConfigError(
+            f"corpus manifest {manifest_path} needs header path,url,label"
+        )
+    for record in reader:
+        label = record["label"].strip().lower()
+        if label == "unlabeled":
+            label = None
+        elif label not in (ADULT, SAFE):
             raise ConfigError(
-                f"corpus manifest {manifest_path} needs header path,url,label"
+                f"bad label {record['label']!r} in {manifest_path}"
             )
-        for record in reader:
-            label = record["label"].strip().lower()
-            if label == "unlabeled":
-                label = None
-            elif label not in (ADULT, SAFE):
-                raise ConfigError(
-                    f"bad label {record['label']!r} in {manifest_path}"
-                )
-            rows.append((record["path"], record["url"], label))
+        rows.append((record["path"], record["url"], label))
     return rows
 
 

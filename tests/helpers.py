@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from safeindex import ADULT, SAFE, FeatureVector, Lexicon, LexiconSet
 from safeindex.features import ATTRIBUTE_NAMES
-from safeindex.forest import Forest, Leaf, Split
+from safeindex.forest import Forest, Leaf, Split, SplitChoice, entropy
 from safeindex.lexicon import CONTENT_LEXICON_NAMES
 
 
@@ -152,6 +154,58 @@ def oracle_split_candidates(rows, attr_names, min_leaf_weight):
 def oracle_best_split(rows, attr_names, min_leaf_weight):
     ranked = oracle_split_candidates(rows, attr_names, min_leaf_weight)
     return ranked[0] if ranked else None
+
+
+# ---------------------------------------------------------------------------
+# reference: the split search as one loop per attribute and boundary
+
+
+def loop_best_split(X, y, w, attr_names, min_leaf_weight):
+    """forest.best_split one boundary at a time, with scalar entropy() calls.
+
+    Same arithmetic in the same order as the array version, so the two
+    must return equal SplitChoice values, not merely close ones.
+    """
+    total = float(w.sum())
+    total_adult = float(w[y].sum())
+    total_safe = total - total_adult
+    if total_adult <= 0 or total_safe <= 0:
+        return None
+    parent = entropy(total_adult, total_safe)
+
+    candidates = []
+    for j, name in enumerate(attr_names):
+        order = np.argsort(X[:, j], kind="stable")
+        xv = X[order, j]
+        wv = w[order]
+        adultv = np.where(y[order], wv, 0.0)
+        cw = np.cumsum(wv)
+        ca = np.cumsum(adultv)
+        for i in np.flatnonzero(xv[:-1] < xv[1:]):
+            wl = float(cw[i])
+            wr = total - wl
+            if wl < min_leaf_weight or wr < min_leaf_weight:
+                continue
+            la = float(ca[i])
+            ls = max(wl - la, 0.0)
+            ra = max(total_adult - la, 0.0)
+            rs = max(total_safe - ls, 0.0)
+            children = (wl * entropy(la, ls) + wr * entropy(ra, rs)) / total
+            gain = parent - children
+            if gain <= 0:
+                continue
+            gain_ratio = gain / entropy(wl, wr)
+            threshold = (float(xv[i]) + float(xv[i + 1])) / 2.0
+            candidates.append((gain_ratio, gain, name, threshold))
+
+    if not candidates:
+        return None
+    mean_gain = sum(c[1] for c in candidates) / len(candidates)
+    eligible = [c for c in candidates if c[1] >= mean_gain - 1e-12]
+    gr, gain, name, threshold = min(
+        eligible, key=lambda c: (-c[0], -c[1], c[2], c[3])
+    )
+    return SplitChoice(name, threshold, gr)
 
 
 # ---------------------------------------------------------------------------

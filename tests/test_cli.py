@@ -268,6 +268,22 @@ class TestFilter:
         assert code == 1
         assert "blacklist" in capsys.readouterr().err
 
+    def test_non_utf8_manifest_exits_1(self, workspace, capsys):
+        root = workspace["root"]
+        manifest = root / "utf16_manifest.csv"
+        manifest.write_bytes("path,url,label\n".encode("utf-16"))
+        code = main(
+            [
+                "filter",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(manifest),
+                "--model", str(workspace["model"]),
+                "--index", str(root / "utf16_manifest_index.txt"),
+            ]
+        )
+        assert code == 1
+        assert "corpus manifest" in capsys.readouterr().err
+
 
 class TestEval:
     def test_prints_confusion_and_metrics(self, workspace, capsys):
@@ -408,3 +424,23 @@ class TestInspectModel:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert main(["inspect-model", "--model", str(bad)]) == 1
+
+    def test_model_without_trees_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bare.json"
+        bad.write_text('{"version": 1}', encoding="utf-8")
+        assert main(["inspect-model", "--model", str(bad)]) == 1
+        assert "malformed model" in capsys.readouterr().err
+
+    def test_non_utf8_model_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes('{"version": 1}'.encode("utf-16"))
+        assert main(["inspect-model", "--model", str(bad)]) == 1
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_utf16_config_exits_1(self, workspace, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(
+            json.dumps({"model": str(workspace["model"])}).encode("utf-16")
+        )
+        assert main(["inspect-model", "--config", str(config)]) == 1
+        assert "cannot read config file" in capsys.readouterr().err

@@ -14,12 +14,14 @@ from safeindex import (
     TrainConfig,
     classify,
     count_threshold,
+    extract_features,
     forest_score,
     load_forest,
     save_forest,
     train_forest,
     tree_classify,
 )
+import safeindex.forest
 from safeindex.errors import TrainingError
 from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import (
@@ -34,7 +36,10 @@ from safeindex.forest import (
     tree_size,
 )
 
+from safeindex.synth import generate_corpus
+
 from helpers import (
+    loop_best_split,
     make_vector,
     oracle_best_split,
     oracle_tree_classify,
@@ -136,6 +141,23 @@ class TestBestSplit:
             else:
                 assert got is not None
                 assert got.gain_ratio == pytest.approx(want[0], abs=1e-9)
+
+    def test_equals_loop_on_tie_heavy_tables(self):
+        # small integer values and weights from {0.5, 1, 20} make many
+        # equal gains, ratios and mean-gain guard edges
+        rnd = random.Random(11)
+        for _ in range(2000):
+            names = rnd.sample("abcdefgh", rnd.randint(1, 8))
+            n = rnd.randint(2, 40)
+            X = np.array(
+                [[float(rnd.randint(0, 3)) for _ in names] for _ in range(n)]
+            )
+            y = np.array([rnd.random() < 0.5 for _ in range(n)])
+            w = np.array([rnd.choice([0.5, 1.0, 20.0]) for _ in range(n)])
+            min_leaf = rnd.choice([0.5, 1.0, 2.0])
+            assert best_split(X, y, w, names, min_leaf) == loop_best_split(
+                X, y, w, names, min_leaf
+            )
 
 
 class TestGrowTree:
@@ -271,6 +293,39 @@ class TestTrainForest:
         f2, _ = train_forest(vectors, labels, TrainConfig(rng_seed=5, min_leaf_weight=0.5))
         assert forest_to_json(f1) == forest_to_json(f2)
 
+    def test_trains_the_loop_search_models(self, lexicons, monkeypatch):
+        pages = generate_corpus(lexicons, 160, 80, seed=4, overlap=0.3)
+        vectors = [extract_features(p, lexicons) for p in pages]
+        labels = [p.label for p in pages]
+        config = TrainConfig(fn_cost=20.0, rng_seed=4)
+        arrays, _ = train_forest(vectors, labels, config)
+        monkeypatch.setattr(safeindex.forest, "best_split", loop_best_split)
+        loop, _ = train_forest(vectors, labels, config)
+        assert forest_to_json(arrays) == forest_to_json(loop)
+
+    def test_restart_draws_come_from_the_seed(self):
+        # one value for every row: each tree is one leaf.  The first tree
+        # calls all four rows adult; the second sees equal class weights,
+        # so its error is 0.5 and the third starts from perturbed weights.
+        vectors = [make_vector(nbr_img=1.0)] * 4
+        labels = [ADULT, ADULT, SAFE, SAFE]
+
+        def train(seed):
+            forest, _ = train_forest(vectors, labels, TrainConfig(fn_cost=20.0, rng_seed=seed))
+            return forest
+
+        first, again, other = train(1), train(1), train(2)
+        assert forest_to_json(first) == forest_to_json(again)
+        assert first.trees[:2] == other.trees[:2]
+        assert first.trees[2].weights != other.trees[2].weights
+        # the draws are those of a generator seeded with rng_seed
+        initial = np.array([20.0, 20.0, 1.0, 1.0])
+        initial *= 4 / initial.sum()
+        w = initial * np.random.default_rng(1).uniform(0.8, 1.2, 4)
+        w *= 4 / w.sum()
+        adult = float(w[:2].sum())
+        assert first.trees[2].weights == (adult, float(w.sum()) - adult)
+
     def test_degenerate_labels_raise(self):
         vectors, _ = self._separable()
         with pytest.raises(TrainingError, match="degenerate"):
@@ -335,6 +390,43 @@ class TestSerialization:
         )
         with pytest.raises(SafeIndexError, match="attribute"):
             forest_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"version": 1}',
+            '{"version": 1, "trees": [{"label": "safe"}]}',
+            '{"version": 1, "vote_threshold": 0.5, "trees": [{"thr": 1.0}]}',
+            '{"version": 1, "vote_threshold": 0.5, "trees": [{"attr": "nbr_img"}]}',
+            '{"version": 1, "vote_threshold": 0.5, "trees": [{"attr": "nbr_img",'
+            ' "thr": "high", "left": {"label": "safe"}, "right": {"label": "safe"}}]}',
+            '{"version": 1, "vote_threshold": 0.5, "trees": 7}',
+            '{"version": 1, "vote_threshold": 0.5, "trees": []}',
+        ],
+    )
+    def test_malformed_model_raises(self, doc):
+        with pytest.raises(SafeIndexError, match="malformed model"):
+            forest_from_json(doc)
+
+    def test_deeply_nested_model_raises(self):
+        n = 5000
+        doc = (
+            '{"version": 1, "vote_threshold": 0.5, "trees": ['
+            + '{"attr": "nbr_img", "thr": 1.0, "right": {"label": "safe"}, "left": ' * n
+            + '{"label": "safe"}' + "}" * n + "]}"
+        )
+        with pytest.raises(SafeIndexError):
+            forest_from_json(doc)
+
+    def test_non_object_model_raises(self):
+        with pytest.raises(SafeIndexError, match="version"):
+            forest_from_json("[1, 2]")
+
+    def test_non_utf8_model_file_raises(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(SafeIndexError, match="UTF-8"):
+            load_forest(path)
 
     def test_bad_label_raises(self):
         doc = '{"version": 1, "vote_threshold": 0.5, "trees": [{"label": "odd"}]}'
