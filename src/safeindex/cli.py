@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import ConfigError, SafeIndexError, TrainingError
 from .evaluation import attribute_usage, format_confusion, metrics, score_run
 from .features import extract_features
+from .fileio import write_atomic
 from .forest import (
     TrainConfig,
     classify,
@@ -109,15 +110,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
     index, report, state = build_safe_index(
         iter_corpus(cfg["corpus"]), forest, lexicons, state
     )
-    Path(cfg["index"]).write_text(
-        "".join(f"{url}\n" for url in index), encoding="utf-8"
-    )
+    write_atomic(cfg["index"], "".join(f"{url}\n" for url in index))
     if blacklist_path:
         save_blacklist(state.blacklist, blacklist_path)
     if cfg.get("report"):
-        Path(cfg["report"]).write_text(
-            json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_atomic(cfg["report"], json.dumps(report.as_dict(), indent=2) + "\n")
     print(json.dumps(report.as_dict(), indent=2))
     print(f"{len(index)} pages indexed")
     return 0
@@ -166,9 +163,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         }
         if stage_report is not None:
             doc["stages"] = stage_report.as_dict()
-        Path(cfg["report"]).write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-        )
+        write_atomic(cfg["report"], json.dumps(doc, indent=2) + "\n")
     return 0
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import SafeIndexError, TrainingError
 from .features import ATTRIBUTE_NAMES, FeatureVector
+from .fileio import write_atomic
 from .page import ADULT, SAFE
 
 MODEL_VERSION = 1
@@ -79,6 +80,8 @@ class TreeStats:
 class TrainReport:
     per_tree: tuple[TreeStats, ...]
     global_training_error: float
+    restarts: int  # rounds with weighted error >= 0.5, which reset the weights
+    distinct_trees: int  # trees that differ in a split or a leaf weight
 
 
 def entropy(adult_weight: float, safe_weight: float) -> float:
@@ -296,6 +299,7 @@ def train_forest(
     trees: list[TreeNode] = []
     stats: list[TreeStats] = []
     votes = np.zeros(n, dtype=int)
+    restarts = 0
     for _ in range(config.n_trees):
         tree = grow_tree(X, y, w, config)
         pred = _predict_rows(tree, X)
@@ -306,6 +310,7 @@ def train_forest(
 
         eps = float(w[wrong].sum() / w.sum())
         if eps >= 0.5:
+            restarts += 1
             if rng is None:
                 rng = np.random.default_rng(config.rng_seed)
             w = initial * rng.uniform(0.8, 1.2, n)
@@ -319,7 +324,7 @@ def train_forest(
     forest = Forest(tuple(trees))
     ensemble_adult = votes / config.n_trees > forest.vote_threshold
     global_error = float((ensemble_adult != y).mean())
-    return forest, TrainReport(tuple(stats), global_error)
+    return forest, TrainReport(tuple(stats), global_error, restarts, len(set(trees)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +387,7 @@ def forest_from_json(text: str) -> Forest:
 
 
 def save_forest(forest: Forest, path: str | Path) -> None:
-    Path(path).write_text(forest_to_json(forest), encoding="utf-8")
+    write_atomic(path, forest_to_json(forest))
 
 
 def load_forest(path: str | Path) -> Forest:
@@ -413,4 +418,6 @@ def format_report(report: TrainReport) -> str:
     for i, ts in enumerate(report.per_tree):
         lines.append(f"{i:<7d}  {ts.size:<4d}  {ts.training_error:.1%}")
     lines.append(f"global error: {report.global_training_error:.1%}")
+    lines.append(f"restarts: {report.restarts}")
+    lines.append(f"distinct trees: {report.distinct_trees}/{len(report.per_tree)}")
     return "\n".join(lines)

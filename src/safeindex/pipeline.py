@@ -15,6 +15,7 @@ from typing import Iterable
 
 from .errors import ConfigError
 from .features import FeatureVector, extract_features, matcher_for
+from .fileio import write_atomic
 from .forest import Forest, forest_score
 from .lexicon import LexiconSet, parse_terms
 from .page import ADULT, SAFE, Page, PageLoadFailure
@@ -130,6 +131,4 @@ def load_blacklist(path: str | Path) -> set[str]:
 
 
 def save_blacklist(domains: set[str], path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(f"{d}\n" for d in sorted(domains)), encoding="utf-8"
-    )
+    write_atomic(path, "".join(f"{d}\n" for d in sorted(domains)))

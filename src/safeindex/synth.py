@@ -9,7 +9,10 @@ lexicons.  Everything is deterministic given a seed.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -56,7 +59,9 @@ _LEXICON_WEIGHTS = {
 
 def _word(rng: np.random.Generator, min_syl: int = 2, max_syl: int = 4) -> str:
     n = int(rng.integers(min_syl, max_syl + 1))
-    return "".join(_SYLLABLES[i] for i in rng.integers(0, len(_SYLLABLES), n))
+    # n scalar draws yield the values of one sized draw, and skip the
+    # sized call's overhead, which costs more than the draws here
+    return "".join(_SYLLABLES[rng.integers(0, len(_SYLLABLES))] for _ in range(n))
 
 
 def _unique_words(rng: np.random.Generator, n: int, taken: set[str]) -> list[str]:
@@ -126,21 +131,36 @@ def write_lexicon_files(dest_dir: str | Path, seed: int = DEFAULT_LEXICON_SEED) 
     return manifest_path
 
 
-def _sorted_terms(lexicons: LexiconSet) -> dict[str, list[str]]:
-    return {name: sorted(lexicons.content(name).terms) for name in CONTENT_LEXICON_NAMES}
+class _Vocabulary(NamedTuple):
+    terms: Mapping[str, tuple[str, ...]]  # content list name -> sorted terms
+    forbidden: frozenset[str]  # every word of every content and URL term
+    url_terms: tuple[str, ...]  # sorted
 
 
-def _neutral_pool(rng: np.random.Generator, lexicons: LexiconSet, n: int = 900) -> list[str]:
-    forbidden: set[str] = set(lexicons.url_terms.terms)
-    for name in CONTENT_LEXICON_NAMES:
-        for term in lexicons.content(name).terms:
+@lru_cache(maxsize=8)
+def _vocabulary(
+    content_term_sets: tuple[frozenset[str], ...], url_terms: frozenset[str]
+) -> _Vocabulary:
+    """The seed-independent part of a corpus, built once per lexicon
+    content: keyed on the term sets (a LexiconSet holds a dict and cannot
+    key a cache), so equal lists loaded twice share one entry."""
+    forbidden = set(url_terms)
+    for terms in content_term_sets:
+        for term in terms:
             forbidden.update(term.split(" "))
-    return _unique_words(rng, n, set(forbidden))
+    return _Vocabulary(
+        MappingProxyType({
+            name: tuple(sorted(terms))
+            for name, terms in zip(CONTENT_LEXICON_NAMES, content_term_sets)
+        }),
+        frozenset(forbidden),
+        tuple(sorted(url_terms)),
+    )
 
 
 def _term_units(
     rng: np.random.Generator,
-    terms: dict[str, list[str]],
+    terms: Mapping[str, tuple[str, ...]],
     count: int,
 ) -> list[list[str]]:
     """`count` lexicon terms apportioned across lists by weight (largest
@@ -177,9 +197,13 @@ def generate_corpus(
     collide.
     """
     rng = np.random.default_rng(seed)
-    terms = _sorted_terms(lexicons)
-    neutral = _neutral_pool(rng, lexicons)
-    url_terms = sorted(lexicons.url_terms.terms)
+    terms, forbidden, url_terms = _vocabulary(
+        tuple(lexicons.content(name).terms for name in CONTENT_LEXICON_NAMES),
+        lexicons.url_terms.terms,
+    )
+    # the pool depends on the seed, so only its forbidden words are cached;
+    # the copy keeps the cached set intact
+    neutral = _unique_words(rng, 900, set(forbidden))
 
     def safe_domain() -> str:
         while True:
@@ -196,9 +220,10 @@ def generate_corpus(
         n_terms = max(1, int(length * frac))
         units = _term_units(rng, terms, n_terms)
         n_tokens = sum(len(u) for u in units)
-        while n_tokens < length:
-            units.append([neutral[rng.integers(len(neutral))]])
-            n_tokens += 1
+        # one batched draw yields the values of one scalar draw per token,
+        # so the pages equal those of a per-token loop (tests check this)
+        padding = rng.integers(len(neutral), size=max(length - n_tokens, 0))
+        units.extend([neutral[j]] for j in padding.tolist())
         rng.shuffle(units)
         tokens = [tok for unit in units for tok in unit]
 

@@ -15,6 +15,8 @@ from safeindex import ADULT, SAFE, FeatureVector, Lexicon, LexiconSet
 from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import Forest, Leaf, Split, SplitChoice, entropy
 from safeindex.lexicon import CONTENT_LEXICON_NAMES
+from safeindex.page import Page, parse_url
+from safeindex.synth import _SYLLABLES, DISCLAIMER_PHRASES, _term_units
 
 
 def make_lexicon_set(
@@ -206,6 +208,93 @@ def loop_best_split(X, y, w, attr_names, min_leaf_weight):
         eligible, key=lambda c: (-c[0], -c[1], c[2], c[3])
     )
     return SplitChoice(name, threshold, gr)
+
+
+# ---------------------------------------------------------------------------
+# reference: corpus generation with per-call vocabulary and one draw per call
+
+
+def _loop_word(rng):
+    n = int(rng.integers(2, 5))
+    return "".join(_SYLLABLES[i] for i in rng.integers(0, len(_SYLLABLES), n))
+
+
+def _loop_unique_words(rng, n, taken):
+    words = []
+    while len(words) < n:
+        w = _loop_word(rng)
+        if w not in taken:
+            taken.add(w)
+            words.append(w)
+    return words
+
+
+def loop_generate_corpus(
+    lexicons,
+    n_pages,
+    n_adult,
+    seed,
+    overlap=0.1,
+    xxx_fraction=0.0,
+    disclaimer_fraction=0.0,
+    url_prefix="",
+):
+    """synth.generate_corpus with the vocabulary sorted and the forbidden
+    words collected on every call, one sized draw per word's syllables and
+    one scalar draw per padding token.  Must return equal pages."""
+    rng = np.random.default_rng(seed)
+    terms = {
+        name: sorted(lexicons.content(name).terms) for name in CONTENT_LEXICON_NAMES
+    }
+    forbidden = set(lexicons.url_terms.terms)
+    for name in CONTENT_LEXICON_NAMES:
+        for term in lexicons.content(name).terms:
+            forbidden.update(term.split(" "))
+    neutral = _loop_unique_words(rng, 900, set(forbidden))
+    url_terms = sorted(lexicons.url_terms.terms)
+
+    def safe_domain():
+        while True:
+            w = neutral[rng.integers(len(neutral))]
+            domain = f"{w}.com"
+            if not any(t in domain for t in url_terms):
+                return domain
+
+    pages = []
+    for i in range(n_pages):
+        is_adult = i < n_adult
+        length = int(rng.integers(150, 400))
+        frac = rng.uniform(0.18, 0.45) if is_adult else overlap
+        n_terms = max(1, int(length * frac))
+        units = _term_units(rng, terms, n_terms)
+        n_tokens = sum(len(u) for u in units)
+        while n_tokens < length:
+            units.append([neutral[rng.integers(len(neutral))]])
+            n_tokens += 1
+        rng.shuffle(units)
+        tokens = [tok for unit in units for tok in unit]
+
+        if is_adult and rng.random() < disclaimer_fraction:
+            phrase = DISCLAIMER_PHRASES[rng.integers(len(DISCLAIMER_PHRASES))]
+            tokens = phrase.split(" ") + tokens
+
+        if is_adult:
+            word = neutral[rng.integers(len(neutral))]
+            if rng.random() < 0.6:
+                term = url_terms[rng.integers(len(url_terms))]
+                host = f"{word}{term}"
+            else:
+                host = word
+            tld = "xxx" if rng.random() < xxx_fraction else "com"
+            url = f"http://{host}.{tld}/{url_prefix}a{i}"
+            image_count = int(rng.poisson(14))
+            label = ADULT
+        else:
+            url = f"http://{safe_domain()}/{url_prefix}s{i}"
+            image_count = int(rng.poisson(7))
+            label = SAFE
+        pages.append(Page(parse_url(url), tuple(tokens), image_count, label))
+    return pages
 
 
 # ---------------------------------------------------------------------------

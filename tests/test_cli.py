@@ -1,4 +1,5 @@
 import json
+import os
 from importlib.resources import files
 
 import pytest
@@ -404,6 +405,35 @@ class TestEval:
         adult_stages = ("blacklist", "disclaimer", "tld_xxx", "forest_adult")
         assert sum(stages[s] for s in adult_stages) == cm["tp"] + cm["fp"]
         assert stages["forest_safe"] == cm["tn"] + cm["fn"]
+
+
+class TestAtomicOutputs:
+    """A failed write leaves the old output whole and no temporary file."""
+
+    @pytest.mark.parametrize(
+        "command, target, extra",
+        [
+            ("train", "model", ["--corpus", "train_manifest", "--seed", "0"]),
+            ("filter", "index", ["--corpus", "eval_manifest", "--model", "model"]),
+            ("eval", "report", ["--corpus", "eval_manifest", "--model", "model"]),
+        ],
+    )
+    def test_failed_replace_keeps_old_file(
+        self, workspace, tmp_path, monkeypatch, capsys, command, target, extra
+    ):
+        out = tmp_path / f"{target}.out"
+        out.write_text("old\n", encoding="utf-8")
+        args = [command, "--lexicons", LEXICON_MANIFEST, f"--{target}", str(out)]
+        args += [str(workspace[v]) if v in workspace else v for v in extra]
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(args) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 class TestInspectModel:

@@ -326,6 +326,22 @@ class TestTrainForest:
         adult = float(w[:2].sum())
         assert first.trees[2].weights == (adult, float(w.sum()) - adult)
 
+    def test_report_counts_restarts_and_distinct_trees(self):
+        # the four identical rows above: every other round has error 0.5
+        vectors = [make_vector(nbr_img=1.0)] * 4
+        labels = [ADULT, ADULT, SAFE, SAFE]
+        forest, report = train_forest(vectors, labels, TrainConfig(fn_cost=20.0, rng_seed=1))
+        assert report.restarts >= 1
+        assert report.distinct_trees == len(set(forest.trees))
+
+        # separable rows: error 0 from the first round, so the weights never
+        # move and every round regrows the first tree
+        vectors, labels = self._separable()
+        forest, report = train_forest(vectors, labels, TrainConfig(rng_seed=1, min_leaf_weight=0.5))
+        assert report.restarts == 0
+        assert report.distinct_trees == 1
+        assert len(forest.trees) == 10
+
     def test_degenerate_labels_raise(self):
         vectors, _ = self._separable()
         with pytest.raises(TrainingError, match="degenerate"):
@@ -450,3 +466,5 @@ class TestFormatting:
         text = format_report(report)
         assert "tree id" in text
         assert "global error:" in text
+        assert f"restarts: {report.restarts}" in text
+        assert f"distinct trees: {report.distinct_trees}/2" in text

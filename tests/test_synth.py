@@ -1,12 +1,22 @@
+from dataclasses import replace
+from importlib.resources import files
+from pathlib import Path
+
+import pytest
+
+from helpers import loop_generate_corpus
 from safeindex import ADULT, SAFE, Page, iter_corpus, load_lexicon_set
 from safeindex.lexicon import CONTENT_LEXICON_NAMES, REFERENCE_SIZES
 from safeindex.pipeline import has_disclaimer
 from safeindex.synth import (
+    _vocabulary,
     generate_corpus,
     generate_lexicon_materials,
     write_corpus,
     write_lexicon_files,
 )
+
+BUNDLED_LEXICONS = Path(str(files("safeindex").joinpath("data/lexicons")))
 
 
 class TestLexiconGeneration:
@@ -25,6 +35,14 @@ class TestLexiconGeneration:
         a = generate_lexicon_materials(5)
         b = generate_lexicon_materials(6)
         assert a["tags-en"] != b["tags-en"]
+
+    def test_default_seed_reproduces_the_bundled_files(self, tmp_path):
+        # pins the order of every draw in the word generator
+        write_lexicon_files(tmp_path)
+        bundled = sorted(p.name for p in BUNDLED_LEXICONS.iterdir() if p.is_file())
+        assert sorted(p.name for p in tmp_path.iterdir()) == bundled
+        for name in bundled:
+            assert (tmp_path / name).read_bytes() == (BUNDLED_LEXICONS / name).read_bytes()
 
 
 class TestCorpusGeneration:
@@ -66,3 +84,53 @@ class TestCorpusGeneration:
             assert read_back.tokens == original.tokens
             assert read_back.image_count == original.image_count
             assert read_back.label == original.label
+
+
+class TestCorpusEqualsLoopReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_grid(self, lexicons, seed):
+        for overlap in (0.0, 0.1, 0.3):
+            for extra in ({}, {"xxx_fraction": 0.3, "disclaimer_fraction": 0.5, "url_prefix": "t"}):
+                args = (lexicons, 20, 10)
+                kwargs = {"seed": seed, "overlap": overlap, **extra}
+                assert generate_corpus(*args, **kwargs) == loop_generate_corpus(*args, **kwargs)
+
+    def test_large_corpus(self, lexicons):
+        args = (lexicons, 1153, 553)
+        kwargs = {"seed": 5, "overlap": 0.3}
+        assert generate_corpus(*args, **kwargs) == loop_generate_corpus(*args, **kwargs)
+
+
+class TestVocabularyCache:
+    @staticmethod
+    def _key(lexicons):
+        return (
+            tuple(lexicons.content(name).terms for name in CONTENT_LEXICON_NAMES),
+            lexicons.url_terms.terms,
+        )
+
+    def test_alternating_lexicon_sets(self, lexicons, tmp_path):
+        other = load_lexicon_set(write_lexicon_files(tmp_path, seed=99))
+        # sets that differ from the bundled one in a single list catch a
+        # cache keyed on only some of the lists
+        one_list = replace(lexicons, lexicons={**lexicons.lexicons, "tags-fr": other.content("tags-fr")})
+        url_only = replace(lexicons, url_terms=other.url_terms)
+        for seed, lex in enumerate([lexicons, other, one_list, lexicons, url_only, other, one_list]):
+            assert generate_corpus(lex, 12, 6, seed=seed % 2, overlap=0.3) == loop_generate_corpus(
+                lex, 12, 6, seed=seed % 2, overlap=0.3
+            )
+
+    def test_equal_content_shares_one_entry(self, tmp_path):
+        manifest = write_lexicon_files(tmp_path, seed=7)
+        first, second = load_lexicon_set(manifest), load_lexicon_set(manifest)
+        assert first is not second
+        assert generate_corpus(first, 12, 6, seed=3) == generate_corpus(second, 12, 6, seed=3)
+        assert _vocabulary(*self._key(first)) is _vocabulary(*self._key(second))
+
+    def test_cached_forbidden_words_are_not_extended(self, lexicons):
+        vocabulary = _vocabulary(*self._key(lexicons))
+        assert isinstance(vocabulary.forbidden, frozenset)
+        size = len(vocabulary.forbidden)
+        generate_corpus(lexicons, 6, 3, seed=8)
+        assert _vocabulary(*self._key(lexicons)) is vocabulary
+        assert len(vocabulary.forbidden) == size
