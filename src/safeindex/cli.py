@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, SafeIndexError, TrainingError
@@ -87,11 +88,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     vectors = [extract_features(p, lexicons) for p in pages]
     labels = [p.label for p in pages]
     forest, report = train_forest(vectors, labels, config)
-    threshold = _vote_threshold(cfg, config.n_trees)
-    if threshold != forest.vote_threshold:
-        from .forest import Forest
-
-        forest = Forest(forest.trees, threshold)
+    forest = replace(forest, vote_threshold=_vote_threshold(cfg, config.n_trees))
+    # the report's global error is the saved model's, at its threshold
+    wrong = sum(classify(forest, fv) != label for fv, label in zip(vectors, labels))
+    report = replace(report, global_training_error=wrong / len(vectors))
     save_forest(forest, cfg["model"])
     print(format_report(report))
     print(f"model written to {cfg['model']}")

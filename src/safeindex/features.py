@@ -13,10 +13,8 @@ TermMatcher over the disclaimer phrases.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .lexicon import CONTENT_LEXICON_NAMES, Lexicon, LexiconSet
@@ -152,16 +150,3 @@ def extract_features(page: Page, lexicons: LexiconSet) -> FeatureVector:
         values.append(covered / len(page.tokens) if page.tokens else 0.0)
     return FeatureVector(tuple(values))
 
-
-def write_feature_csv(
-    path: str | Path,
-    rows: Iterable[tuple[Page, FeatureVector]],
-) -> None:
-    """Debug/eval dump: url, label, then the 36 attributes in fixed order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["url", "label", *ATTRIBUTE_NAMES])
-        for page, fv in rows:
-            writer.writerow(
-                [page.url.full_url, page.label or "unlabeled", *fv.values]
-            )

@@ -54,6 +54,10 @@ class Forest:
         if not 0.0 < self.vote_threshold <= 1.0:
             raise ValueError("vote_threshold must be in (0, 1]")
 
+    def label(self, score: float) -> str:
+        """Adult iff the vote score strictly exceeds the threshold."""
+        return ADULT if score > self.vote_threshold else SAFE
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -233,23 +237,6 @@ def tree_classify(tree: TreeNode, fv: FeatureVector) -> tuple[str, set[str]]:
     return node.label, visited
 
 
-def _predict_rows(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Boolean adult-vote array for every row, one tree."""
-    out = np.empty(len(X), dtype=bool)
-
-    def fill(node: TreeNode, idx: np.ndarray):
-        if isinstance(node, Leaf):
-            out[idx] = node.label == ADULT
-            return
-        j = ATTRIBUTE_NAMES.index(node.attribute)
-        mask = X[idx, j] <= node.threshold
-        fill(node.left, idx[mask])
-        fill(node.right, idx[~mask])
-
-    fill(node, np.arange(len(X)))
-    return out
-
-
 def forest_score(forest: Forest, fv: FeatureVector) -> float:
     """Fraction of trees voting adult."""
     votes = sum(1 for t in forest.trees if tree_classify(t, fv)[0] == ADULT)
@@ -257,8 +244,8 @@ def forest_score(forest: Forest, fv: FeatureVector) -> float:
 
 
 def classify(forest: Forest, fv: FeatureVector) -> str:
-    """Adult iff the vote score strictly exceeds the forest's threshold."""
-    return ADULT if forest_score(forest, fv) > forest.vote_threshold else SAFE
+    """The forest's verdict on one vector."""
+    return forest.label(forest_score(forest, fv))
 
 
 def count_threshold(n_trees: int, min_votes: int) -> float:
@@ -302,7 +289,7 @@ def train_forest(
     restarts = 0
     for _ in range(config.n_trees):
         tree = grow_tree(X, y, w, config)
-        pred = _predict_rows(tree, X)
+        pred = np.array([tree_classify(tree, fv)[0] == ADULT for fv in vectors])
         wrong = pred != y
         trees.append(tree)
         stats.append(TreeStats(tree_size(tree), float(wrong.mean())))
@@ -322,7 +309,8 @@ def train_forest(
         # eps == 0: nothing to upweight; weights stay put
 
     forest = Forest(tuple(trees))
-    ensemble_adult = votes / config.n_trees > forest.vote_threshold
+    scores = (votes / config.n_trees).tolist()
+    ensemble_adult = np.array([forest.label(s) == ADULT for s in scores])
     global_error = float((ensemble_adult != y).mean())
     return forest, TrainReport(tuple(stats), global_error, restarts, len(set(trees)))
 

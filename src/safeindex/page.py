@@ -47,7 +47,7 @@ _MARKUP_RE = re.compile(
 )
 
 # Two-level public suffixes for which the registrable domain keeps three
-# labels instead of two.  Deliberately small; extensible per call.
+# labels instead of two.  Deliberately small.
 TWO_LEVEL_SUFFIXES = frozenset({
     "ac.jp", "ac.uk", "co.in", "co.jp", "co.kr", "co.nz", "co.uk", "co.za",
     "com.ar", "com.au", "com.br", "com.cn", "com.mx", "com.sg", "com.tr",
@@ -96,7 +96,7 @@ def extract_text(html: str) -> tuple[tuple[str, ...], int]:
     return tokenize(text), len(images) - images.count(None)
 
 
-def parse_url(url: str, extra_suffixes: frozenset[str] = frozenset()) -> UrlParts:
+def parse_url(url: str) -> UrlParts:
     """Split a URL into (full lowercased url, registrable domain, tld).
 
     The scheme is optional; "host/path" is accepted.  An IP-literal host
@@ -124,7 +124,7 @@ def parse_url(url: str, extra_suffixes: frozenset[str] = frozenset()) -> UrlPart
     if ":" in host or labels[-1].isdigit():  # an IP literal; no TLD is numeric
         return UrlParts(lowered, host.strip("."), "")
     tail = ".".join(labels[-2:])
-    if len(labels) >= 3 and (tail in TWO_LEVEL_SUFFIXES or tail in extra_suffixes):
+    if len(labels) >= 3 and tail in TWO_LEVEL_SUFFIXES:
         registrable = ".".join(labels[-3:])
     else:
         registrable = tail

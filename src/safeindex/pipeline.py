@@ -90,8 +90,7 @@ def filter_page(
         if features is None:
             features = extract_features(page, lexicons)
         score = forest_score(forest, features)
-        label = ADULT if score > forest.vote_threshold else SAFE
-        verdict = Verdict(label, REASON_FOREST, score)
+        verdict = Verdict(forest.label(score), REASON_FOREST, score)
 
     if verdict.label == ADULT and page.url.full_url not in state.counted_urls:
         state.counted_urls.add(page.url.full_url)

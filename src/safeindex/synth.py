@@ -8,6 +8,7 @@ lexicons.  Everything is deterministic given a seed.
 
 from __future__ import annotations
 
+import csv
 import json
 from functools import lru_cache
 from pathlib import Path
@@ -264,11 +265,12 @@ def write_corpus(pages: list[Page], dest_dir: str | Path) -> Path:
     """Write pages as HTML files plus a manifest.csv; returns the manifest."""
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
-    lines = ["path,url,label"]
+    rows = [("path", "url", "label")]
     for i, page in enumerate(pages):
         filename = f"p{i:04d}.html"
         (dest / filename).write_text(render_html(page), encoding="utf-8")
-        lines.append(f"{filename},{page.url.full_url},{page.label or 'unlabeled'}")
+        rows.append((filename, page.url.full_url, page.label or "unlabeled"))
     manifest_path = dest / "manifest.csv"
-    manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return manifest_path

@@ -46,6 +46,13 @@ def workspace(tmp_path_factory, lexicons):
     }
 
 
+@pytest.fixture(scope="module")
+def noisy_manifest(tmp_path_factory, lexicons):
+    """A corpus whose classes overlap, so the vote threshold moves the error."""
+    pages = generate_corpus(lexicons, 300, 150, seed=1, overlap=0.3)
+    return write_corpus(pages, tmp_path_factory.mktemp("noisy"))
+
+
 class TestTrain:
     def test_writes_model_and_report(self, workspace, capsys):
         model = workspace["root"] / "again.json"
@@ -79,6 +86,16 @@ class TestTrain:
         )
         assert code == 0
         assert load_forest(model).vote_threshold == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("flag", [["--min-votes", "1"], ["--vote-threshold", "0.25"]])
+    def test_reported_error_is_the_saved_models(self, noisy_manifest, tmp_path, capsys, flag):
+        model, report = tmp_path / "model.json", tmp_path / "eval.json"
+        common = ["--lexicons", LEXICON_MANIFEST, "--corpus", str(noisy_manifest), "--model", str(model)]
+        assert main(["train", *common, *flag]) == 0
+        out = capsys.readouterr().out
+        assert main(["eval", *common, "--report", str(report)]) == 0
+        accuracy = json.loads(report.read_text(encoding="utf-8"))["metrics"]["accuracy"]
+        assert f"global error: {1 - accuracy:.1%}\n" in out
 
     def test_config_file_supplies_options(self, workspace):
         model = workspace["root"] / "fromconfig.json"

@@ -16,7 +16,6 @@ from safeindex import (
     ratio_metric,
     substring_hits,
 )
-from safeindex.features import write_feature_csv
 
 from fixture_docs import DOCS, FIXTURE_LEXICONS
 from helpers import (
@@ -161,21 +160,3 @@ class TestExtractFeatures:
     def test_image_count_attribute(self):
         page = page_from_html("http://a.example.com/", "<img src='a'><img src='b'>")
         assert extract_features(page, FIXTURE_LEXICONS)["nbr_img"] == 2.0
-
-
-class TestFeatureCsv:
-    def test_writes_header_and_rows(self, tmp_path):
-        page = page_from_html("http://a.example.com/", "<p>hot teen</p>", "adult")
-        fv = extract_features(page, FIXTURE_LEXICONS)
-        out = tmp_path / "features.csv"
-        write_feature_csv(out, [(page, fv)])
-        lines = out.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0].split(",")[:5] == [
-            "url",
-            "label",
-            "in_url",
-            "in_ndd",
-            "nbr_img",
-        ]
-        assert lines[1].startswith("http://a.example.com/,adult,")
-        assert len(lines) == 2

@@ -342,6 +342,24 @@ class TestTrainForest:
         assert report.distinct_trees == 1
         assert len(forest.trees) == 10
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_report_errors_match_the_oracle_walk(self, lexicons, seed):
+        pages = generate_corpus(lexicons, 200, 100, seed=seed, overlap=0.3)
+        vectors = [extract_features(p, lexicons) for p in pages]
+        labels = [p.label for p in pages]
+        forest, report = train_forest(vectors, labels, TrainConfig(fn_cost=20.0))
+        n = len(vectors)
+        for tree, stats in zip(forest.trees, report.per_tree):
+            wrong = sum(oracle_tree_classify(tree, fv)[0] != label
+                        for fv, label in zip(vectors, labels))
+            assert stats.training_error == wrong / n
+        wrong = 0
+        for fv, label in zip(vectors, labels):
+            votes = sum(oracle_tree_classify(t, fv)[0] == ADULT for t in forest.trees)
+            oracle = ADULT if votes / len(forest.trees) > forest.vote_threshold else SAFE
+            wrong += oracle != label
+        assert report.global_training_error == wrong / n
+
     def test_degenerate_labels_raise(self):
         vectors, _ = self._separable()
         with pytest.raises(TrainingError, match="degenerate"):

@@ -187,10 +187,6 @@ class TestParseUrl:
         assert parts.registrable_domain == "books.co.uk"
         assert parts.tld == "uk"
 
-    def test_extra_suffixes(self):
-        parts = parse_url("http://a.b.madeup.zz/x", frozenset({"madeup.zz"}))
-        assert parts.registrable_domain == "b.madeup.zz"
-
     def test_single_label_host(self):
         assert parse_url("localhost/x").registrable_domain == "localhost"
 

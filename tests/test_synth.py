@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from helpers import loop_generate_corpus
-from safeindex import ADULT, SAFE, Page, iter_corpus, load_lexicon_set
+from safeindex import ADULT, SAFE, Page, iter_corpus, load_lexicon_set, parse_url
 from safeindex.lexicon import CONTENT_LEXICON_NAMES, REFERENCE_SIZES
 from safeindex.pipeline import has_disclaimer
 from safeindex.synth import (
@@ -84,6 +84,17 @@ class TestCorpusGeneration:
             assert read_back.tokens == original.tokens
             assert read_back.image_count == original.image_count
             assert read_back.label == original.label
+
+    def test_write_corpus_quotes_urls(self, lexicons, tmp_path):
+        urls = ["http://a.com/x,y", 'http://b.com/say"hi"', 'http://c.com/a,"b",c']
+        pages = [
+            replace(page, url=parse_url(url))
+            for page, url in zip(generate_corpus(lexicons, 3, 1, seed=4), urls)
+        ]
+        manifest = write_corpus(pages, tmp_path)
+        loaded = list(iter_corpus(manifest))
+        assert [p.url for p in loaded] == [p.url for p in pages]
+        assert [p.label for p in loaded] == [p.label for p in pages]
 
 
 class TestCorpusEqualsLoopReference:
