@@ -76,19 +76,28 @@ def _load_labeled(cfg: dict) -> list[Page]:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model")
+    # TrainConfig, count_threshold and Forest reject out-of-range values
+    # with ValueError; here those values are the user's options.
+    try:
+        config = TrainConfig(
+            n_trees=int(cfg.get("trees", 10)),
+            fn_cost=float(cfg.get("fn_cost", 20.0)),
+            min_leaf_weight=float(cfg.get("min_leaf_weight", 2.0)),
+            max_depth=int(cfg.get("max_depth", 12)),
+            rng_seed=int(cfg.get("seed", 0)),
+        )
+        vote_threshold = _vote_threshold(cfg, config.n_trees)
+    except ValueError as exc:
+        raise ConfigError(f"bad training option: {exc}") from exc
     lexicons = load_lexicon_set(cfg["lexicons"])
     pages = _load_labeled(cfg)
-    config = TrainConfig(
-        n_trees=int(cfg.get("trees", 10)),
-        fn_cost=float(cfg.get("fn_cost", 20.0)),
-        min_leaf_weight=float(cfg.get("min_leaf_weight", 2.0)),
-        max_depth=int(cfg.get("max_depth", 12)),
-        rng_seed=int(cfg.get("seed", 0)),
-    )
     vectors = [extract_features(p, lexicons) for p in pages]
     labels = [p.label for p in pages]
     forest, report = train_forest(vectors, labels, config)
-    forest = replace(forest, vote_threshold=_vote_threshold(cfg, config.n_trees))
+    try:
+        forest = replace(forest, vote_threshold=vote_threshold)
+    except ValueError as exc:
+        raise ConfigError(f"bad training option: {exc}") from exc
     # the report's global error is the saved model's, at its threshold
     wrong = sum(classify(forest, fv) != label for fv, label in zip(vectors, labels))
     report = replace(report, global_training_error=wrong / len(vectors))

@@ -72,6 +72,8 @@ class TrainConfig:
             raise ValueError("n_trees must be >= 1")
         if self.fn_cost <= 0 or self.min_leaf_weight <= 0:
             raise ValueError("fn_cost and min_leaf_weight must be positive")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")  # depth 0 is one constant leaf
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ hold '<' and '>', but an unquoted '<' ends the attempt, so "<a b<c>" is
 the text "<a b" and the tag "<c>"; end tags, "<!...>" and "<?...>" end at
 the next '>' and stop at '<'; an unterminated comment, script or style
 block runs to the end of the document.
+
+`page_from_html` parses the URL at once but strips the markup only when a
+page's tokens or image count are first read, so the pipeline never strips
+a page whose domain is already blacklisted.  `extract_text` is total over
+`str`: a parse error would surface in whatever reads the page, far from
+where the page was loaded.
 """
 
 from __future__ import annotations
@@ -66,10 +72,30 @@ class UrlParts:
 
 @dataclass(frozen=True)
 class Page:
+    """A page as the filter sees it: URL parts, tokens, <img> count, label.
+
+    A page from `page_from_html` holds its HTML instead of `tokens` and
+    `image_count` until one of them is first read; `__getattr__` then
+    strips it with `extract_text`, stores both fields and drops the HTML.
+    Equality, hashing, repr, `dataclasses.replace`, copying and pickling
+    see the same page either way.  This relies on `extract_text` never
+    raising.  A page built with its tokens never reaches `__getattr__`.
+    """
+
     url: UrlParts
     tokens: tuple[str, ...]
     image_count: int
     label: str | None = None
+
+    def __getattr__(self, name: str):
+        # Only called for an attribute missing from the instance: the
+        # fields of a page whose HTML has not been stripped yet.
+        state = self.__dict__
+        if name not in ("tokens", "image_count") or "_html" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state["tokens"], state["image_count"] = extract_text(state["_html"])
+        del state["_html"]
+        return state[name]
 
 
 @dataclass(frozen=True)
@@ -132,8 +158,11 @@ def parse_url(url: str) -> UrlParts:
 
 
 def page_from_html(url: str, html: str, label: str | None = None) -> Page:
-    tokens, image_count = extract_text(html)
-    return Page(parse_url(url), tokens, image_count, label)
+    """A Page whose HTML is stripped on the first read of its tokens or
+    image count.  Raises MalformedUrlError at once for a bad URL."""
+    page = object.__new__(Page)
+    vars(page).update(url=parse_url(url), label=label, _html=html)
+    return page
 
 
 def read_manifest(manifest_path: str | Path) -> list[tuple[str, str, str | None]]:

@@ -3,8 +3,10 @@
 Stage order, first hit wins: blacklist, disclaimer, .xxx TLD, decision
 forest.  Every adult verdict counts toward the per-domain trigger (3 by
 default); once a domain hits the trigger it enters the blacklist and its
-later pages short-circuit without feature extraction.  Verdicts are
-counted once per distinct URL.
+later pages short-circuit on the URL alone.  A page from `page_from_html`
+strips its HTML when the disclaimer stage first reads its tokens, so a
+blacklisted page is never stripped and the later stages reuse the tokens.
+Verdicts are counted once per distinct URL.
 """
 
 from __future__ import annotations

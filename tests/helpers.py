@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+import safeindex.page
 from safeindex import ADULT, SAFE, FeatureVector, Lexicon, LexiconSet
 from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import Forest, Leaf, Split, SplitChoice, entropy
@@ -31,6 +32,19 @@ def make_lexicon_set(
         terms = overrides.get(name, {f"placeholder-{name}"})
         lexicons[name] = Lexicon(name, frozenset(terms))
     return LexiconSet(lexicons, Lexicon("in-url", frozenset(url_terms)), disclaimer)
+
+
+def count_extract_text(monkeypatch) -> list[str]:
+    """The HTML of every later extract_text call made through safeindex.page."""
+    calls = []
+    extract_text = safeindex.page.extract_text
+
+    def counting(html):
+        calls.append(html)
+        return extract_text(html)
+
+    monkeypatch.setattr(safeindex.page, "extract_text", counting)
+    return calls
 
 
 def make_vector(**values: float) -> FeatureVector:

@@ -12,6 +12,8 @@ from safeindex.features import extract_features
 from safeindex.page import load_labeled_corpus
 from safeindex.synth import generate_corpus, write_corpus
 
+from helpers import count_extract_text
+
 LEXICON_MANIFEST = str(files("safeindex").joinpath("data/lexicons/manifest.json"))
 
 
@@ -152,6 +154,36 @@ class TestTrain:
         assert code == 1
         assert "no labeled pages" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--trees", "0"],
+            ["--fn-cost", "0"],
+            ["--min-leaf-weight", "-1"],
+            ["--max-depth", "0"],
+            ["--vote-threshold", "1.5"],
+            ["--min-votes", "0"],
+            ["--min-votes", "11", "--trees", "10"],
+        ],
+        ids=lambda option: " ".join(option),
+    )
+    def test_out_of_range_option_exits_1(self, workspace, capsys, option):
+        model = workspace["root"] / "out_of_range.json"
+        code = main(
+            [
+                "train",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(workspace["train_manifest"]),
+                "--model", str(model),
+                *option,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bad training option" in err
+        assert "internal error" not in err
+        assert not model.exists()
+
 
 class TestFilter:
     def test_builds_index_and_updates_blacklist(self, workspace, capsys):
@@ -215,6 +247,32 @@ class TestFilter:
         assert stages["blacklist"] >= 20
         assert stages["disclaimer"] == 0
         assert stages["tld_xxx"] == 0
+
+    def test_blacklisted_pages_are_not_stripped(self, workspace, lexicons, monkeypatch):
+        root = workspace["root"]
+        pages = generate_corpus(lexicons, 12, 6, seed=6, url_prefix="bl")
+        manifest = write_corpus(pages, root / "listed")
+        blacklist = root / "listed_blacklist.txt"
+        listed = pages[0].url.registrable_domain
+        blacklist.write_text(f"{listed}\n", encoding="utf-8")
+        calls = count_extract_text(monkeypatch)
+        report = root / "listed_report.json"
+        code = main(
+            [
+                "filter",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(manifest),
+                "--model", str(workspace["model"]),
+                "--index", str(root / "listed_index.txt"),
+                "--blacklist", str(blacklist),
+                "--report", str(report),
+            ]
+        )
+        assert code == 0
+        stages = json.loads(report.read_text(encoding="utf-8"))
+        n_listed = sum(p.url.registrable_domain == listed for p in pages)
+        assert stages["blacklist"] >= n_listed >= 1
+        assert len(calls) == len(pages) - stages["blacklist"]
 
 
     def test_malformed_url_row_is_skipped(self, workspace, lexicons, capsys):

@@ -385,6 +385,8 @@ class TestTrainForest:
             TrainConfig(n_trees=0)
         with pytest.raises(ValueError):
             TrainConfig(fn_cost=0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(max_depth=0)
 
 
 class TestSerialization:

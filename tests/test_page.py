@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import time
 
 import pytest
@@ -18,6 +21,7 @@ from safeindex.page import PageLoadFailure, load_labeled_corpus, read_manifest, 
 from safeindex.errors import ConfigError
 
 from fixture_docs import DOCS, EDGE_DOCS, oracle_extract
+from helpers import count_extract_text
 
 # Fragments of closed markup for the differential test against the
 # html.parser oracle.  Every fragment is complete, so a document built from
@@ -86,6 +90,29 @@ _CLOSED_MARKUP_DOCS = st.lists(
     ),
     max_size=12,
 ).map("".join)
+
+# Any text at all: arbitrary characters, lone surrogates, and fragments of
+# markup, entities and raw blocks that may be left open.
+_ANY_TEXT = st.lists(
+    st.one_of(
+        st.text(st.characters(categories=["L", "M", "N", "P", "S", "Z", "C"]), max_size=8),
+        st.characters(categories=["Cs"]),
+        st.sampled_from([
+            "<", ">", "</", "<!--", "-->", "<!", "<?", "<img", "<IMG ", "<script", "</script>",
+            "<style>", "'", '"', "=", "&", "&#", "&#x", "&#xD800;", "&#0;", "&#99999999;", "&amp",
+        ]),
+        _CLOSED_MARKUP_DOCS,
+    ),
+    max_size=10,
+).map("".join)
+
+_URLS = st.builds(
+    "{}{}.{}{}".format,
+    st.sampled_from(["http://", "https://", "", "HTTP://user@"]),
+    st.from_regex(r"[a-z0-9][a-z0-9-]{0,8}(\.[a-z0-9]{1,6}){0,2}", fullmatch=True),
+    st.sampled_from(["com", "xxx", "co.uk", "fr", "org"]),
+    st.one_of(st.just(""), st.text(max_size=10).map(lambda t: "/" + t)),
+)
 
 
 class TestTokenize:
@@ -158,6 +185,15 @@ class TestExtractText:
     def test_unknown_marked_section_does_not_raise(self):
         assert extract_text("<![if gte mso 9]>one<![endif]><![foo]>two") == (("one", "two"), 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(_ANY_TEXT)
+    def test_never_raises(self, doc):
+        # pages are stripped when the filter first reads them, so an
+        # exception here would escape from filter_page
+        tokens, images = extract_text(doc)
+        assert all(isinstance(t, str) and t for t in tokens)
+        assert images >= 0
+
     # pages of repeated unclosed markup, on which html.parser is quadratic
     @pytest.mark.parametrize("unit", ['<a title="x ', "<a b ", "<!-- x ", "<!x ", "</x "])
     def test_hostile_markup_is_linear(self, unit):
@@ -221,6 +257,51 @@ class TestPageFromHtml:
         assert page.tokens == ("one", "two")
         assert page.image_count == 1
         assert page.label == ADULT
+
+
+class TestDeferredPage:
+    """A page_from_html page equals the page built from its stripped text."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_URLS, st.one_of(_CLOSED_MARKUP_DOCS, _ANY_TEXT), st.sampled_from([ADULT, SAFE, None]))
+    def test_equals_the_eager_page(self, url, html, label):
+        eager = Page(parse_url(url), *extract_text(html), label)
+        assert page_from_html(url, html, label) == eager
+        assert eager == page_from_html(url, html, label)
+        assert hash(page_from_html(url, html, label)) == hash(eager)
+        assert repr(page_from_html(url, html, label)) == repr(eager)
+        assert copy.copy(page_from_html(url, html, label)) == eager
+        assert pickle.loads(pickle.dumps(page_from_html(url, html, label))) == eager
+        relabeled = dataclasses.replace(page_from_html(url, html, label), label=SAFE)
+        assert relabeled == dataclasses.replace(eager, label=SAFE)
+
+    def test_strips_once_on_first_read_and_drops_the_html(self, monkeypatch):
+        calls = count_extract_text(monkeypatch)
+        page = page_from_html("http://a.com/1", "<p>one two</p><img>", ADULT)
+        assert page.url.registrable_domain == "a.com"
+        assert page.label == ADULT
+        assert calls == []
+        assert page.image_count == 1
+        assert page.tokens == ("one", "two")
+        assert calls == ["<p>one two</p><img>"]
+        assert "_html" not in vars(page)
+
+    def test_unparsed_copies_keep_their_html(self):
+        page = page_from_html("http://a.com/1", "<p>one</p>")
+        copied = copy.copy(page)
+        restored = pickle.loads(pickle.dumps(page))
+        assert "_html" in vars(copied) and "_html" in vars(restored)
+        assert copied.tokens == restored.tokens == page.tokens == ("one",)
+
+    def test_unknown_attribute_raises(self):
+        page = page_from_html("http://a.com/1", "<p>one</p>")
+        with pytest.raises(AttributeError, match="nothing"):
+            page.nothing
+        assert "_html" in vars(page)
+
+    def test_malformed_url_raises_at_once(self):
+        with pytest.raises(MalformedUrlError):
+            page_from_html("http:///x", "<p>never read</p>")
 
 
 class TestCorpusIO:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from safeindex import (
@@ -9,12 +11,16 @@ from safeindex import (
     Page,
     Verdict,
     build_safe_index,
+    extract_features,
     filter_page,
     load_blacklist,
+    page_from_html,
     parse_url,
     save_blacklist,
+    train_forest,
 )
-from safeindex.page import PageLoadFailure
+from safeindex.page import PageLoadFailure, extract_text
+from safeindex.synth import generate_corpus, render_html
 from safeindex.pipeline import (
     REASON_BLACKLIST,
     REASON_DISCLAIMER,
@@ -23,7 +29,7 @@ from safeindex.pipeline import (
     has_disclaimer,
 )
 
-from helpers import make_lexicon_set
+from helpers import count_extract_text, make_lexicon_set
 
 ADULT_FOREST = Forest((Leaf(ADULT),))
 SAFE_FOREST = Forest((Leaf(SAFE),))
@@ -184,6 +190,70 @@ class TestBuildSafeIndex:
         assert run1[0] == run2[0]
         assert run1[1].as_dict() == run2[1].as_dict()
         assert run1[2].blacklist == run2[2].blacklist
+
+
+class TestStrippingOnDemand:
+    def test_only_pages_past_the_blacklist_are_stripped(self, tiny_lexicons, monkeypatch):
+        calls = count_extract_text(monkeypatch)
+        stream = (
+            # already blacklisted: decided from the URL
+            [(f"http://banned.com/{i}", f"<p>anything {i}</p>") for i in range(3)]
+            # three disclaimer verdicts blacklist it mid-stream
+            + [(f"http://self.com/{i}", f"<p>adults only {i}</p>") for i in range(5)]
+            # stops at the .xxx stage, after the disclaimer stage read it
+            + [(f"http://site.xxx/{i}", f"<p>plain {i}</p>") for i in range(2)]
+            + [(f"http://fine.org/{i}", f"<p>plain {i}</p>") for i in range(2)]
+        )
+        pages = [page_from_html(url, html) for url, html in stream]
+        assert calls == []
+        state = FilterState(blacklist={"banned.com"})
+        index, report, state = build_safe_index(pages, SAFE_FOREST, tiny_lexicons, state)
+        assert report.as_dict() == {
+            "blacklist": 5, "disclaimer": 3, "tld_xxx": 2,
+            "forest_adult": 0, "forest_safe": 2, "skipped": 0,
+        }
+        assert index == ["http://fine.org/0", "http://fine.org/1"]
+        assert "self.com" in state.blacklist
+        # one strip per page that reached the disclaimer stage, none twice
+        assert len(calls) == len(pages) - report.blacklist
+        parsed = stream[3:6] + stream[8:]  # self.com's first three, then the rest
+        assert calls == [html for _, html in parsed]
+
+    def test_deferred_pages_filter_like_eager_pages(self, lexicons):
+        train = generate_corpus(lexicons, 60, 30, seed=1)
+        forest, _ = train_forest(
+            [extract_features(p, lexicons) for p in train], [p.label for p in train]
+        )
+        corpus = generate_corpus(
+            lexicons, 80, 50, seed=2, url_prefix="d",
+            xxx_fraction=0.3, disclaimer_fraction=0.3,
+        )
+        # adult pages share five domains, so some of them get blacklisted
+        corpus = [
+            dataclasses.replace(
+                p, url=parse_url(f"http://host{i % 5}.{p.url.tld}/{i}")
+            ) if p.label == ADULT else p
+            for i, p in enumerate(corpus)
+        ]
+        rows = [(p.url.full_url, render_html(p), p.label) for p in corpus]
+        eager = [Page(parse_url(u), *extract_text(h), label) for u, h, label in rows]
+        deferred = [page_from_html(u, h, label) for u, h, label in rows]
+
+        def run(pages):
+            state = FilterState()
+            verdicts = []
+            for p in pages:
+                verdict, state = filter_page(p, forest, lexicons, state)
+                verdicts.append(verdict)
+            index, report, final = build_safe_index(pages, forest, lexicons)
+            assert final == state
+            return verdicts, index, report, final
+
+        expected = run(eager)
+        assert expected[2].blacklist > 0
+        assert expected[2].disclaimer > 0
+        assert expected[2].tld_xxx > 0
+        assert run(deferred) == expected
 
 
 class TestBlacklistIO:
