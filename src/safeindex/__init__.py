@@ -12,9 +12,6 @@ from .features import (
     ATTRIBUTE_NAMES,
     FeatureVector,
     extract_features,
-    nb_metric,
-    prop_metric,
-    ratio_metric,
     substring_hits,
 )
 from .forest import (

@@ -19,6 +19,7 @@ from .features import extract_features
 from .fileio import write_atomic
 from .forest import (
     TrainConfig,
+    check_vote_threshold,
     classify,
     count_threshold,
     format_report,
@@ -44,9 +45,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
         try:
-            merged.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        merged.update(doc)
     for key, value in vars(args).items():
         if key in ("config", "func") or value is None:
             continue
@@ -63,7 +67,7 @@ def _require(cfg: dict, *keys: str) -> None:
 def _vote_threshold(cfg: dict, n_trees: int) -> float:
     if "min_votes" in cfg:
         return count_threshold(n_trees, int(cfg["min_votes"]))
-    return float(cfg.get("vote_threshold", 0.5))
+    return check_vote_threshold(float(cfg.get("vote_threshold", 0.5)))
 
 
 def _load_labeled(cfg: dict) -> list[Page]:
@@ -76,8 +80,9 @@ def _load_labeled(cfg: dict) -> list[Page]:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model")
-    # TrainConfig, count_threshold and Forest reject out-of-range values
-    # with ValueError; here those values are the user's options.
+    # TrainConfig, count_threshold and check_vote_threshold reject
+    # out-of-range values with ValueError; here those values are the
+    # user's options, so they are checked before any file is read.
     try:
         config = TrainConfig(
             n_trees=int(cfg.get("trees", 10)),
@@ -94,10 +99,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     vectors = [extract_features(p, lexicons) for p in pages]
     labels = [p.label for p in pages]
     forest, report = train_forest(vectors, labels, config)
-    try:
-        forest = replace(forest, vote_threshold=vote_threshold)
-    except ValueError as exc:
-        raise ConfigError(f"bad training option: {exc}") from exc
+    forest = replace(forest, vote_threshold=vote_threshold)
     # the report's global error is the saved model's, at its threshold
     wrong = sum(classify(forest, fv) != label for fv, label in zip(vectors, labels))
     report = replace(report, global_training_error=wrong / len(vectors))
@@ -110,9 +112,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_filter(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model", "index")
+    state = FilterState(blacklist_trigger=int(cfg.get("blacklist_trigger", 3)))
     lexicons = load_lexicon_set(cfg["lexicons"])
     forest = load_forest(cfg["model"])
-    state = FilterState(blacklist_trigger=int(cfg.get("blacklist_trigger", 3)))
     blacklist_path = cfg.get("blacklist")
     if blacklist_path and Path(blacklist_path).exists():
         state.blacklist = load_blacklist(blacklist_path)
@@ -132,13 +134,14 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model")
+    # built up front so a bad blacklist_trigger fails before any file is read
+    state = FilterState(blacklist_trigger=int(cfg.get("blacklist_trigger", 3)))
     lexicons = load_lexicon_set(cfg["lexicons"])
     forest = load_forest(cfg["model"])
     pages = _load_labeled(cfg)
 
     vectors = [extract_features(p, lexicons) for p in pages]
     if cfg.get("full_pipeline"):
-        state = FilterState(blacklist_trigger=int(cfg.get("blacklist_trigger", 3)))
         stage_report = StageReport()
         predictions = []
         for page, fv in zip(pages, vectors):

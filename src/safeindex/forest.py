@@ -43,6 +43,13 @@ class Split:
 TreeNode = Union[Leaf, Split]
 
 
+def check_vote_threshold(value: float) -> float:
+    """The value itself if it is a valid vote threshold, else ValueError."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError("vote_threshold must be in (0, 1]")
+    return value
+
+
 @dataclass(frozen=True)
 class Forest:
     trees: tuple[TreeNode, ...]
@@ -51,8 +58,7 @@ class Forest:
     def __post_init__(self):
         if not self.trees:
             raise ValueError("forest needs at least one tree")
-        if not 0.0 < self.vote_threshold <= 1.0:
-            raise ValueError("vote_threshold must be in (0, 1]")
+        check_vote_threshold(self.vote_threshold)
 
     def label(self, score: float) -> str:
         """Adult iff the vote score strictly exceeds the threshold."""

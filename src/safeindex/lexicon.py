@@ -5,13 +5,19 @@ lines starting with '#' are ignored.  A manifest is a JSON object mapping
 list names to file paths (relative to the manifest); the reserved names
 ``in-url`` and ``disclaimer`` point at the URL term list and the
 disclaimer phrase list.
+
+A LexiconSet owns the index of its lists: one TermMatcher over the
+eleven content lists and one over the disclaimer phrases, each built on
+first use and kept for the life of the set.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .errors import ConfigError, LexiconError
 
@@ -83,6 +89,55 @@ class Lexicon:
         return "\n".join(sorted(self.terms)) + "\n"
 
 
+class TermMatcher:
+    """One token-level index over any number of term lists.
+
+    The token-level form of an Aho-Corasick goto table (CACM 1975): each
+    first token maps to the lengths of the terms that start with it, and
+    each term's token tuple maps to the ids of the lists that hold it.  At
+    every position the scan makes one slice and one lookup per length, so
+    a term shared by two lists costs one lookup and counts in both.
+    Matches at distinct start positions count separately, overlaps allowed.
+    """
+
+    def __init__(self, term_lists: Sequence[Iterable[str]]):
+        self.list_count = len(term_lists)
+        self.spans: dict[str, tuple[int, ...]] = {}
+        self.list_ids: dict[tuple[str, ...], tuple[int, ...]] = {}
+        for list_id, terms in enumerate(term_lists):
+            own = (list_id,)
+            for term in terms:
+                parts = tuple(term.split(" "))
+                ids = self.list_ids.setdefault(parts, own)
+                if ids[-1] != list_id:  # the term is in an earlier list too
+                    self.list_ids[parts] = ids + own
+                spans = self.spans.get(parts[0], ())
+                if len(parts) not in spans:
+                    self.spans[parts[0]] = tuple(sorted(spans + (len(parts),)))
+
+    def scan(self, tokens: Sequence[str]) -> list[tuple[int, int, int]]:
+        """(total matches, distinct terms matched, token positions covered)
+        for each list, from one pass over the tokens."""
+        tokens = tuple(tokens)
+        n = len(tokens)
+        totals = [0] * self.list_count
+        seen: list[set] = [set() for _ in range(self.list_count)]
+        covered: list[set[int]] = [set() for _ in range(self.list_count)]
+        spans_of, list_ids = self.spans, self.list_ids
+        for i, tok in enumerate(tokens):
+            if tok not in spans_of:
+                continue
+            for span in spans_of[tok]:
+                if i + span > n:
+                    break  # spans ascend; a cut-off slice could equal a shorter term
+                parts = tokens[i:i + span]
+                for list_id in list_ids.get(parts, ()):
+                    totals[list_id] += 1
+                    seen[list_id].add(parts)
+                    covered[list_id].update(range(i, i + span))
+        return [(t, len(s), len(c)) for t, s, c in zip(totals, seen, covered)]
+
+
 def parse_terms(source: str) -> tuple[str, ...]:
     """Normalized terms of line-oriented text, in first-seen order.
 
@@ -141,15 +196,25 @@ class LexiconSet:
         except KeyError:
             raise ConfigError(f"missing content lexicon: {name!r}") from None
 
+    @cached_property
+    def content_matcher(self) -> TermMatcher:
+        """The eleven content lists, in CONTENT_LEXICON_NAMES order."""
+        return TermMatcher([self.lexicons[n].terms for n in CONTENT_LEXICON_NAMES])
+
+    @cached_property
+    def disclaimer_matcher(self) -> TermMatcher:
+        """The disclaimer phrases, as one list."""
+        return TermMatcher([self.disclaimer_phrases])
+
 
 def load_lexicon_set(manifest_path: str | Path) -> LexiconSet:
     """Load every list named by a JSON manifest (paths relative to it)."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read lexicon manifest {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict):
+    if not isinstance(manifest, dict) or not all(isinstance(v, str) for v in manifest.values()):
         raise ConfigError("lexicon manifest must be a JSON object mapping name to path")
 
     base = manifest_path.parent

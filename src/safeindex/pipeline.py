@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
-from .features import FeatureVector, extract_features, matcher_for
+from .features import FeatureVector, extract_features
 from .fileio import write_atomic
 from .forest import Forest, forest_score
 from .lexicon import LexiconSet, parse_terms
@@ -42,6 +42,10 @@ class FilterState:
     blacklist_trigger: int = 3
     counted_urls: set[str] = field(default_factory=set)
 
+    def __post_init__(self):
+        if self.blacklist_trigger < 1:
+            raise ConfigError(f"blacklist_trigger must be >= 1, got {self.blacklist_trigger}")
+
 
 @dataclass
 class StageReport:
@@ -64,10 +68,11 @@ class StageReport:
         setattr(self, stage, getattr(self, stage) + 1)
 
 
-def has_disclaimer(tokens: tuple[str, ...], phrases: Iterable[str]) -> bool:
-    """True when any phrase occurs in the tokens as a contiguous run."""
-    phrases = tuple(phrases)
-    return bool(phrases) and matcher_for((phrases,)).scan(tokens)[0][0] > 0
+def has_disclaimer(tokens: tuple[str, ...], lexicons: LexiconSet) -> bool:
+    """True when any of the set's disclaimer phrases occurs in the tokens
+    as a contiguous run.  A set with no phrases scans nothing."""
+    phrases = lexicons.disclaimer_phrases
+    return bool(phrases) and lexicons.disclaimer_matcher.scan(tokens)[0][0] > 0
 
 
 def filter_page(
@@ -84,7 +89,7 @@ def filter_page(
     domain = page.url.registrable_domain
     if domain in state.blacklist:
         verdict = Verdict(ADULT, REASON_BLACKLIST)
-    elif has_disclaimer(page.tokens, lexicons.disclaimer_phrases):
+    elif has_disclaimer(page.tokens, lexicons):
         verdict = Verdict(ADULT, REASON_DISCLAIMER)
     elif page.url.tld == "xxx":
         verdict = Verdict(ADULT, REASON_TLD_XXX)

@@ -17,6 +17,13 @@ from helpers import count_extract_text
 LEXICON_MANIFEST = str(files("safeindex").joinpath("data/lexicons/manifest.json"))
 
 
+def bundled_lexicon_entries() -> dict[str, str]:
+    """The bundled lexicon manifest with absolute paths, to copy and edit."""
+    bundled = files("safeindex").joinpath("data/lexicons")
+    entries = json.loads(bundled.joinpath("manifest.json").read_text(encoding="utf-8"))
+    return {name: str(bundled.joinpath(path)) for name, path in entries.items()}
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory, lexicons):
     """Corpora on disk plus a trained model, shared by the CLI tests."""
@@ -167,7 +174,12 @@ class TestTrain:
         ],
         ids=lambda option: " ".join(option),
     )
-    def test_out_of_range_option_exits_1(self, workspace, capsys, option):
+    def test_out_of_range_option_exits_1(self, workspace, monkeypatch, capsys, option):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read or trained before the options were checked")
+
+        monkeypatch.setattr(safeindex.cli, "load_lexicon_set", refuse)
+        monkeypatch.setattr(safeindex.cli, "train_forest", refuse)
         model = workspace["root"] / "out_of_range.json"
         code = main(
             [
@@ -307,9 +319,7 @@ class TestFilter:
 
     def test_non_utf8_disclaimer_exits_1(self, workspace, capsys):
         root = workspace["root"]
-        bundled = files("safeindex").joinpath("data/lexicons")
-        entries = json.loads(bundled.joinpath("manifest.json").read_text(encoding="utf-8"))
-        entries = {name: str(bundled.joinpath(path)) for name, path in entries.items()}
+        entries = bundled_lexicon_entries()
         bad = root / "bad_disclaimer.txt"
         bad.write_bytes(b"\xff\xfe\x00bad")
         entries["disclaimer"] = str(bad)
@@ -480,6 +490,67 @@ class TestEval:
         adult_stages = ("blacklist", "disclaimer", "tld_xxx", "forest_adult")
         assert sum(stages[s] for s in adult_stages) == cm["tp"] + cm["fp"]
         assert stages["forest_safe"] == cm["tn"] + cm["fn"]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "args, config",
+        [
+            (["filter", "--blacklist-trigger", "0"], {}),
+            (["filter", "--blacklist-trigger", "-2"], {}),
+            (["filter"], {"blacklist_trigger": 0}),
+            (["eval", "--full-pipeline"], {"blacklist_trigger": 0}),
+        ],
+        ids=["filter flag 0", "filter flag -2", "filter config 0", "eval config 0"],
+    )
+    def test_blacklist_trigger_below_1_exits_1(self, workspace, tmp_path, capsys, args, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out.txt"
+        code = main(
+            [
+                *args,
+                "--config", str(config_path),
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(workspace["eval_manifest"]),
+                "--model", str(workspace["model"]),
+                "--index" if args[0] == "filter" else "--report", str(out),
+            ]
+        )
+        assert code == 1
+        assert "blacklist_trigger must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entries, encoding, config",
+        [
+            ({}, "utf-16", {}),
+            ({"tags-fr": 5}, "utf-8", {}),
+            ({}, "utf-8", [1, 2]),
+            ({}, "utf-8", 5),
+        ],
+        ids=["utf-16 lexicon manifest", "non-string manifest entry", "config list", "config number"],
+    )
+    def test_exits_1(self, workspace, tmp_path, capsys, entries, encoding, config):
+        lex_manifest = tmp_path / "lexicons.json"
+        lex_manifest.write_bytes(json.dumps({**bundled_lexicon_entries(), **entries}).encode(encoding))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        index = tmp_path / "index.txt"
+        code = main(
+            [
+                "filter",
+                "--config", str(config_path),
+                "--lexicons", str(lex_manifest),
+                "--corpus", str(workspace["eval_manifest"]),
+                "--model", str(workspace["model"]),
+                "--index", str(index),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "internal error" not in err
+        assert not index.exists()
 
 
 class TestAtomicOutputs:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,13 +11,13 @@ from safeindex import (
     Lexicon,
     Page,
     extract_features,
-    nb_metric,
+    load_lexicon_set,
     page_from_html,
     parse_url,
-    prop_metric,
-    ratio_metric,
     substring_hits,
 )
+from safeindex.lexicon import TermMatcher
+from safeindex.synth import write_lexicon_files
 
 from fixture_docs import DOCS, FIXTURE_LEXICONS
 from helpers import (
@@ -78,6 +80,12 @@ class TestSubstringHits:
         assert substring_hits("http://example.com/", lex) == 0
 
 
+def metrics(tokens, lexicon):
+    """(nb, ratio, prop) of one list, from a matcher over that list alone."""
+    total, distinct, covered = TermMatcher([lexicon.terms]).scan(tokens)[0]
+    return total, distinct / lexicon.term_count, covered / len(tokens) if tokens else 0.0
+
+
 class TestTokenMetrics:
     LEX = Lexicon(
         "x", frozenset({"hot", "teen", "hot teen", "mia vex", "teen hot teen"})
@@ -87,51 +95,47 @@ class TestTokenMetrics:
         tokens = ("hot", "teen", "hot", "teen")
         # hot x2, teen x2, "hot teen" x2, "teen hot" not a term,
         # "teen hot teen" once (overlapping the singles and the pair)
-        assert nb_metric(tokens, self.LEX) == 7
+        assert metrics(tokens, self.LEX)[0] == 7
 
     def test_ratio_counts_distinct_terms(self):
         tokens = ("hot", "plain", "hot")
-        assert ratio_metric(tokens, self.LEX) == pytest.approx(1 / 5)
+        assert metrics(tokens, self.LEX)[1] == pytest.approx(1 / 5)
 
     def test_prop_counts_covered_positions(self):
         tokens = ("plain", "hot", "word", "mia", "vex")
-        assert prop_metric(tokens, self.LEX) == pytest.approx(3 / 5)
+        assert metrics(tokens, self.LEX)[2] == pytest.approx(3 / 5)
 
     def test_empty_stream(self):
-        assert nb_metric((), self.LEX) == 0
-        assert ratio_metric((), self.LEX) == 0.0
-        assert prop_metric((), self.LEX) == 0.0
+        assert metrics((), self.LEX) == (0, 0.0, 0.0)
 
     def test_phrase_must_be_contiguous(self):
-        assert nb_metric(("mia", "plain", "vex"), self.LEX) == 0
+        assert metrics(("mia", "plain", "vex"), self.LEX)[0] == 0
 
     @given(TOKEN_STREAMS)
     def test_metrics_match_oracle(self, tokens):
-        assert nb_metric(tokens, self.LEX) == oracle_nb(tokens, self.LEX)
-        assert ratio_metric(tokens, self.LEX) == pytest.approx(
-            oracle_ratio(tokens, self.LEX)
-        )
-        assert prop_metric(tokens, self.LEX) == pytest.approx(
-            oracle_prop(tokens, self.LEX)
-        )
+        nb, ratio, prop = metrics(tokens, self.LEX)
+        assert nb == oracle_nb(tokens, self.LEX)
+        assert ratio == pytest.approx(oracle_ratio(tokens, self.LEX))
+        assert prop == pytest.approx(oracle_prop(tokens, self.LEX))
 
     @given(TOKEN_STREAMS)
     def test_bounds(self, tokens):
-        assert 0 <= ratio_metric(tokens, self.LEX) <= 1
-        assert 0 <= prop_metric(tokens, self.LEX) <= 1
-        assert nb_metric(tokens, self.LEX) >= 0
+        nb, ratio, prop = metrics(tokens, self.LEX)
+        assert 0 <= ratio <= 1
+        assert 0 <= prop <= 1
+        assert nb >= 0
 
     @given(st.lists(WORDS, max_size=20), st.randoms(use_true_random=False))
     def test_ratio_is_order_invariant(self, tokens, rnd):
         lex = Lexicon("singles", frozenset({"hot", "teen", "mia"}))
         shuffled = list(tokens)
         rnd.shuffle(shuffled)
-        assert ratio_metric(tuple(tokens), lex) == ratio_metric(tuple(shuffled), lex)
+        assert metrics(tuple(tokens), lex)[1] == metrics(tuple(shuffled), lex)[1]
 
     @given(st.lists(WORDS, min_size=1, max_size=20).map(tuple))
     def test_duplication_doubles_nb_for_single_word_terms(self, tokens):
         lex = Lexicon("singles", frozenset({"hot", "teen", "mia"}))
-        assert nb_metric(tokens + tokens, lex) == 2 * nb_metric(tokens, lex)
+        assert metrics(tokens + tokens, lex)[0] == 2 * metrics(tokens, lex)[0]
 
 
 class TestExtractFeatures:
@@ -160,3 +164,29 @@ class TestExtractFeatures:
     def test_image_count_attribute(self):
         page = page_from_html("http://a.example.com/", "<img src='a'><img src='b'>")
         assert extract_features(page, FIXTURE_LEXICONS)["nbr_img"] == 2.0
+
+    def test_alternating_sets_each_use_their_own_index(self, lexicons, tmp_path):
+        """A stale or shared index would score one set's page with another
+        set's lists."""
+        other = load_lexicon_set(write_lexicon_files(tmp_path, seed=99))
+        tags_fr = Lexicon("tags-fr", frozenset({"chaud", "tres chaud", "plain"}))
+        variant = dataclasses.replace(
+            lexicons, lexicons={**lexicons.lexicons, "tags-fr": tags_fr}
+        )
+        sets = (lexicons, other, variant)
+        pages = []
+        for lex in sets:
+            terms = [
+                term
+                for name in ("tags-fr", "pornstars", "queries")
+                for term in sorted(lex.content(name).terms)[:3]
+            ]
+            tokens = tuple(" ".join(["plain", *terms, "tres", "chaud"]).split(" "))
+            pages.append(Page(parse_url("http://a.example.com/"), tokens, 0))
+        expected = [[oracle_features(page, lex) for page in pages] for lex in sets]
+        for page_expected in zip(*expected):
+            assert len({tuple(v) for v in page_expected}) == len(sets)
+        for _ in range(2):
+            for lex, want in zip(sets, expected):
+                got = [list(extract_features(page, lex).values) for page in pages]
+                assert got == want

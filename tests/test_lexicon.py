@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -100,6 +101,18 @@ class TestLexiconSet:
         with pytest.raises(ConfigError):
             lexicons.content("not-a-list")
 
+    def test_matchers_are_built_once(self):
+        lexicons = make_lexicon_set()
+        assert lexicons.content_matcher is lexicons.content_matcher
+        assert lexicons.disclaimer_matcher is lexicons.disclaimer_matcher
+
+    def test_replaced_set_gets_its_own_matchers(self):
+        lexicons = make_lexicon_set()
+        content, disclaimer = lexicons.content_matcher, lexicons.disclaimer_matcher
+        copy = dataclasses.replace(lexicons)
+        assert copy.content_matcher is not content
+        assert copy.disclaimer_matcher is not disclaimer
+
 
 class TestLoadLexiconSet:
     def _write_manifest(self, tmp_path, entries):
@@ -120,6 +133,8 @@ class TestLoadLexiconSet:
         assert lexicons.url_terms.terms == frozenset({"porn"})
         assert lexicons.disclaimer_phrases == ("you must be 18", "adults only")
         assert lexicons.content("queries").terms == frozenset({"alpha", "beta"})
+        # the matchers wait for the first scan
+        assert not {"content_matcher", "disclaimer_matcher"} & vars(lexicons).keys()
 
     def test_disclaimer_optional(self, tmp_path):
         entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}

@@ -19,6 +19,7 @@ from safeindex import (
     save_blacklist,
     train_forest,
 )
+from safeindex.lexicon import TermMatcher
 from safeindex.page import PageLoadFailure, extract_text
 from safeindex.synth import generate_corpus, render_html
 from safeindex.pipeline import (
@@ -47,16 +48,22 @@ def tiny_lexicons():
 
 
 class TestHasDisclaimer:
+    LEXICONS = make_lexicon_set(disclaimer=("you must be 18",))
+
     def test_contiguous_match(self):
         tokens = ("warning", "you", "must", "be", "18", "to", "enter")
-        assert has_disclaimer(tokens, ("you must be 18",))
+        assert has_disclaimer(tokens, self.LEXICONS)
 
     def test_non_contiguous_is_no_match(self):
         tokens = ("you", "really", "must", "be", "18")
-        assert not has_disclaimer(tokens, ("you must be 18",))
+        assert not has_disclaimer(tokens, self.LEXICONS)
 
-    def test_empty_phrases(self):
-        assert not has_disclaimer(("anything",), ())
+    def test_empty_phrases(self, monkeypatch):
+        def refuse(self, tokens):
+            raise AssertionError("scanned for no phrases")
+
+        monkeypatch.setattr(TermMatcher, "scan", refuse)
+        assert not has_disclaimer(("anything",), make_lexicon_set(disclaimer=()))
 
 
 class TestStageOrder:

@@ -65,7 +65,7 @@ class TestCorpusGeneration:
         )
         for p in pages[:6]:
             assert p.url.tld == "xxx"
-            assert has_disclaimer(p.tokens, lexicons.disclaimer_phrases)
+            assert has_disclaimer(p.tokens, lexicons)
         for p in pages[6:]:
             assert p.url.tld == "com"
 
