@@ -40,8 +40,13 @@ from .pipeline import (
 )
 
 
+# Options that name a file; a config file could give them any JSON value.
+_PATH_OPTIONS = ("lexicons", "corpus", "model", "index", "blacklist", "report")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
-    """File values first, then every flag the user actually set."""
+    """File values first, then every flag the user actually set.  Raises
+    ConfigError when a path option is not a string."""
     merged: dict = {}
     if getattr(args, "config", None):
         try:
@@ -55,6 +60,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key in ("config", "func") or value is None:
             continue
         merged[key] = value
+    bad = [key for key in _PATH_OPTIONS if key in merged and not isinstance(merged[key], str)]
+    if bad:
+        raise ConfigError(f"option {bad[0]} must be a path string, got {merged[bad[0]]!r}")
     return merged
 
 
@@ -68,6 +76,15 @@ def _vote_threshold(cfg: dict, n_trees: int) -> float:
     if "min_votes" in cfg:
         return count_threshold(n_trees, int(cfg["min_votes"]))
     return check_vote_threshold(float(cfg.get("vote_threshold", 0.5)))
+
+
+def _filter_state(cfg: dict) -> FilterState:
+    """An empty FilterState with the configured blacklist_trigger, which
+    must be an integer: int() would truncate 2.7 and fail on "three"."""
+    trigger = cfg.get("blacklist_trigger", 3)
+    if not isinstance(trigger, int) or isinstance(trigger, bool):
+        raise ConfigError(f"blacklist_trigger must be an integer, got {trigger!r}")
+    return FilterState(blacklist_trigger=trigger)
 
 
 def _load_labeled(cfg: dict) -> list[Page]:
@@ -112,7 +129,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_filter(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model", "index")
-    state = FilterState(blacklist_trigger=int(cfg.get("blacklist_trigger", 3)))
+    state = _filter_state(cfg)
     lexicons = load_lexicon_set(cfg["lexicons"])
     forest = load_forest(cfg["model"])
     blacklist_path = cfg.get("blacklist")
@@ -135,7 +152,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model")
     # built up front so a bad blacklist_trigger fails before any file is read
-    state = FilterState(blacklist_trigger=int(cfg.get("blacklist_trigger", 3)))
+    state = _filter_state(cfg)
     lexicons = load_lexicon_set(cfg["lexicons"])
     forest = load_forest(cfg["model"])
     pages = _load_labeled(cfg)

@@ -5,7 +5,7 @@ the eleven content lexicons in canonical order.
 
 URL attributes use raw substring matching (URLs have no token
 boundaries).  The content attributes of all eleven lists come from one
-pass over the token stream through the lexicon set's content matcher,
+scan of the token stream through the lexicon set's content matcher,
 which indexes the terms of every list together; multi-word terms match
 as contiguous token sequences.
 """

@@ -14,8 +14,10 @@ first use and kept for the life of the set.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -92,50 +94,78 @@ class Lexicon:
 class TermMatcher:
     """One token-level index over any number of term lists.
 
-    The token-level form of an Aho-Corasick goto table (CACM 1975): each
-    first token maps to the lengths of the terms that start with it, and
-    each term's token tuple maps to the ids of the lists that hold it.  At
-    every position the scan makes one slice and one lookup per length, so
-    a term shared by two lists costs one lookup and counts in both.
+    `single` maps each one-token term to the ids of the lists that hold
+    it.  `multi` maps each first token of a multi-token term to the
+    ascending lengths of the terms that start with it, the token-level
+    form of an Aho-Corasick goto table (CACM 1975), and `list_ids` maps
+    each multi-token term's token tuple to the ids of its lists.  A term
+    shared by two lists costs one lookup and counts in both.
     Matches at distinct start positions count separately, overlaps allowed.
     """
 
     def __init__(self, term_lists: Sequence[Iterable[str]]):
         self.list_count = len(term_lists)
-        self.spans: dict[str, tuple[int, ...]] = {}
+        self.single: dict[str, tuple[int, ...]] = {}
+        self.multi: dict[str, tuple[int, ...]] = {}
         self.list_ids: dict[tuple[str, ...], tuple[int, ...]] = {}
         for list_id, terms in enumerate(term_lists):
             own = (list_id,)
             for term in terms:
                 parts = tuple(term.split(" "))
-                ids = self.list_ids.setdefault(parts, own)
+                if len(parts) == 1:
+                    index, key = self.single, parts[0]
+                else:
+                    index, key = self.list_ids, parts
+                    lengths = self.multi.get(parts[0], ())
+                    if len(parts) not in lengths:
+                        self.multi[parts[0]] = tuple(sorted(lengths + (len(parts),)))
+                ids = index.setdefault(key, own)
                 if ids[-1] != list_id:  # the term is in an earlier list too
-                    self.list_ids[parts] = ids + own
-                spans = self.spans.get(parts[0], ())
-                if len(parts) not in spans:
-                    self.spans[parts[0]] = tuple(sorted(spans + (len(parts),)))
+                    index[key] = ids + own
 
     def scan(self, tokens: Sequence[str]) -> list[tuple[int, int, int]]:
         """(total matches, distinct terms matched, token positions covered)
-        for each list, from one pass over the tokens."""
+        for each list.
+
+        One-token hits are counted in C (`compress` and `Counter`); only
+        the positions holding the first token of a multi-token term are
+        visited in Python.  A list's covered count is its one-token total
+        plus the positions its multi-token matches cover whose token is
+        not itself one of its one-token terms.
+        """
         tokens = tuple(tokens)
-        n = len(tokens)
+        single, multi = self.single, self.multi
         totals = [0] * self.list_count
+        distinct = [0] * self.list_count
+        # a matcher without one-token terms (the disclaimer phrases) skips this pass
+        found = Counter(compress(tokens, map(single.__contains__, tokens))) if single else {}
+        for token, hits in found.items():
+            for list_id in single[token]:
+                totals[list_id] += hits
+                distinct[list_id] += 1
+        covered = totals.copy()
+        if multi.keys().isdisjoint(tokens):
+            return list(zip(totals, distinct, covered))
+
+        n = len(tokens)
         seen: list[set] = [set() for _ in range(self.list_count)]
-        covered: list[set[int]] = [set() for _ in range(self.list_count)]
-        spans_of, list_ids = self.spans, self.list_ids
-        for i, tok in enumerate(tokens):
-            if tok not in spans_of:
-                continue
-            for span in spans_of[tok]:
-                if i + span > n:
-                    break  # spans ascend; a cut-off slice could equal a shorter term
-                parts = tokens[i:i + span]
+        spanned: list[set[int]] = [set() for _ in range(self.list_count)]
+        list_ids = self.list_ids
+        for i in compress(count(), map(multi.__contains__, tokens)):
+            for length in multi[tokens[i]]:
+                if i + length > n:
+                    break  # lengths ascend; a cut-off slice could equal a shorter term
+                parts = tokens[i:i + length]
                 for list_id in list_ids.get(parts, ()):
                     totals[list_id] += 1
                     seen[list_id].add(parts)
-                    covered[list_id].update(range(i, i + span))
-        return [(t, len(s), len(c)) for t, s, c in zip(totals, seen, covered)]
+                    spanned[list_id].update(range(i, i + length))
+        for list_id, positions in enumerate(spanned):
+            distinct[list_id] += len(seen[list_id])
+            covered[list_id] += sum(
+                list_id not in single.get(tokens[j], ()) for j in positions
+            )
+        return list(zip(totals, distinct, covered))
 
 
 def parse_terms(source: str) -> tuple[str, ...]:

@@ -30,15 +30,19 @@ ADULT = "adult"
 SAFE = "safe"
 
 # Word = run of alphanumerics, with apostrophes/hyphens kept when they sit
-# between alphanumerics ("l'amour", "coming-of-age").
-_WORD_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
+# between alphanumerics ("l'amour", "coming-of-age").  `tokenize` turns '_'
+# into a space first, so `\w` here means alphanumeric; the possessive forms
+# never give back what they took, which no match needs.
+_WORD_RE = re.compile(r"\w++(?:['’-]\w++)*+")
 
 # Any markup, matched from its '<'.  Tag names end where html.parser ends
 # them, and only ASCII letters fold case in them.  A script or style start
 # tag not closed by "/>" takes its body up to the matching end tag.  The
-# one capture group holds the name of an <img> start tag.
+# one capture group holds the name of an <img> start tag.  A tag body has
+# one parse only, so its quantifiers are possessive: backtracking into it
+# could never produce a match.
 _TAG_NAME_END = r"(?=[\t\n\r\f />])"
-_TAG_BODY = r"""(?:[^<>"']|"[^"]*"|'[^']*')*"""
+_TAG_BODY = r"""(?:[^<>"']++|"[^"]*+"|'[^']*+')*+"""
 _MARKUP_RE = re.compile(
     rf"""<(?:
         !--.*?(?:--\s*>|\Z)
@@ -46,8 +50,8 @@ _MARKUP_RE = re.compile(
       | (?ai:style){_TAG_NAME_END}{_TAG_BODY}(?<!/)>.*?(?:</\s*(?ai:style)\s*>|\Z)
       | (?P<img>(?ai:img)){_TAG_NAME_END}{_TAG_BODY}>
       | [a-zA-Z]{_TAG_BODY}>
-      | /[^<>]*>
-      | [!?][^<>]*>
+      | /[^<>]*+>
+      | [!?][^<>]*+>
     )""",
     re.DOTALL | re.VERBOSE,
 )
@@ -109,7 +113,7 @@ class PageLoadFailure:
 
 def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase and split on non-alphanumeric boundaries."""
-    return tuple(_WORD_RE.findall(text.lower()))
+    return tuple(_WORD_RE.findall(text.lower().replace("_", " ")))
 
 
 def extract_text(html: str) -> tuple[tuple[str, ...], int]:

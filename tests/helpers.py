@@ -8,6 +8,8 @@ library code is checked against an independent path.
 from __future__ import annotations
 
 import math
+import re
+from html import unescape
 
 import numpy as np
 
@@ -77,6 +79,21 @@ def oracle_matches(tokens, lexicon):
     return hits
 
 
+def oracle_scan(tokens, term_lists):
+    """TermMatcher.scan by brute force, one list at a time: (total
+    matches, distinct terms matched, token positions covered) per list."""
+    results = []
+    for terms in term_lists:
+        matches = oracle_matches(tokens, Lexicon("oracle", frozenset(terms)))
+        covered = {
+            position
+            for term, start in matches
+            for position in range(start, start + len(term.split(" ")))
+        }
+        results.append((len(matches), len({term for term, _ in matches}), len(covered)))
+    return results
+
+
 def oracle_nb(tokens, lexicon):
     return len(oracle_matches(tokens, lexicon))
 
@@ -112,6 +129,37 @@ def oracle_features(page, lexicons) -> list[float]:
         values.append(oracle_ratio(page.tokens, lexicon))
         values.append(oracle_prop(page.tokens, lexicon))
     return values
+
+
+# ---------------------------------------------------------------------------
+# reference: HTML stripping with backtracking quantifiers
+
+
+_PARENT_TAG_NAME_END = r"(?=[\t\n\r\f />])"
+_PARENT_TAG_BODY = r"""(?:[^<>"']|"[^"]*"|'[^']*')*"""
+_PARENT_MARKUP_RE = re.compile(
+    rf"""<(?:
+        !--.*?(?:--\s*>|\Z)
+      | (?ai:script){_PARENT_TAG_NAME_END}{_PARENT_TAG_BODY}(?<!/)>.*?(?:</\s*(?ai:script)\s*>|\Z)
+      | (?ai:style){_PARENT_TAG_NAME_END}{_PARENT_TAG_BODY}(?<!/)>.*?(?:</\s*(?ai:style)\s*>|\Z)
+      | (?P<img>(?ai:img)){_PARENT_TAG_NAME_END}{_PARENT_TAG_BODY}>
+      | [a-zA-Z]{_PARENT_TAG_BODY}>
+      | /[^<>]*>
+      | [!?][^<>]*>
+    )""",
+    re.DOTALL | re.VERBOSE,
+)
+_PARENT_WORD_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
+
+
+def parent_extract_text(html):
+    """page.extract_text with backtracking quantifiers in the markup
+    pattern, and '_' left out of the word class instead of replaced by a
+    space.  Must return equal (tokens, image count) on every document."""
+    parts = _PARENT_MARKUP_RE.split(html)
+    images = parts[1::2]
+    text = unescape(" ".join(parts[::2]))
+    return tuple(_PARENT_WORD_RE.findall(text.lower())), len(images) - images.count(None)
 
 
 # ---------------------------------------------------------------------------

@@ -521,6 +521,46 @@ class TestMalformedInputs:
         assert "blacklist_trigger must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["filter"], ["eval", "--full-pipeline"]], ids=["filter", "eval"])
+    @pytest.mark.parametrize("trigger", ["three", 2.7, True])
+    def test_non_integer_blacklist_trigger_exits_1(
+        self, workspace, tmp_path, capsys, command, trigger
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"blacklist_trigger": trigger}), encoding="utf-8")
+        out = tmp_path / "out.txt"
+        code = main(
+            [
+                *command,
+                "--config", str(config_path),
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(workspace["eval_manifest"]),
+                "--model", str(workspace["model"]),
+                "--index" if command[0] == "filter" else "--report", str(out),
+            ]
+        )
+        assert code == 1
+        assert "blacklist_trigger must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["lexicons", "corpus", "model", "index", "blacklist", "report"])
+    def test_non_string_path_option_exits_1(self, workspace, tmp_path, capsys, key):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: 5}), encoding="utf-8")
+        flags = {
+            "lexicons": LEXICON_MANIFEST,
+            "corpus": str(workspace["eval_manifest"]),
+            "model": str(workspace["model"]),
+            "index": str(tmp_path / "index.txt"),
+        }
+        flags.pop(key, None)  # a flag would override the config value
+        args = [arg for name, path in flags.items() for arg in (f"--{name}", path)]
+        code = main(["filter", "--config", str(config_path), *args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"option {key} must be a path string" in err
+        assert not (tmp_path / "index.txt").exists()
+
     @pytest.mark.parametrize(
         "entries, encoding, config",
         [

@@ -16,9 +16,16 @@ from safeindex import (
     normalize_term,
     parse_lexicon,
 )
-from safeindex.lexicon import REFERENCE_SIZES
+from safeindex.lexicon import REFERENCE_SIZES, TermMatcher
 
-from helpers import make_lexicon_set
+from helpers import make_lexicon_set, oracle_scan
+
+# Few words, so terms are shared between lists, one-token terms sit inside
+# multi-token ones and matches overlap; "z" is in no term.
+_VOCAB = ("a", "b", "c")
+_TERMS = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=3).map(" ".join)
+_TERM_LISTS = st.lists(st.sets(_TERMS, min_size=1, max_size=6), min_size=1, max_size=4)
+_STREAMS = st.lists(st.sampled_from(_VOCAB + ("z",)), max_size=25).map(tuple)
 
 
 class TestNormalizeTerm:
@@ -112,6 +119,43 @@ class TestLexiconSet:
         copy = dataclasses.replace(lexicons)
         assert copy.content_matcher is not content
         assert copy.disclaimer_matcher is not disclaimer
+
+
+class TestTermMatcher:
+    """A scan over several lists equals a brute-force scan of each list."""
+
+    @pytest.mark.parametrize(
+        "term_lists, tokens, expected",
+        [
+            # a term shared by two lists counts in both
+            ([{"a b", "c"}, {"a b"}], ("a", "b", "c"), [(2, 2, 3), (1, 1, 2)]),
+            # "b" of list 0 inside "a b c" of list 1 and "a b" of list 0
+            ([{"b", "a b"}, {"a b c"}], ("a", "b", "c"), [(2, 2, 2), (1, 1, 3)]),
+            # overlapping and repeated matches
+            ([{"a a", "a"}], ("a", "a", "a", "a"), [(7, 2, 4)]),
+            # the stream ends in the middle of a phrase
+            ([{"a b c", "a"}, {"c a b"}], ("c", "a", "b"), [(1, 1, 1), (1, 1, 3)]),
+            ([{"a b c"}, {"b"}], (), [(0, 0, 0), (0, 0, 0)]),
+        ],
+        ids=["shared term", "one-token term inside phrases", "overlaps", "cut-off phrase", "empty"],
+    )
+    def test_cases(self, term_lists, tokens, expected):
+        assert oracle_scan(tokens, term_lists) == expected
+        assert TermMatcher(term_lists).scan(tokens) == expected
+
+    @given(_TERM_LISTS, _STREAMS)
+    def test_matches_per_list_oracle(self, term_lists, tokens):
+        assert TermMatcher(term_lists).scan(tokens) == oracle_scan(tokens, term_lists)
+
+    @given(st.data())
+    def test_disclaimer_matcher_matches_oracle(self, lexicons, data):
+        phrases = lexicons.disclaimer_phrases
+        words = sorted({word for phrase in phrases for word in phrase.split(" ")})
+        pieces = st.one_of(st.sampled_from(phrases), st.sampled_from(words + ["z"]))
+        tokens = tuple(" ".join(data.draw(st.lists(pieces, max_size=8))).split())
+        cut = data.draw(st.integers(0, len(tokens)))
+        for stream in (tokens, tokens[:cut]):
+            assert lexicons.disclaimer_matcher.scan(stream) == oracle_scan(stream, [phrases])
 
 
 class TestLoadLexiconSet:

@@ -21,7 +21,7 @@ from safeindex.page import PageLoadFailure, load_labeled_corpus, read_manifest, 
 from safeindex.errors import ConfigError
 
 from fixture_docs import DOCS, EDGE_DOCS, oracle_extract
-from helpers import count_extract_text
+from helpers import count_extract_text, parent_extract_text
 
 # Fragments of closed markup for the differential test against the
 # html.parser oracle.  Every fragment is complete, so a document built from
@@ -104,6 +104,31 @@ _ANY_TEXT = st.lists(
         _CLOSED_MARKUP_DOCS,
     ),
     max_size=10,
+).map("".join)
+
+# Documents for the comparison with the backtracking patterns: text where
+# the word rule is subtle ('_', '’', combining marks, 'İ', which lowercases
+# to two code points, non-Latin scripts, the entity for '_') and markup
+# left open or repeated the way hostile pages repeat it.
+_WORD_EDGES = [
+    "snake_case", "__init__", "a_'b", "a'_b", "x-_y", "_lead", "trail_", "&lowbar;x", "&#95;",
+    "l’amour", "’quoted’", "a’-b", "e\u0301te\u0301", "n\u0303", "\u0301x", "İstanbul", "İ",
+    "ǅungla", "Straße", "ﬁne", "Привет мир", "Ελληνικά λόγια", "日本語のテキスト", "مرحبا بالعالم",
+    "हिन्दी", "١٢٣", "㈠", "x²",
+]
+_OPEN_MARKUP = [
+    '<a title="x ', "<a b ", "<!-- x ", "<!x ", "</x ", "<img src='", '<script src="a>',
+    "<style", "<a b<c>", "<p/>", "<script/>", "< p>", "<>", "</", "<img", "<a href='>'",
+]
+_HOSTILE_MARKUP = st.tuples(st.sampled_from(_OPEN_MARKUP), st.integers(1, 40)).map(
+    lambda u: u[0] * u[1]
+)
+_REFERENCE_DOCS = st.lists(
+    st.one_of(
+        st.sampled_from(_WORD_EDGES), st.sampled_from(_OPEN_MARKUP), _HOSTILE_MARKUP,
+        _WS, _ANY_TEXT, _CLOSED_MARKUP_DOCS,
+    ),
+    max_size=12,
 ).map("".join)
 
 _URLS = st.builds(
@@ -201,6 +226,21 @@ class TestExtractText:
         start = time.perf_counter()
         extract_text(doc)
         assert time.perf_counter() - start < 0.1
+
+
+class TestBacktrackingReference:
+    """extract_text equals the same patterns without possessive
+    quantifiers, with '_' kept out of the word class instead of replaced,
+    including on open and hostile markup the html.parser oracle skips."""
+
+    def test_fixture_corpus_and_edges(self):
+        for doc in [doc for _, doc in DOCS + EDGE_DOCS] + _WORD_EDGES + _OPEN_MARKUP:
+            assert extract_text(doc) == parent_extract_text(doc), doc
+
+    @settings(max_examples=200, deadline=None)
+    @given(_REFERENCE_DOCS)
+    def test_generated_documents(self, doc):
+        assert extract_text(doc) == parent_extract_text(doc)
 
 
 class TestParseUrl:
