@@ -78,15 +78,6 @@ def _vote_threshold(cfg: dict, n_trees: int) -> float:
     return check_vote_threshold(float(cfg.get("vote_threshold", 0.5)))
 
 
-def _filter_state(cfg: dict) -> FilterState:
-    """An empty FilterState with the configured blacklist_trigger, which
-    must be an integer: int() would truncate 2.7 and fail on "three"."""
-    trigger = cfg.get("blacklist_trigger", 3)
-    if not isinstance(trigger, int) or isinstance(trigger, bool):
-        raise ConfigError(f"blacklist_trigger must be an integer, got {trigger!r}")
-    return FilterState(blacklist_trigger=trigger)
-
-
 def _load_labeled(cfg: dict) -> list[Page]:
     pages = load_labeled_corpus(cfg["corpus"])
     if not pages:
@@ -129,7 +120,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_filter(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model", "index")
-    state = _filter_state(cfg)
+    state = FilterState(blacklist_trigger=cfg.get("blacklist_trigger", 3))
     lexicons = load_lexicon_set(cfg["lexicons"])
     forest = load_forest(cfg["model"])
     blacklist_path = cfg.get("blacklist")
@@ -152,7 +143,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model")
     # built up front so a bad blacklist_trigger fails before any file is read
-    state = _filter_state(cfg)
+    state = FilterState(blacklist_trigger=cfg.get("blacklist_trigger", 3))
     lexicons = load_lexicon_set(cfg["lexicons"])
     forest = load_forest(cfg["model"])
     pages = _load_labeled(cfg)

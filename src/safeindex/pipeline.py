@@ -43,8 +43,12 @@ class FilterState:
     counted_urls: set[str] = field(default_factory=set)
 
     def __post_init__(self):
-        if self.blacklist_trigger < 1:
-            raise ConfigError(f"blacklist_trigger must be >= 1, got {self.blacklist_trigger}")
+        # a config file can give any JSON value; int() would truncate 2.7
+        trigger = self.blacklist_trigger
+        if not isinstance(trigger, int) or isinstance(trigger, bool):
+            raise ConfigError(f"blacklist_trigger must be an integer, got {trigger!r}")
+        if trigger < 1:
+            raise ConfigError(f"blacklist_trigger must be >= 1, got {trigger}")
 
 
 @dataclass

@@ -494,16 +494,27 @@ class TestEval:
 
 class TestMalformedInputs:
     @pytest.mark.parametrize(
-        "args, config",
+        "args, config, message",
         [
-            (["filter", "--blacklist-trigger", "0"], {}),
-            (["filter", "--blacklist-trigger", "-2"], {}),
-            (["filter"], {"blacklist_trigger": 0}),
-            (["eval", "--full-pipeline"], {"blacklist_trigger": 0}),
+            (["filter", "--blacklist-trigger", "0"], {}, "must be >= 1"),
+            (["filter", "--blacklist-trigger", "-2"], {}, "must be >= 1"),
+            (["filter"], {"blacklist_trigger": 0}, "must be >= 1"),
+            (["eval", "--full-pipeline"], {"blacklist_trigger": 0}, "must be >= 1"),
+            *(
+                (args, {"blacklist_trigger": trigger}, "must be an integer")
+                for args in (["filter"], ["eval", "--full-pipeline"])
+                for trigger in ("three", 2.7, True)
+            ),
         ],
-        ids=["filter flag 0", "filter flag -2", "filter config 0", "eval config 0"],
+        ids=[
+            "filter flag 0", "filter flag -2", "filter config 0", "eval config 0",
+            *(f"{cmd} config {t}" for cmd in ("filter", "eval") for t in ("three", 2.7, True)),
+        ],
     )
-    def test_blacklist_trigger_below_1_exits_1(self, workspace, tmp_path, capsys, args, config):
+    def test_blacklist_trigger_below_1_exits_1(
+        self, workspace, tmp_path, capsys, args, config, message
+    ):
+        """Also covers values that are not integers: 2.7 must not truncate to 2."""
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
         out = tmp_path / "out.txt"
@@ -518,29 +529,7 @@ class TestMalformedInputs:
             ]
         )
         assert code == 1
-        assert "blacklist_trigger must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", [["filter"], ["eval", "--full-pipeline"]], ids=["filter", "eval"])
-    @pytest.mark.parametrize("trigger", ["three", 2.7, True])
-    def test_non_integer_blacklist_trigger_exits_1(
-        self, workspace, tmp_path, capsys, command, trigger
-    ):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"blacklist_trigger": trigger}), encoding="utf-8")
-        out = tmp_path / "out.txt"
-        code = main(
-            [
-                *command,
-                "--config", str(config_path),
-                "--lexicons", LEXICON_MANIFEST,
-                "--corpus", str(workspace["eval_manifest"]),
-                "--model", str(workspace["model"]),
-                "--index" if command[0] == "filter" else "--report", str(out),
-            ]
-        )
-        assert code == 1
-        assert "blacklist_trigger must be an integer" in capsys.readouterr().err
+        assert f"blacklist_trigger {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["lexicons", "corpus", "model", "index", "blacklist", "report"])

@@ -19,6 +19,7 @@ from safeindex import (
     save_blacklist,
     train_forest,
 )
+from safeindex.errors import ConfigError
 from safeindex.lexicon import TermMatcher
 from safeindex.page import PageLoadFailure, extract_text
 from safeindex.synth import generate_corpus, render_html
@@ -97,6 +98,15 @@ class TestStageOrder:
 
 
 class TestBlacklistTrigger:
+    @pytest.mark.parametrize(
+        "trigger, message",
+        [(0, "must be >= 1"), (-2, "must be >= 1"), ("three", "must be an integer"),
+         (2.7, "must be an integer"), (True, "must be an integer"), (None, "must be an integer")],
+    )
+    def test_invalid_trigger_is_a_config_error(self, trigger, message):
+        with pytest.raises(ConfigError, match=f"blacklist_trigger {message}"):
+            FilterState(blacklist_trigger=trigger)
+
     def test_three_strikes_blacklists_the_domain(self, tiny_lexicons):
         state = FilterState(blacklist_trigger=3)
         for i in range(3):
