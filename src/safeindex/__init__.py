@@ -23,6 +23,7 @@ from .forest import (
     classify,
     count_threshold,
     forest_score,
+    forest_votes,
     load_forest,
     save_forest,
     train_forest,

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 from .errors import SafeIndexError
 from .features import ATTRIBUTE_NAMES, FeatureVector
-from .forest import Forest, tree_classify
+from .forest import Forest, forest_votes
 from .page import ADULT, SAFE
 
 
@@ -73,8 +73,7 @@ def attribute_usage(
     counts = dict.fromkeys(ATTRIBUTE_NAMES, 0)
     for fv in vectors:
         visited: set[str] = set()
-        for tree in forest.trees:
-            visited |= tree_classify(tree, fv)[1]
+        forest_votes(forest.trees, fv, visited)
         for name in visited:
             counts[name] += 1
     n = len(vectors)

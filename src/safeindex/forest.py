@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import SafeIndexError, TrainingError
-from .features import ATTRIBUTE_NAMES, FeatureVector
+from .features import _ATTRIBUTE_INDEX, ATTRIBUTE_NAMES, FeatureVector
 from .fileio import write_atomic
 from .page import ADULT, SAFE
 
@@ -235,20 +235,37 @@ def grow_tree(
     )
 
 
+def forest_votes(
+    trees: Sequence[TreeNode], fv: FeatureVector, visited: set[str] | None = None
+) -> tuple[bool, ...]:
+    """Each tree's vote, True for adult: one root-to-leaf descent per tree.
+
+    Values are read by column from `fv.values`.  A caller that passes a
+    `visited` set gets every attribute tested on the way added to it.
+    """
+    values = fv.values
+    column = _ATTRIBUTE_INDEX
+    votes = []
+    for node in trees:
+        while type(node) is Split:
+            if visited is not None:
+                visited.add(node.attribute)
+            node = node.left if values[column[node.attribute]] <= node.threshold else node.right
+        votes.append(node.label == ADULT)
+    return tuple(votes)
+
+
 def tree_classify(tree: TreeNode, fv: FeatureVector) -> tuple[str, set[str]]:
-    """Root-to-leaf descent; also reports the attributes tested en route."""
+    """One tree's label; also reports the attributes tested en route."""
     visited: set[str] = set()
-    node = tree
-    while isinstance(node, Split):
-        visited.add(node.attribute)
-        node = node.left if fv[node.attribute] <= node.threshold else node.right
-    return node.label, visited
+    (adult,) = forest_votes((tree,), fv, visited)
+    return (ADULT if adult else SAFE), visited
 
 
 def forest_score(forest: Forest, fv: FeatureVector) -> float:
     """Fraction of trees voting adult."""
-    votes = sum(1 for t in forest.trees if tree_classify(t, fv)[0] == ADULT)
-    return votes / len(forest.trees)
+    votes = forest_votes(forest.trees, fv)
+    return sum(votes) / len(votes)
 
 
 def classify(forest: Forest, fv: FeatureVector) -> str:
@@ -297,7 +314,7 @@ def train_forest(
     restarts = 0
     for _ in range(config.n_trees):
         tree = grow_tree(X, y, w, config)
-        pred = np.array([tree_classify(tree, fv)[0] == ADULT for fv in vectors])
+        pred = np.array([forest_votes((tree,), fv)[0] for fv in vectors])
         wrong = pred != y
         trees.append(tree)
         stats.append(TreeStats(tree_size(tree), float(wrong.mean())))

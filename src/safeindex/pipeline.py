@@ -6,7 +6,8 @@ default); once a domain hits the trigger it enters the blacklist and its
 later pages short-circuit on the URL alone.  A page from `page_from_html`
 strips its HTML when the disclaimer stage first reads its tokens, so a
 blacklisted page is never stripped and the later stages reuse the tokens.
-Verdicts are counted once per distinct URL.
+Verdicts are counted once per distinct URL, and only until the domain is
+blacklisted: a blacklisted domain's pages add no strike and no URL.
 """
 
 from __future__ import annotations
@@ -103,7 +104,12 @@ def filter_page(
         score = forest_score(forest, features)
         verdict = Verdict(forest.label(score), REASON_FOREST, score)
 
-    if verdict.label == ADULT and page.url.full_url not in state.counted_urls:
+    # a blacklisted domain's pages are decided already: they count nothing
+    if (
+        verdict.label == ADULT
+        and verdict.reason != REASON_BLACKLIST
+        and page.url.full_url not in state.counted_urls
+    ):
         state.counted_urls.add(page.url.full_url)
         state.unsafe_counts[domain] = state.unsafe_counts.get(domain, 0) + 1
         if state.unsafe_counts[domain] >= state.blacklist_trigger:

@@ -387,3 +387,23 @@ def random_tree(rnd, depth=0, max_depth=4):
 
 def random_vector(rnd) -> FeatureVector:
     return FeatureVector(tuple(rnd.uniform(0, 10) for _ in ATTRIBUTE_NAMES))
+
+
+def tree_thresholds(node, into=None) -> dict[str, list[float]]:
+    """Every split threshold of a tree, grouped by attribute."""
+    into = {} if into is None else into
+    if isinstance(node, Split):
+        into.setdefault(node.attribute, []).append(node.threshold)
+        tree_thresholds(node.left, into)
+        tree_thresholds(node.right, into)
+    return into
+
+
+def threshold_vector(rnd, thresholds: dict[str, list[float]]) -> FeatureVector:
+    """A vector whose tested values sit on or next to the trees' thresholds,
+    so `value == threshold` happens on many paths."""
+    values = []
+    for name in ATTRIBUTE_NAMES:
+        t = rnd.choice(thresholds[name]) if name in thresholds else rnd.uniform(0, 10)
+        values.append(rnd.choice([t, t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]))
+    return FeatureVector(tuple(values))

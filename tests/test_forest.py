@@ -16,6 +16,7 @@ from safeindex import (
     count_threshold,
     extract_features,
     forest_score,
+    forest_votes,
     load_forest,
     save_forest,
     train_forest,
@@ -23,6 +24,7 @@ from safeindex import (
 )
 import safeindex.forest
 from safeindex.errors import TrainingError
+from safeindex.evaluation import attribute_usage
 from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import (
     best_split,
@@ -45,6 +47,8 @@ from helpers import (
     oracle_tree_classify,
     random_tree,
     random_vector,
+    threshold_vector,
+    tree_thresholds,
     vote_forest,
 )
 
@@ -230,6 +234,66 @@ class TestTreeClassify:
             tree = random_tree(rnd)
             fv = random_vector(rnd)
             assert tree_classify(tree, fv) == oracle_tree_classify(tree, fv)
+
+
+class TestForestVotes:
+    """One walk serves votes, score, verdict, usage and tree_classify.
+
+    Vectors take their values from the trees' own thresholds and their
+    float neighbours, so `value == threshold` is common on every path.
+    """
+
+    @staticmethod
+    def _cases(seed, n_forests=40, n_vectors=25):
+        rnd = random.Random(seed)
+        for _ in range(n_forests):
+            trees = tuple(random_tree(rnd, max_depth=5) for _ in range(rnd.randint(1, 12)))
+            thresholds = {}
+            for tree in trees:
+                tree_thresholds(tree, thresholds)
+            yield trees, [threshold_vector(rnd, thresholds) for _ in range(n_vectors)]
+
+    def test_cases_hit_thresholds_of_every_attribute(self):
+        equal = set()
+        for trees, vectors in self._cases(5):
+            for tree in trees:
+                for name, values in tree_thresholds(tree).items():
+                    if any(fv[name] in values for fv in vectors):
+                        equal.add(name)
+        assert equal == set(ATTRIBUTE_NAMES)
+
+    def test_votes_score_and_verdict_match_oracle(self):
+        for trees, vectors in self._cases(5):
+            n = len(trees)
+            for fv in vectors:
+                oracle = [oracle_tree_classify(t, fv) for t in trees]
+                expected = tuple(label == ADULT for label, _ in oracle)
+                visited = set()
+                assert forest_votes(trees, fv) == expected
+                assert forest_votes(trees, fv, visited) == expected
+                assert visited == set().union(*(names for _, names in oracle))
+                score = sum(expected) / n
+                assert forest_score(Forest(trees), fv) == score
+                for k in {1, (n + 1) // 2, n}:
+                    forest = Forest(trees, count_threshold(n, k))
+                    assert classify(forest, fv) == (ADULT if sum(expected) >= k else SAFE)
+                for tree, oracle_result in zip(trees, oracle):
+                    assert tree_classify(tree, fv) == oracle_result
+
+    def test_attribute_usage_matches_oracle(self):
+        for trees, vectors in self._cases(6, n_forests=20):
+            usage = attribute_usage(Forest(trees), vectors)
+            for name in ATTRIBUTE_NAMES:
+                used = sum(
+                    any(name in oracle_tree_classify(t, fv)[1] for t in trees)
+                    for fv in vectors
+                )
+                assert usage[name] == used / len(vectors)
+
+    def test_visited_is_left_alone_without_a_split(self):
+        visited = {"in_url"}
+        assert forest_votes((Leaf(ADULT), Leaf(SAFE)), make_vector(), visited) == (True, False)
+        assert visited == {"in_url"}
 
 
 class TestVoting:

@@ -137,12 +137,25 @@ class TestBlacklistTrigger:
         assert state.unsafe_counts == {}
         assert state.blacklist == set()
 
-    def test_blacklist_verdicts_keep_counting_new_urls(self, tiny_lexicons):
+    def test_blacklisted_domain_stops_counting(self, tiny_lexicons):
+        state = FilterState(blacklist_trigger=3)
+        for i in range(5):
+            _, state = filter_page(
+                page(f"http://bad.com/{i}"), ADULT_FOREST, tiny_lexicons, state
+            )
+        assert state.blacklist == {"bad.com"}
+        assert state.unsafe_counts == {"bad.com": 3}
+        assert state.counted_urls == {f"http://bad.com/{i}" for i in range(3)}
+
+    def test_preloaded_domain_never_enters_unsafe_counts(self, tiny_lexicons):
         state = FilterState(blacklist={"bad.com"}, blacklist_trigger=3)
-        _, state = filter_page(
-            page("http://bad.com/x"), SAFE_FOREST, tiny_lexicons, state
-        )
-        assert state.unsafe_counts["bad.com"] == 1
+        for i in range(3):
+            verdict, state = filter_page(
+                page(f"http://bad.com/{i}"), ADULT_FOREST, tiny_lexicons, state
+            )
+            assert verdict.reason == REASON_BLACKLIST
+        assert state.unsafe_counts == {}
+        assert state.counted_urls == set()
 
 
 class TestBuildSafeIndex:
