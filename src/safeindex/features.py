@@ -5,14 +5,15 @@ the eleven content lexicons in canonical order.
 
 URL attributes use raw substring matching (URLs have no token
 boundaries).  The content attributes of all eleven lists come from one
-scan of the token stream through the lexicon set's content matcher,
-which indexes the terms of every list together; multi-word terms match
-as contiguous token sequences.
+scan of the token stream through the lexicon set's matcher, which
+indexes the terms of every list and the disclaimer phrases together;
+multi-word terms match as contiguous token sequences.  The vector also
+carries whether that scan found a disclaimer phrase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lexicon import CONTENT_LEXICON_NAMES, Lexicon, LexiconSet
 from .page import Page
@@ -33,9 +34,12 @@ assert len(ATTRIBUTE_NAMES) == 36
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Values in ATTRIBUTE_NAMES order; addressable by attribute name."""
+    """Values in ATTRIBUTE_NAMES order; addressable by attribute name.
+    `disclaimer` (the page holds a disclaimer phrase) is no attribute:
+    equality, hashing and repr see the values alone."""
 
     values: tuple[float, ...]
+    disclaimer: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.values) != len(ATTRIBUTE_NAMES):
@@ -56,17 +60,18 @@ def substring_hits(haystack: str, lexicon: Lexicon) -> int:
 
 
 def extract_features(page: Page, lexicons: LexiconSet) -> FeatureVector:
-    """All 36 attributes for one page.  Total: no page content can fail."""
+    """All 36 attributes for one page, and whether it holds a disclaimer
+    phrase, from one scan of its tokens.  Total: no page content can fail."""
     values = [
         float(substring_hits(page.url.full_url, lexicons.url_terms)),
         float(substring_hits(page.url.registrable_domain, lexicons.url_terms)),
         float(page.image_count),
     ]
     content = [lexicons.content(name) for name in CONTENT_LEXICON_NAMES]
-    scans = lexicons.content_matcher.scan(page.tokens)
+    *scans, (disclaimer_hits, _, _) = lexicons.matcher.scan(page.tokens)
     for lexicon, (total, distinct, covered) in zip(content, scans):
         values.append(float(total))
         values.append(distinct / lexicon.term_count)
         values.append(covered / len(page.tokens) if page.tokens else 0.0)
-    return FeatureVector(tuple(values))
+    return FeatureVector(tuple(values), disclaimer_hits > 0)
 

@@ -31,6 +31,10 @@ class Leaf:
     # (adult weight, safe weight) seen at this node during training
     weights: tuple[float, float] = (0.0, 0.0)
 
+    def __post_init__(self):
+        if self.label not in (ADULT, SAFE):
+            raise ValueError(f"bad leaf label {self.label!r}")
+
 
 @dataclass(frozen=True)
 class Split:
@@ -38,6 +42,10 @@ class Split:
     threshold: float
     left: "TreeNode"   # taken when value <= threshold
     right: "TreeNode"  # taken when value > threshold
+
+    def __post_init__(self):
+        if self.attribute not in _ATTRIBUTE_INDEX:
+            raise ValueError(f"unknown attribute {self.attribute!r}")
 
 
 TreeNode = Union[Leaf, Split]
@@ -357,12 +365,8 @@ def _node_to_obj(node: TreeNode) -> dict:
 
 def _node_from_obj(obj: dict) -> TreeNode:
     if "label" in obj:
-        if obj["label"] not in (ADULT, SAFE):
-            raise SafeIndexError(f"bad leaf label {obj['label']!r} in model")
         weights = obj.get("weights", [0.0, 0.0])
         return Leaf(obj["label"], (float(weights[0]), float(weights[1])))
-    if obj["attr"] not in ATTRIBUTE_NAMES:
-        raise SafeIndexError(f"unknown attribute {obj['attr']!r} in model")
     return Split(
         obj["attr"],
         float(obj["thr"]),

@@ -6,8 +6,8 @@ list names to file paths (relative to the manifest); the reserved names
 ``in-url`` and ``disclaimer`` point at the URL term list and the
 disclaimer phrase list.
 
-A LexiconSet owns the index of its lists: one TermMatcher over the
-eleven content lists and one over the disclaimer phrases, each built on
+A LexiconSet owns the one index of its lists: a TermMatcher over the
+eleven content lists and, as list 12, the disclaimer phrases, built on
 first use and kept for the life of the set.
 """
 
@@ -137,8 +137,7 @@ class TermMatcher:
         single, multi = self.single, self.multi
         totals = [0] * self.list_count
         distinct = [0] * self.list_count
-        # a matcher without one-token terms (the disclaimer phrases) skips this pass
-        found = Counter(compress(tokens, map(single.__contains__, tokens))) if single else {}
+        found = Counter(compress(tokens, map(single.__contains__, tokens)))
         for token, hits in found.items():
             for list_id in single[token]:
                 totals[list_id] += hits
@@ -205,7 +204,8 @@ class LexiconSet:
     """All term lists needed for one extraction configuration.
 
     Exactly the eleven canonical content lexicons must be present; the
-    URL term list and disclaimer phrases ride along.
+    URL term list and the disclaimer phrases, which may be empty, ride
+    along.  `matcher` indexes the content lists and the phrases together.
     """
 
     lexicons: dict[str, Lexicon]
@@ -227,14 +227,11 @@ class LexiconSet:
             raise ConfigError(f"missing content lexicon: {name!r}") from None
 
     @cached_property
-    def content_matcher(self) -> TermMatcher:
-        """The eleven content lists, in CONTENT_LEXICON_NAMES order."""
-        return TermMatcher([self.lexicons[n].terms for n in CONTENT_LEXICON_NAMES])
-
-    @cached_property
-    def disclaimer_matcher(self) -> TermMatcher:
-        """The disclaimer phrases, as one list."""
-        return TermMatcher([self.disclaimer_phrases])
+    def matcher(self) -> TermMatcher:
+        """The content lists in CONTENT_LEXICON_NAMES order, then the
+        disclaimer phrases as the last list."""
+        content = [self.lexicons[n].terms for n in CONTENT_LEXICON_NAMES]
+        return TermMatcher(content + [self.disclaimer_phrases])
 
 
 def load_lexicon_set(manifest_path: str | Path) -> LexiconSet:

@@ -3,9 +3,11 @@
 Stage order, first hit wins: blacklist, disclaimer, .xxx TLD, decision
 forest.  Every adult verdict counts toward the per-domain trigger (3 by
 default); once a domain hits the trigger it enters the blacklist and its
-later pages short-circuit on the URL alone.  A page from `page_from_html`
-strips its HTML when the disclaimer stage first reads its tokens, so a
-blacklisted page is never stripped and the later stages reuse the tokens.
+later pages short-circuit on the URL alone.  Past the blacklist, a page's
+tokens are scanned once: `extract_features` gives the 36 values the
+forest scores and the disclaimer flag the disclaimer stage reads.  A page
+from `page_from_html` strips its HTML at that scan, so a blacklisted page
+is never stripped.
 Verdicts are counted once per distinct URL, and only until the domain is
 blacklisted: a blacklisted domain's pages add no strike and no URL.
 """
@@ -73,11 +75,10 @@ class StageReport:
         setattr(self, stage, getattr(self, stage) + 1)
 
 
-def has_disclaimer(tokens: tuple[str, ...], lexicons: LexiconSet) -> bool:
-    """True when any of the set's disclaimer phrases occurs in the tokens
-    as a contiguous run.  A set with no phrases scans nothing."""
-    phrases = lexicons.disclaimer_phrases
-    return bool(phrases) and lexicons.disclaimer_matcher.scan(tokens)[0][0] > 0
+def has_disclaimer(features: FeatureVector) -> bool:
+    """True when `extract_features` found a disclaimer phrase in the
+    page's tokens as a contiguous run."""
+    return features.disclaimer
 
 
 def filter_page(
@@ -89,20 +90,24 @@ def filter_page(
 ) -> tuple[Verdict, FilterState]:
     """Run the staged filter on one page, updating the blacklist state.
 
-    A caller that already holds the page's `features` passes them in.
+    A caller that already holds the page's `features` from
+    `extract_features` passes them in.  A `FeatureVector(values)` built
+    from stored values has no disclaimer flag: the disclaimer stage
+    would pass the page on.
     """
     domain = page.url.registrable_domain
     if domain in state.blacklist:
         verdict = Verdict(ADULT, REASON_BLACKLIST)
-    elif has_disclaimer(page.tokens, lexicons):
-        verdict = Verdict(ADULT, REASON_DISCLAIMER)
-    elif page.url.tld == "xxx":
-        verdict = Verdict(ADULT, REASON_TLD_XXX)
     else:
         if features is None:
             features = extract_features(page, lexicons)
-        score = forest_score(forest, features)
-        verdict = Verdict(forest.label(score), REASON_FOREST, score)
+        if has_disclaimer(features):
+            verdict = Verdict(ADULT, REASON_DISCLAIMER)
+        elif page.url.tld == "xxx":
+            verdict = Verdict(ADULT, REASON_TLD_XXX)
+        else:
+            score = forest_score(forest, features)
+            verdict = Verdict(forest.label(score), REASON_FOREST, score)
 
     # a blacklisted domain's pages are decided already: they count nothing
     if (

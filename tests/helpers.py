@@ -81,10 +81,11 @@ def oracle_matches(tokens, lexicon):
 
 def oracle_scan(tokens, term_lists):
     """TermMatcher.scan by brute force, one list at a time: (total
-    matches, distinct terms matched, token positions covered) per list."""
+    matches, distinct terms matched, token positions covered) per list.
+    An empty list matches nothing."""
     results = []
     for terms in term_lists:
-        matches = oracle_matches(tokens, Lexicon("oracle", frozenset(terms)))
+        matches = oracle_matches(tokens, Lexicon("oracle", frozenset(terms))) if terms else []
         covered = {
             position
             for term, start in matches

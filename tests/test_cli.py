@@ -636,6 +636,18 @@ class TestInspectModel:
         assert main(["inspect-model", "--model", str(bad)]) == 1
         assert "malformed model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tree, message", [
+        ('{"label": "Adult"}', "bad leaf label 'Adult'"),
+        ('{"attr": "no_such_attr", "thr": 1, "left": {"label": "safe"},'
+         ' "right": {"label": "adult"}}', "unknown attribute 'no_such_attr'"),
+    ])
+    def test_bad_tree_node_exits_1(self, tmp_path, capsys, tree, message):
+        bad = tmp_path / "bad_node.json"
+        bad.write_text(f'{{"version": 1, "vote_threshold": 0.5, "trees": [{tree}]}}', encoding="utf-8")
+        assert main(["inspect-model", "--model", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "malformed model" in err and message in err
+
     def test_non_utf8_model_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "utf16.json"
         bad.write_bytes('{"version": 1}'.encode("utf-16"))

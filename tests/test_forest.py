@@ -210,6 +210,15 @@ class TestGrowTree:
         assert tree_size(leaf) == 1
         assert tree_size(Split("in_url", 1.0, leaf, Leaf(ADULT))) == 3
 
+    @pytest.mark.parametrize("label", ["Adult", "unsafe", "", None])
+    def test_leaf_rejects_a_bad_label(self, label):
+        with pytest.raises(ValueError, match="bad leaf label"):
+            Leaf(label)
+
+    def test_split_rejects_an_unknown_attribute(self):
+        with pytest.raises(ValueError, match="unknown attribute 'no_such_attr'"):
+            Split("no_such_attr", 1.0, Leaf(SAFE), Leaf(ADULT))
+
 
 class TestTreeClassify:
     def test_descends_by_threshold(self):

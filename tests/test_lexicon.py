@@ -110,15 +110,30 @@ class TestLexiconSet:
 
     def test_matchers_are_built_once(self):
         lexicons = make_lexicon_set()
-        assert lexicons.content_matcher is lexicons.content_matcher
-        assert lexicons.disclaimer_matcher is lexicons.disclaimer_matcher
+        assert lexicons.matcher is lexicons.matcher
 
     def test_replaced_set_gets_its_own_matchers(self):
         lexicons = make_lexicon_set()
-        content, disclaimer = lexicons.content_matcher, lexicons.disclaimer_matcher
-        copy = dataclasses.replace(lexicons)
-        assert copy.content_matcher is not content
-        assert copy.disclaimer_matcher is not disclaimer
+        matcher = lexicons.matcher
+        assert dataclasses.replace(lexicons).matcher is not matcher
+
+    @pytest.mark.parametrize("phrases", [(), ("you must be 18",)])
+    def test_phrase_word_that_is_a_content_term_counts_in_both(self, phrases):
+        lexicons = make_lexicon_set({"en-words": {"you"}}, disclaimer=phrases)
+        scans = lexicons.matcher.scan(("you", "must", "be", "18", "you"))
+        assert scans[CONTENT_LEXICON_NAMES.index("en-words")] == (2, 1, 2)
+        assert scans[len(CONTENT_LEXICON_NAMES)] == ((1, 1, 4) if phrases else (0, 0, 0))
+
+
+@pytest.fixture(scope="module")
+def content_sample(lexicons):
+    """The first five terms of each shipped content list, one-token and
+    two-token ones."""
+    return sorted(
+        term
+        for name in CONTENT_LEXICON_NAMES
+        for term in sorted(lexicons.content(name).terms)[:5]
+    )
 
 
 class TestTermMatcher:
@@ -148,14 +163,26 @@ class TestTermMatcher:
         assert TermMatcher(term_lists).scan(tokens) == oracle_scan(tokens, term_lists)
 
     @given(st.data())
-    def test_disclaimer_matcher_matches_oracle(self, lexicons, data):
+    def test_folded_index_matches_oracle(self, lexicons, content_sample, data):
         phrases = lexicons.disclaimer_phrases
         words = sorted({word for phrase in phrases for word in phrase.split(" ")})
-        pieces = st.one_of(st.sampled_from(phrases), st.sampled_from(words + ["z"]))
+        pieces = st.one_of(
+            st.sampled_from(phrases),
+            st.sampled_from(words + ["z"]),
+            st.sampled_from(content_sample),
+        )
         tokens = tuple(" ".join(data.draw(st.lists(pieces, max_size=8))).split())
         cut = data.draw(st.integers(0, len(tokens)))
         for stream in (tokens, tokens[:cut]):
-            assert lexicons.disclaimer_matcher.scan(stream) == oracle_scan(stream, [phrases])
+            # a term with a word the stream lacks cannot match, so leaving
+            # it out changes no count and keeps the oracle fast
+            content = [
+                {t for t in lexicons.content(name).terms if set(stream).issuperset(t.split(" "))}
+                for name in CONTENT_LEXICON_NAMES
+            ]
+            *scans, disclaimer = lexicons.matcher.scan(stream)
+            assert disclaimer == oracle_scan(stream, [phrases])[0]
+            assert scans == oracle_scan(stream, content)
 
 
 class TestLoadLexiconSet:
@@ -177,8 +204,8 @@ class TestLoadLexiconSet:
         assert lexicons.url_terms.terms == frozenset({"porn"})
         assert lexicons.disclaimer_phrases == ("you must be 18", "adults only")
         assert lexicons.content("queries").terms == frozenset({"alpha", "beta"})
-        # the matchers wait for the first scan
-        assert not {"content_matcher", "disclaimer_matcher"} & vars(lexicons).keys()
+        # the matcher waits for the first scan
+        assert "matcher" not in vars(lexicons)
 
     def test_disclaimer_optional(self, tmp_path):
         entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}

@@ -5,6 +5,7 @@ import pytest
 from safeindex import (
     ADULT,
     SAFE,
+    FeatureVector,
     FilterState,
     Forest,
     Leaf,
@@ -51,20 +52,64 @@ def tiny_lexicons():
 class TestHasDisclaimer:
     LEXICONS = make_lexicon_set(disclaimer=("you must be 18",))
 
+    def flagged(self, tokens, lexicons=LEXICONS):
+        return has_disclaimer(extract_features(page("http://site.com/", tokens), lexicons))
+
     def test_contiguous_match(self):
-        tokens = ("warning", "you", "must", "be", "18", "to", "enter")
-        assert has_disclaimer(tokens, self.LEXICONS)
+        assert self.flagged(("warning", "you", "must", "be", "18", "to", "enter"))
 
     def test_non_contiguous_is_no_match(self):
-        tokens = ("you", "really", "must", "be", "18")
-        assert not has_disclaimer(tokens, self.LEXICONS)
+        assert not self.flagged(("you", "really", "must", "be", "18"))
 
-    def test_empty_phrases(self, monkeypatch):
-        def refuse(self, tokens):
-            raise AssertionError("scanned for no phrases")
+    def test_empty_phrases_never_give_a_disclaimer_verdict(self):
+        lexicons = make_lexicon_set(disclaimer=())
+        tokens = ("you", "must", "be", "18")
+        assert not self.flagged(tokens, lexicons)
+        verdict, _ = filter_page(
+            page("http://site.com/", tokens), ADULT_FOREST, lexicons, FilterState()
+        )
+        assert verdict == Verdict(ADULT, REASON_FOREST, 1.0)
 
-        monkeypatch.setattr(TermMatcher, "scan", refuse)
-        assert not has_disclaimer(("anything",), make_lexicon_set(disclaimer=()))
+    def test_flag_is_not_an_attribute(self):
+        fv = extract_features(page("http://site.com/", ("you", "must", "be", "18")), self.LEXICONS)
+        stored = FeatureVector(fv.values)
+        assert has_disclaimer(fv) and not has_disclaimer(stored)
+        assert fv == stored and hash(fv) == hash(stored) and repr(fv) == repr(stored)
+
+    def test_phrase_word_that_is_a_content_term(self):
+        lexicons = make_lexicon_set({"en-words": {"you"}}, disclaimer=("you must be 18",))
+        p = page("http://site.com/", ("you", "must", "be", "18", "you"))
+        assert extract_features(p, lexicons)["nb_en-words"] == 2.0
+        verdict, _ = filter_page(p, SAFE_FOREST, lexicons, FilterState())
+        assert verdict == Verdict(ADULT, REASON_DISCLAIMER)
+
+
+class TestOneScanPerPage:
+    """filter_page scans a page's tokens once past the blacklist, never
+    before it."""
+
+    @pytest.mark.parametrize(
+        "url, tokens, scans, reason",
+        [
+            ("http://site.com/1", ("harmless", "words"), 1, REASON_FOREST),
+            ("http://site.com/1", ("adults", "only"), 1, REASON_DISCLAIMER),
+            ("http://site.xxx/1", ("harmless", "words"), 1, REASON_TLD_XXX),
+            ("http://banned.com/1", ("adults", "only"), 0, REASON_BLACKLIST),
+        ],
+    )
+    def test_scan_calls(self, tiny_lexicons, monkeypatch, url, tokens, scans, reason):
+        calls = []
+        real_scan = TermMatcher.scan
+
+        def counting(matcher, stream):
+            calls.append(stream)
+            return real_scan(matcher, stream)
+
+        monkeypatch.setattr(TermMatcher, "scan", counting)
+        state = FilterState(blacklist={"banned.com"})
+        verdict, _ = filter_page(page(url, tokens), SAFE_FOREST, tiny_lexicons, state)
+        assert verdict.reason == reason
+        assert len(calls) == scans
 
 
 class TestStageOrder:
@@ -230,7 +275,7 @@ class TestStrippingOnDemand:
             [(f"http://banned.com/{i}", f"<p>anything {i}</p>") for i in range(3)]
             # three disclaimer verdicts blacklist it mid-stream
             + [(f"http://self.com/{i}", f"<p>adults only {i}</p>") for i in range(5)]
-            # stops at the .xxx stage, after the disclaimer stage read it
+            # stops at the .xxx stage, after the page's one scan
             + [(f"http://site.xxx/{i}", f"<p>plain {i}</p>") for i in range(2)]
             + [(f"http://fine.org/{i}", f"<p>plain {i}</p>") for i in range(2)]
         )
@@ -244,7 +289,7 @@ class TestStrippingOnDemand:
         }
         assert index == ["http://fine.org/0", "http://fine.org/1"]
         assert "self.com" in state.blacklist
-        # one strip per page that reached the disclaimer stage, none twice
+        # one strip per page past the blacklist, none twice
         assert len(calls) == len(pages) - report.blacklist
         parsed = stream[3:6] + stream[8:]  # self.com's first three, then the rest
         assert calls == [html for _, html in parsed]

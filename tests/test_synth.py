@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from helpers import loop_generate_corpus
-from safeindex import ADULT, SAFE, Page, iter_corpus, load_lexicon_set, parse_url
+from safeindex import ADULT, SAFE, Page, extract_features, iter_corpus, load_lexicon_set, parse_url
 from safeindex.lexicon import CONTENT_LEXICON_NAMES, REFERENCE_SIZES
 from safeindex.pipeline import has_disclaimer
 from safeindex.synth import (
@@ -65,7 +65,7 @@ class TestCorpusGeneration:
         )
         for p in pages[:6]:
             assert p.url.tld == "xxx"
-            assert has_disclaimer(p.tokens, lexicons)
+            assert has_disclaimer(extract_features(p, lexicons))
         for p in pages[6:]:
             assert p.url.tld == "com"
 
