@@ -1,8 +1,10 @@
 """Command-line surface: train, filter, eval, inspect-model.
 
-Options can come from a JSON config file (--config); explicit flags
-override file values.  Exit codes: 0 success, 1 data/config error,
-2 internal invariant violation.
+Every option is one row of `OPTIONS`.  A JSON config file (--config) may
+give any option under its name; the value must have the flag's JSON type,
+an unknown key is an error, and explicit flags override file values.
+Defaults live in TrainConfig, FilterState and Forest.  Exit codes:
+0 success, 1 data/config error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, SafeIndexError, TrainingError
+from .errors import ConfigError, SafeIndexError
 from .evaluation import attribute_usage, format_confusion, metrics, score_run
 from .features import extract_features
 from .fileio import write_atomic
@@ -29,7 +31,7 @@ from .forest import (
     train_forest,
 )
 from .lexicon import load_lexicon_set
-from .page import Page, iter_corpus, load_labeled_corpus
+from .page import Page, iter_corpus
 from .pipeline import (
     FilterState,
     StageReport,
@@ -39,16 +41,49 @@ from .pipeline import (
     save_blacklist,
 )
 
+# name -> (type, help); every str option names a file, bool is an on/off flag
+OPTIONS: dict[str, tuple[type, str | None]] = {
+    "lexicons": (str, "lexicon manifest (JSON)"),
+    "model": (str, "model file (JSON)"),
+    "corpus": (str, "corpus manifest (CSV)"),
+    "index": (str, "output: one safe URL per line"),
+    "blacklist": (str, "blacklist file, read and updated"),
+    "report": (str, "output: stage counts (filter) or metrics (eval) as JSON"),
+    "trees": (int, None),
+    "fn_cost": (float, None),
+    "min_leaf_weight": (float, None),
+    "max_depth": (int, None),
+    "seed": (int, None),
+    "vote_threshold": (float, None),
+    "min_votes": (int, None),
+    "blacklist_trigger": (int, None),
+    "full_pipeline": (bool, "include blacklist/disclaimer/TLD stages (default: forest only)"),
+}
 
-# Options that name a file; a config file could give them any JSON value.
-_PATH_OPTIONS = ("lexicons", "corpus", "model", "index", "blacklist", "report")
+# type -> (what a value must be, its JSON types); exact, as true is no int
+_KINDS = {
+    str: ("a path string", (str,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    bool: ("a boolean", (bool,)),
+}
+
+# train's options, by the TrainConfig field each one sets
+_TRAIN_FIELDS = {
+    "trees": "n_trees",
+    "fn_cost": "fn_cost",
+    "min_leaf_weight": "min_leaf_weight",
+    "max_depth": "max_depth",
+    "seed": "rng_seed",
+}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """File values first, then every flag the user actually set.  Raises
-    ConfigError when a path option is not a string."""
+    ConfigError for a file key that names no option, or for a value of
+    the wrong type; numbers come back as floats."""
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -56,13 +91,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         merged.update(doc)
-    for key, value in vars(args).items():
-        if key in ("config", "func") or value is None:
-            continue
-        merged[key] = value
-    bad = [key for key in _PATH_OPTIONS if key in merged and not isinstance(merged[key], str)]
-    if bad:
-        raise ConfigError(f"option {bad[0]} must be a path string, got {merged[bad[0]]!r}")
+    merged.update((k, v) for k, v in vars(args).items() if k in OPTIONS and v is not None)
+    for key, value in merged.items():
+        if key not in OPTIONS:
+            raise ConfigError(f"unknown option {key!r} in config file {args.config}")
+        kind = OPTIONS[key][0]
+        what, json_types = _KINDS[kind]
+        if type(value) not in json_types:
+            raise ConfigError(f"option {key} must be {what}, got {value!r}")
+        merged[key] = kind(value)
     return merged
 
 
@@ -72,17 +109,17 @@ def _require(cfg: dict, *keys: str) -> None:
         raise ConfigError(f"missing required options: {', '.join(missing)}")
 
 
-def _vote_threshold(cfg: dict, n_trees: int) -> float:
-    if "min_votes" in cfg:
-        return count_threshold(n_trees, int(cfg["min_votes"]))
-    return check_vote_threshold(float(cfg.get("vote_threshold", 0.5)))
-
-
-def _load_labeled(cfg: dict) -> list[Page]:
-    pages = load_labeled_corpus(cfg["corpus"])
+def _load_labeled(cfg: dict) -> tuple[list[Page], int]:
+    """The corpus's labeled pages, and how many manifest rows were skipped
+    (unreadable files, malformed URLs, unlabeled rows)."""
+    rows = list(iter_corpus(cfg["corpus"]))
+    pages = [row for row in rows if isinstance(row, Page) and row.label is not None]
     if not pages:
         raise ConfigError("no labeled pages")
-    return pages
+    skipped = len(rows) - len(pages)
+    if skipped:
+        print(f"skipped {skipped} of {len(rows)} manifest rows")
+    return pages, skipped
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -92,22 +129,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     # out-of-range values with ValueError; here those values are the
     # user's options, so they are checked before any file is read.
     try:
-        config = TrainConfig(
-            n_trees=int(cfg.get("trees", 10)),
-            fn_cost=float(cfg.get("fn_cost", 20.0)),
-            min_leaf_weight=float(cfg.get("min_leaf_weight", 2.0)),
-            max_depth=int(cfg.get("max_depth", 12)),
-            rng_seed=int(cfg.get("seed", 0)),
-        )
-        vote_threshold = _vote_threshold(cfg, config.n_trees)
+        config = TrainConfig(**{f: cfg[k] for k, f in _TRAIN_FIELDS.items() if k in cfg})
+        if "min_votes" in cfg:
+            cfg["vote_threshold"] = count_threshold(config.n_trees, cfg["min_votes"])
+        elif "vote_threshold" in cfg:
+            check_vote_threshold(cfg["vote_threshold"])
     except ValueError as exc:
         raise ConfigError(f"bad training option: {exc}") from exc
     lexicons = load_lexicon_set(cfg["lexicons"])
-    pages = _load_labeled(cfg)
+    pages, _ = _load_labeled(cfg)
     vectors = [extract_features(p, lexicons) for p in pages]
     labels = [p.label for p in pages]
     forest, report = train_forest(vectors, labels, config)
-    forest = replace(forest, vote_threshold=vote_threshold)
+    forest = replace(forest, vote_threshold=cfg.get("vote_threshold", forest.vote_threshold))
     # the report's global error is the saved model's, at its threshold
     wrong = sum(classify(forest, fv) != label for fv, label in zip(vectors, labels))
     report = replace(report, global_training_error=wrong / len(vectors))
@@ -120,7 +154,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_filter(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model", "index")
-    state = FilterState(blacklist_trigger=cfg.get("blacklist_trigger", 3))
+    state = FilterState(**{k: v for k, v in cfg.items() if k == "blacklist_trigger"})
     lexicons = load_lexicon_set(cfg["lexicons"])
     forest = load_forest(cfg["model"])
     blacklist_path = cfg.get("blacklist")
@@ -143,10 +177,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model")
     # built up front so a bad blacklist_trigger fails before any file is read
-    state = FilterState(blacklist_trigger=cfg.get("blacklist_trigger", 3))
+    state = FilterState(**{k: v for k, v in cfg.items() if k == "blacklist_trigger"})
     lexicons = load_lexicon_set(cfg["lexicons"])
     forest = load_forest(cfg["model"])
-    pages = _load_labeled(cfg)
+    pages, skipped = _load_labeled(cfg)
 
     vectors = [extract_features(p, lexicons) for p in pages]
     if cfg.get("full_pipeline"):
@@ -180,6 +214,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "confusion": {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn},
             "metrics": scores,
             "attribute_usage": usage,
+            "skipped": skipped,
         }
         if stage_report is not None:
             doc["stages"] = stage_report.as_dict()
@@ -198,62 +233,34 @@ def cmd_inspect_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--lexicons", help="lexicon manifest (JSON)")
-    parser.add_argument("--model", help="model file (JSON)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safeindex")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a forest on a labeled corpus")
-    _add_common(p)
-    p.add_argument("--corpus", help="corpus manifest (CSV)")
-    p.add_argument("--trees", type=int)
-    p.add_argument("--fn-cost", dest="fn_cost", type=float)
-    p.add_argument("--min-leaf-weight", dest="min_leaf_weight", type=float)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--vote-threshold", dest="vote_threshold", type=float)
-    p.add_argument("--min-votes", dest="min_votes", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("filter", help="build a safe index from a corpus")
-    _add_common(p)
-    p.add_argument("--corpus", help="corpus manifest (CSV)")
-    p.add_argument("--index", help="output: one safe URL per line")
-    p.add_argument("--blacklist", help="blacklist file, read and updated")
-    p.add_argument("--blacklist-trigger", dest="blacklist_trigger", type=int)
-    p.add_argument("--report", help="output: stage counts as JSON")
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("eval", help="score the forest on a labeled corpus")
-    _add_common(p)
-    p.add_argument("--corpus", help="corpus manifest (CSV)")
-    p.add_argument(
-        "--full-pipeline",
-        dest="full_pipeline",
-        action="store_const",
-        const=True,
-        help="include blacklist/disclaimer/TLD stages (default: forest only)",
-    )
-    p.add_argument("--report", help="output: metrics as JSON")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("inspect-model", help="pretty-print a model's trees")
-    _add_common(p)
-    p.set_defaults(func=cmd_inspect_model)
-
+    for command, func, summary, options in (
+        ("train", cmd_train, "train a forest on a labeled corpus",
+         "corpus trees fn_cost min_leaf_weight max_depth seed vote_threshold min_votes"),
+        ("filter", cmd_filter, "build a safe index from a corpus",
+         "corpus index blacklist blacklist_trigger report"),
+        ("eval", cmd_eval, "score the forest on a labeled corpus", "corpus full_pipeline report"),
+        ("inspect-model", cmd_inspect_model, "pretty-print a model's trees", ""),
+    ):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for name in ("lexicons", "model", *options.split()):
+            kind, text = OPTIONS[name]
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, dest=name, action="store_const", const=True, help=text)
+            else:
+                p.add_argument(flag, dest=name, type=kind, help=text)
+        p.set_defaults(func=func)
     return parser
-
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SafeIndexError, TrainingError, OSError) as exc:
+    except (SafeIndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal invariant breach

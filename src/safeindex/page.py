@@ -210,11 +210,3 @@ def iter_corpus(manifest_path: str | Path):
             page = PageLoadFailure(path, url, str(exc))
         yield page
 
-
-def load_labeled_corpus(manifest_path: str | Path) -> list[Page]:
-    """Pages from a manifest that carry a gold label; skips load failures."""
-    return [
-        page
-        for page in iter_corpus(manifest_path)
-        if isinstance(page, Page) and page.label is not None
-    ]

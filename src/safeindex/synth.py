@@ -172,12 +172,12 @@ def _term_units(
     alloc = np.floor(ideal).astype(int)
     for j in np.argsort(ideal - alloc)[::-1][: count - int(alloc.sum())]:
         alloc[j] += 1
-    units = []
-    for name, k in zip(names, alloc):
-        pool = terms[name]
-        for term_idx in rng.integers(0, len(pool), int(k)):
-            units.append(pool[term_idx].split(" "))
-    return units
+    pools = [terms[name] for name in names]
+    owners = np.repeat(np.arange(len(names)), alloc)
+    # one draw with an upper bound per term gives the values of one sized
+    # draw per list (tests compare against the per-list loop)
+    picks = rng.integers(0, np.array([len(pool) for pool in pools])[owners])
+    return [pools[j][i].split(" ") for j, i in zip(owners.tolist(), picks.tolist())]
 
 
 def generate_corpus(

@@ -19,7 +19,7 @@ from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import Forest, Leaf, Split, SplitChoice, entropy
 from safeindex.lexicon import CONTENT_LEXICON_NAMES
 from safeindex.page import Page, parse_url
-from safeindex.synth import _SYLLABLES, DISCLAIMER_PHRASES, _term_units
+from safeindex.synth import _LEXICON_WEIGHTS, _SYLLABLES, DISCLAIMER_PHRASES
 
 
 def make_lexicon_set(
@@ -292,6 +292,22 @@ def _loop_unique_words(rng, n, taken):
     return words
 
 
+def _loop_term_units(rng, terms, count):
+    """synth._term_units with one sized draw per list."""
+    names = list(_LEXICON_WEIGHTS)
+    weights = np.array([_LEXICON_WEIGHTS[n] for n in names])
+    ideal = count * weights / weights.sum()
+    alloc = np.floor(ideal).astype(int)
+    for j in np.argsort(ideal - alloc)[::-1][: count - int(alloc.sum())]:
+        alloc[j] += 1
+    units = []
+    for name, k in zip(names, alloc):
+        pool = terms[name]
+        for term_idx in rng.integers(0, len(pool), int(k)):
+            units.append(pool[term_idx].split(" "))
+    return units
+
+
 def loop_generate_corpus(
     lexicons,
     n_pages,
@@ -304,7 +320,8 @@ def loop_generate_corpus(
 ):
     """synth.generate_corpus with the vocabulary sorted and the forbidden
     words collected on every call, one sized draw per word's syllables and
-    one scalar draw per padding token.  Must return equal pages."""
+    per list's terms, and one scalar draw per padding token.  Must return
+    equal pages."""
     rng = np.random.default_rng(seed)
     terms = {
         name: sorted(lexicons.content(name).terms) for name in CONTENT_LEXICON_NAMES
@@ -329,7 +346,7 @@ def loop_generate_corpus(
         length = int(rng.integers(150, 400))
         frac = rng.uniform(0.18, 0.45) if is_adult else overlap
         n_terms = max(1, int(length * frac))
-        units = _term_units(rng, terms, n_terms)
+        units = _loop_term_units(rng, terms, n_terms)
         n_tokens = sum(len(u) for u in units)
         while n_tokens < length:
             units.append([neutral[rng.integers(len(neutral))]])

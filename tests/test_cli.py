@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from importlib.resources import files
 
 import pytest
@@ -9,7 +10,7 @@ import safeindex.pipeline
 from safeindex import ADULT, build_safe_index, load_forest
 from safeindex.cli import main
 from safeindex.features import extract_features
-from safeindex.page import load_labeled_corpus
+from safeindex.page import Page, iter_corpus
 from safeindex.synth import generate_corpus, write_corpus
 
 from helpers import count_extract_text
@@ -60,6 +61,20 @@ def noisy_manifest(tmp_path_factory, lexicons):
     """A corpus whose classes overlap, so the vote threshold moves the error."""
     pages = generate_corpus(lexicons, 300, 150, seed=1, overlap=0.3)
     return write_corpus(pages, tmp_path_factory.mktemp("noisy"))
+
+
+# option -> (subcommand that reads it, its output flag); train otherwise
+COMMAND_OF = {"blacklist_trigger": ("filter", "index"), "full_pipeline": ("eval", "report")}
+INTEGER_KEYS = ("trees", "max_depth", "seed", "min_votes", "blacklist_trigger")
+NUMBER_KEYS = ("fn_cost", "min_leaf_weight", "vote_threshold")
+NON_PATH_KEYS = (*INTEGER_KEYS, *NUMBER_KEYS, "full_pipeline")
+WRONG_TYPES = [
+    *((key, value) for key in NON_PATH_KEYS for value in (None, [1])),
+    *((key, value) for key in (*INTEGER_KEYS, *NUMBER_KEYS) for value in (True, "3")),
+    *((key, 2.7) for key in INTEGER_KEYS),
+    ("full_pipeline", "no"),
+    ("full_pipeline", 1),
+]
 
 
 class TestTrain:
@@ -400,8 +415,9 @@ class TestEval:
         )
         assert code == 0
         doc = json.loads(report.read_text(encoding="utf-8"))
-        assert set(doc) == {"confusion", "metrics", "attribute_usage"}
+        assert set(doc) == {"confusion", "metrics", "attribute_usage", "skipped"}
         assert sum(doc["confusion"].values()) == 40
+        assert doc["skipped"] == 0
 
     def test_full_pipeline_adds_stage_report(self, workspace, capsys):
         code = main(
@@ -447,9 +463,8 @@ class TestEval:
         assert len(calls) == 30
         monkeypatch.undo()
         # the stages are those of the filter that extracts on its own
-        _, expected, _ = build_safe_index(
-            load_labeled_corpus(manifest), load_forest(workspace["model"]), lexicons
-        )
+        labeled = [p for p in iter_corpus(manifest) if isinstance(p, Page) and p.label is not None]
+        _, expected, _ = build_safe_index(labeled, load_forest(workspace["model"]), lexicons)
         assert json.loads(report.read_text(encoding="utf-8"))["stages"] == expected.as_dict()
 
     def test_full_pipeline_stages_follow_blacklist_trigger(self, workspace):
@@ -551,6 +566,45 @@ class TestMalformedInputs:
         assert not (tmp_path / "index.txt").exists()
 
     @pytest.mark.parametrize(
+        "key, value", WRONG_TYPES, ids=[f"{key} {json.dumps(value)}" for key, value in WRONG_TYPES]
+    )
+    def test_wrong_json_type_exits_1(self, workspace, tmp_path, capsys, key, value):
+        """A file value must have the flag's type: no null, list, true for a
+        count or a number, 2.7 for a count, or string for a switch."""
+        command, output = COMMAND_OF.get(key, ("train", "model"))
+        code = self._run_with_config(workspace, tmp_path, command, output, {key: value})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"option {key} must be" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_config_key_exits_1(self, workspace, tmp_path, capsys):
+        code = self._run_with_config(workspace, tmp_path, "train", "model", {"tree": 3})
+        assert code == 1
+        assert "unknown option 'tree'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_overrides_bad_config_value(self, workspace, tmp_path):
+        code = self._run_with_config(
+            workspace, tmp_path, "train", "model", {"trees": None}, "--trees", "3"
+        )
+        assert code == 0
+        assert len(load_forest(tmp_path / "out").trees) == 3
+
+    @staticmethod
+    def _run_with_config(workspace, tmp_path, command, output, config, *flags):
+        """Run `command` with `config` as its file, writing `output` to tmp_path/out."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        manifest = workspace["train_manifest" if command == "train" else "eval_manifest"]
+        args = [command, "--config", str(config_path), "--lexicons", LEXICON_MANIFEST]
+        args += ["--corpus", str(manifest), f"--{output}", str(tmp_path / "out")]
+        if command != "train":
+            args += ["--model", str(workspace["model"])]
+        return main([*args, *flags])
+
+    @pytest.mark.parametrize(
         "entries, encoding, config",
         [
             ({}, "utf-16", {}),
@@ -580,6 +634,68 @@ class TestMalformedInputs:
         assert code == 1
         assert "internal error" not in err
         assert not index.exists()
+
+
+class TestParser:
+    # the flags each subcommand's --help listed before the option table
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--corpus", "--trees", "--fn-cost", "--min-leaf-weight", "--max-depth",
+                   "--seed", "--vote-threshold", "--min-votes"]),
+        ("filter", ["--corpus", "--index", "--blacklist", "--blacklist-trigger", "--report"]),
+        ("eval", ["--corpus", "--full-pipeline", "--report"]),
+        ("inspect-model", []),
+    ])
+    def test_help_lists_the_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        shown = re.findall(r"^  (-h|--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert shown == ["-h", "--config", "--lexicons", "--model", *flags]
+
+    def test_config_numbers_match_flags(self, workspace, tmp_path):
+        """An integer is a valid number: the file's 20 and 1 give the model
+        that --fn-cost 20 --vote-threshold 1 gives."""
+        common = ["--lexicons", LEXICON_MANIFEST, "--corpus", str(workspace["train_manifest"])]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fn_cost": 20, "vote_threshold": 1}), encoding="utf-8")
+        from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+        assert main(["train", *common, "--config", str(config), "--model", str(from_file)]) == 0
+        flags = ["--fn-cost", "20", "--vote-threshold", "1", "--model", str(from_flags)]
+        assert main(["train", *common, *flags]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
+
+class TestCorpusLoader:
+    def test_train_and_eval_skip_bad_rows(self, workspace, lexicons, tmp_path, capsys):
+        """train and eval keep the labeled pages iter_corpus yields and say
+        how many rows they skipped: a missing file, a malformed URL and an
+        unlabeled row."""
+        pages = generate_corpus(lexicons, 12, 6, seed=8, url_prefix="skip")
+        clean = write_corpus(pages, tmp_path / "corpus")
+        dirty = clean.with_name("dirty.csv")
+        dirty.write_text(
+            clean.read_text(encoding="utf-8")
+            + "missing.html,http://gone.com/1,adult\n"
+            + "p0000.html,http://a..com/,safe\n"
+            + "p0001.html,http://plain.org/1,unlabeled\n",
+            encoding="utf-8",
+        )
+        runs = {}
+        for name, manifest in (("clean", clean), ("dirty", dirty)):
+            common = ["--lexicons", LEXICON_MANIFEST, "--corpus", str(manifest)]
+            model, report = tmp_path / f"{name}.json", tmp_path / f"{name}_report.json"
+            assert main(["train", *common, "--model", str(model)]) == 0
+            assert main(["eval", *common, "--model", str(model), "--report", str(report)]) == 0
+            doc = json.loads(report.read_text(encoding="utf-8"))
+            runs[name] = model.read_bytes(), doc, capsys.readouterr().out
+        (clean_model, clean_doc, clean_out), (dirty_model, dirty_doc, dirty_out) = runs.values()
+        assert "skipped" not in clean_out
+        assert dirty_out.count("skipped 3 of 15 manifest rows\n") == 2
+        assert dirty_model == clean_model
+        assert sum(dirty_doc["confusion"].values()) == 12
+        assert clean_doc.pop("skipped") == 0
+        assert dirty_doc.pop("skipped") == 3
+        assert dirty_doc == clean_doc
 
 
 class TestAtomicOutputs:

@@ -17,7 +17,7 @@ from safeindex import (
     page_from_html,
     parse_url,
 )
-from safeindex.page import PageLoadFailure, load_labeled_corpus, read_manifest, tokenize
+from safeindex.page import PageLoadFailure, read_manifest, tokenize
 from safeindex.errors import ConfigError
 
 from fixture_docs import DOCS, EDGE_DOCS, oracle_extract
@@ -266,6 +266,11 @@ class TestParseUrl:
     def test_single_label_host(self):
         assert parse_url("localhost/x").registrable_domain == "localhost"
 
+    def test_trailing_dot_host(self):
+        parts = parse_url("http://example.com./p")
+        assert parts.registrable_domain == "example.com"
+        assert parts.tld == "com"
+
     def test_xxx_tld(self):
         assert parse_url("http://site.xxx/").tld == "xxx"
 
@@ -282,7 +287,11 @@ class TestParseUrl:
         assert parse_url("http://[2001:DB8::1]/").registrable_domain == "2001:db8::1"
 
     @pytest.mark.parametrize(
-        "bad", ["", "   ", "http:///path", "http://:80/x", "http://[::1/x", "http://[]:80/"]
+        "bad",
+        [
+            "", "   ", "http:///path", "http://:80/x", "http://[::1/x", "http://[]:80/",
+            "http://a..com/x", "http://./x",
+        ],
     )
     def test_malformed_raises(self, bad):
         with pytest.raises(MalformedUrlError):
@@ -387,6 +396,7 @@ class TestCorpusIO:
             [
                 "a.html,http://a.com/1,adult",
                 "missing.html,http://b.com/1,safe",
+                "a.html,http://a..com/,safe",
             ],
             {"a.html": "<p>hello</p>"},
         )
@@ -395,17 +405,6 @@ class TestCorpusIO:
         assert results[0].tokens == ("hello",)
         assert isinstance(results[1], PageLoadFailure)
         assert results[1].path == "missing.html"
-
-    def test_load_labeled_corpus_filters(self, tmp_path):
-        manifest = self._write(
-            tmp_path,
-            [
-                "a.html,http://a.com/1,adult",
-                "b.html,http://b.com/1,unlabeled",
-                "missing.html,http://c.com/1,safe",
-            ],
-            {"a.html": "x", "b.html": "y"},
-        )
-        pages = load_labeled_corpus(manifest)
-        assert len(pages) == 1
-        assert pages[0].label == ADULT
+        # a host with an empty label is a malformed URL, not a lost run
+        assert isinstance(results[2], PageLoadFailure)
+        assert "no recognizable host" in results[2].error
