@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import ConfigError, SafeIndexError
 from .evaluation import attribute_usage, format_confusion, metrics, score_run
 from .features import extract_features
-from .fileio import write_atomic
+from .fileio import read_input, write_atomic
 from .forest import (
     TrainConfig,
     check_vote_threshold,
@@ -84,9 +84,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     the wrong type; numbers come back as floats."""
     merged: dict = {}
     if args.config:
+        text = read_input(args.config, "config file")
         try:
-            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
@@ -238,15 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, func, summary, options in (
         ("train", cmd_train, "train a forest on a labeled corpus",
-         "corpus trees fn_cost min_leaf_weight max_depth seed vote_threshold min_votes"),
+         "lexicons model corpus trees fn_cost min_leaf_weight max_depth seed"
+         " vote_threshold min_votes"),
         ("filter", cmd_filter, "build a safe index from a corpus",
-         "corpus index blacklist blacklist_trigger report"),
-        ("eval", cmd_eval, "score the forest on a labeled corpus", "corpus full_pipeline report"),
-        ("inspect-model", cmd_inspect_model, "pretty-print a model's trees", ""),
+         "lexicons model corpus index blacklist blacklist_trigger report"),
+        ("eval", cmd_eval, "score the forest on a labeled corpus",
+         "lexicons model corpus full_pipeline report"),
+        ("inspect-model", cmd_inspect_model, "pretty-print a model's trees", "model"),
     ):
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON config file; flags override it")
-        for name in ("lexicons", "model", *options.split()):
+        for name in options.split():
             kind, text = OPTIONS[name]
             flag = "--" + name.replace("_", "-")
             if kind is bool:

@@ -6,7 +6,7 @@ class SafeIndexError(Exception):
 
 
 class LexiconError(SafeIndexError):
-    """Bad term list: blank term, empty list, or undecodable file."""
+    """Bad term list: blank term or empty list."""
 
 
 class MalformedUrlError(SafeIndexError):

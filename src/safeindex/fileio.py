@@ -1,9 +1,25 @@
-"""Output files that are replaced whole or not at all."""
+"""The package's one file boundary: `read_input` reads every input file
+as UTF-8 with its line ends as stored, and `write_atomic` replaces every
+output file whole or not at all."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from .errors import ConfigError
+
+
+def read_input(path: str | Path, what: str) -> str:
+    """The UTF-8 text of the file at path, line ends as stored.  `what`
+    names the kind of input in the ConfigError raised when the file cannot
+    be read or is not valid UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what} {path}: not valid UTF-8 ({exc})") from exc
 
 
 def write_atomic(path: str | Path, text: str) -> None:

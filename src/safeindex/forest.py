@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SafeIndexError, TrainingError
 from .features import _ATTRIBUTE_INDEX, ATTRIBUTE_NAMES, FeatureVector
-from .fileio import write_atomic
+from .fileio import read_input, write_atomic
 from .page import ADULT, SAFE
 
 MODEL_VERSION = 1
@@ -84,8 +84,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if self.fn_cost <= 0 or self.min_leaf_weight <= 0:
-            raise ValueError("fn_cost and min_leaf_weight must be positive")
+        if not (0 < self.fn_cost < math.inf and 0 < self.min_leaf_weight < math.inf):
+            raise ValueError("fn_cost and min_leaf_weight must be positive and finite")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")  # depth 0 is one constant leaf
 
@@ -408,11 +408,7 @@ def save_forest(forest: Forest, path: str | Path) -> None:
 
 
 def load_forest(path: str | Path) -> Forest:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SafeIndexError(f"model file {path} is not valid UTF-8: {exc}") from exc
-    return forest_from_json(text)
+    return forest_from_json(read_input(path, "model file"))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, LexiconError
+from .fileio import read_input
 
 # The eleven content lists the feature extractor requires, in the fixed
 # order used everywhere (feature columns, CSV dumps, model files).
@@ -85,10 +86,6 @@ class Lexicon:
     @property
     def term_count(self) -> int:
         return len(self.terms)
-
-    def serialize(self) -> str:
-        """One term per line, sorted; parse_lexicon() reproduces the lexicon."""
-        return "\n".join(sorted(self.terms)) + "\n"
 
 
 class TermMatcher:
@@ -181,22 +178,13 @@ def parse_terms(source: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(terms))
 
 
-def _read_terms(path: str | Path) -> tuple[str, ...]:
-    """parse_terms() of a UTF-8 file; other encodings raise LexiconError."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"lexicon file {path} is not valid UTF-8: {exc}") from exc
-    return parse_terms(text)
-
-
 def parse_lexicon(name: str, source: str) -> Lexicon:
     """Build a Lexicon from line-oriented text; see parse_terms()."""
     return Lexicon(name, frozenset(parse_terms(source)))
 
 
 def load_lexicon(name: str, path: str | Path) -> Lexicon:
-    return Lexicon(name, frozenset(_read_terms(path)))
+    return parse_lexicon(name, read_input(path, "lexicon file"))
 
 
 @dataclass(frozen=True)
@@ -237,9 +225,10 @@ class LexiconSet:
 def load_lexicon_set(manifest_path: str | Path) -> LexiconSet:
     """Load every list named by a JSON manifest (paths relative to it)."""
     manifest_path = Path(manifest_path)
+    text = read_input(manifest_path, "lexicon manifest")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot read lexicon manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict) or not all(isinstance(v, str) for v in manifest.values()):
         raise ConfigError("lexicon manifest must be a JSON object mapping name to path")
@@ -257,7 +246,7 @@ def load_lexicon_set(manifest_path: str | Path) -> LexiconSet:
     }
     url_terms = load_lexicon(URL_LIST_NAME, resolve(URL_LIST_NAME))
     if DISCLAIMER_LIST_NAME in manifest:
-        disclaimer = _read_terms(resolve(DISCLAIMER_LIST_NAME))
+        disclaimer = parse_terms(read_input(resolve(DISCLAIMER_LIST_NAME), "lexicon file"))
     else:
         disclaimer = ()
     return LexiconSet(lexicons, url_terms, disclaimer)

@@ -25,6 +25,7 @@ from html import unescape
 from pathlib import Path
 
 from .errors import ConfigError, MalformedUrlError
+from .fileio import read_input
 
 ADULT = "adult"
 SAFE = "safe"
@@ -174,11 +175,7 @@ def read_manifest(manifest_path: str | Path) -> list[tuple[str, str, str | None]
 
     Header must be path,url,label; label is one of adult, safe, unlabeled.
     """
-    manifest_path = Path(manifest_path)
-    try:
-        text = manifest_path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"corpus manifest {manifest_path} is not valid UTF-8: {exc}") from exc
+    text = read_input(manifest_path, "corpus manifest")
     rows = []
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None or not {"path", "url", "label"} <= set(reader.fieldnames):
@@ -204,9 +201,8 @@ def iter_corpus(manifest_path: str | Path):
     base = manifest_path.parent
     for path, url, label in read_manifest(manifest_path):
         try:
-            html = (base / path).read_text(encoding="utf-8")
-            page = page_from_html(url, html, label)
-        except (OSError, UnicodeDecodeError, MalformedUrlError) as exc:
+            page = page_from_html(url, read_input(base / path, "page file"), label)
+        except (ConfigError, MalformedUrlError) as exc:
             page = PageLoadFailure(path, url, str(exc))
         yield page
 

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import ConfigError
 from .features import FeatureVector, extract_features
-from .fileio import write_atomic
+from .fileio import read_input, write_atomic
 from .forest import Forest, forest_score
 from .lexicon import LexiconSet, parse_terms
 from .page import ADULT, SAFE, Page, PageLoadFailure
@@ -46,7 +46,7 @@ class FilterState:
     counted_urls: set[str] = field(default_factory=set)
 
     def __post_init__(self):
-        # a config file can give any JSON value; int() would truncate 2.7
+        # the CLI checks its options, a library caller may not; int() would truncate 2.7
         trigger = self.blacklist_trigger
         if not isinstance(trigger, int) or isinstance(trigger, bool):
             raise ConfigError(f"blacklist_trigger must be an integer, got {trigger!r}")
@@ -145,10 +145,7 @@ def build_safe_index(
 
 def load_blacklist(path: str | Path) -> set[str]:
     """One registrable domain per line; '#' comments and blanks skipped."""
-    try:
-        return set(parse_terms(Path(path).read_text(encoding="utf-8")))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"blacklist file {path} is not valid UTF-8: {exc}") from exc
+    return set(parse_terms(read_input(path, "blacklist file")))
 
 
 def save_blacklist(domains: set[str], path: str | Path) -> None:

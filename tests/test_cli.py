@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import re
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +188,7 @@ class TestTrain:
             ["--vote-threshold", "1.5"],
             ["--min-votes", "0"],
             ["--min-votes", "11", "--trees", "10"],
+            *([flag, value] for flag in ("--fn-cost", "--min-leaf-weight") for value in ("nan", "inf")),
         ],
         ids=lambda option: " ".join(option),
     )
@@ -579,6 +582,16 @@ class TestMalformedInputs:
         assert "internal error" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("key", ["fn_cost", "min_leaf_weight"])
+    def test_non_finite_cost_exits_1(self, workspace, tmp_path, capsys, key, value):
+        """Python's json reads NaN and Infinity as numbers."""
+        code = self._run_with_config(workspace, tmp_path, "train", "model", {key: value})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bad training option" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_exits_1(self, workspace, tmp_path, capsys):
         code = self._run_with_config(workspace, tmp_path, "train", "model", {"tree": 3})
         assert code == 1
@@ -637,20 +650,29 @@ class TestMalformedInputs:
 
 
 class TestParser:
-    # the flags each subcommand's --help listed before the option table
+    # the flags each subcommand's --help listed before the option table,
+    # less inspect-model's --lexicons, which it never read
     @pytest.mark.parametrize("command, flags", [
-        ("train", ["--corpus", "--trees", "--fn-cost", "--min-leaf-weight", "--max-depth",
-                   "--seed", "--vote-threshold", "--min-votes"]),
-        ("filter", ["--corpus", "--index", "--blacklist", "--blacklist-trigger", "--report"]),
-        ("eval", ["--corpus", "--full-pipeline", "--report"]),
-        ("inspect-model", []),
+        ("train", ["--lexicons", "--model", "--corpus", "--trees", "--fn-cost",
+                   "--min-leaf-weight", "--max-depth", "--seed", "--vote-threshold",
+                   "--min-votes"]),
+        ("filter", ["--lexicons", "--model", "--corpus", "--index", "--blacklist",
+                    "--blacklist-trigger", "--report"]),
+        ("eval", ["--lexicons", "--model", "--corpus", "--full-pipeline", "--report"]),
+        ("inspect-model", ["--model"]),
     ])
     def test_help_lists_the_flags(self, capsys, command, flags):
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--help"])
         assert exit_info.value.code == 0
         shown = re.findall(r"^  (-h|--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
-        assert shown == ["-h", "--config", "--lexicons", "--model", *flags]
+        assert shown == ["-h", "--config", *flags]
+
+    def test_config_file_may_name_lexicons_for_inspect_model(self, workspace, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lexicons": LEXICON_MANIFEST}), encoding="utf-8")
+        args = ["inspect-model", "--config", str(config), "--model", str(workspace["model"])]
+        assert main(args) == 0
 
     def test_config_numbers_match_flags(self, workspace, tmp_path):
         """An integer is a valid number: the file's 20 and 1 give the model
@@ -777,3 +799,93 @@ class TestInspectModel:
         )
         assert main(["inspect-model", "--config", str(config)]) == 1
         assert "cannot read config file" in capsys.readouterr().err
+
+
+# what each input is called in its read error, and the option (or lexicon
+# manifest entry) that names it
+INPUTS = [
+    ("config file", "config"),
+    ("lexicon manifest", "lexicons"),
+    ("lexicon file", "tags-fr"),
+    ("lexicon file", "disclaimer"),
+    ("corpus manifest", "corpus"),
+    ("model file", "model"),
+    ("blacklist file", "blacklist"),
+]
+
+
+class TestInputReader:
+    """Every input is read by one reader: an unreadable one is a config error."""
+
+    @pytest.mark.parametrize("broken", ["missing", "utf-16"])
+    @pytest.mark.parametrize("what, option", INPUTS, ids=[option for _, option in INPUTS])
+    def test_unreadable_input_exits_1(self, workspace, tmp_path, capsys, what, option, broken):
+        bad = tmp_path / f"bad_{option}"
+        if broken == "utf-16":
+            bad.write_bytes('{"a": 1}\n'.encode("utf-16"))
+        elif option == "blacklist":  # a missing blacklist starts empty
+            bad.mkdir()
+        flags = {
+            "lexicons": LEXICON_MANIFEST,
+            "corpus": str(workspace["eval_manifest"]),
+            "model": str(workspace["model"]),
+            "index": str(tmp_path / "index.txt"),
+        }
+        if option in ("tags-fr", "disclaimer"):
+            lex_manifest = tmp_path / "lexicons.json"
+            lex_manifest.write_text(
+                json.dumps({**bundled_lexicon_entries(), option: str(bad)}), encoding="utf-8"
+            )
+            flags["lexicons"] = str(lex_manifest)
+        else:
+            flags[option] = str(bad)
+        code = main(["filter", *(arg for name, v in flags.items() for arg in (f"--{name}", v))])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"cannot read {what} {bad}" in err
+        assert "internal error" not in err
+        assert {p.name for p in tmp_path.iterdir()} <= {bad.name, "lexicons.json"}
+
+
+def _write_lines(dest, text, newline):
+    """Write text to dest as UTF-8 with every line end as `newline`."""
+    dest.write_bytes(text.replace("\n", newline).encode("utf-8"))
+
+
+class TestLineEnds:
+    def test_crlf_inputs_give_the_lf_outputs(self, workspace, tmp_path):
+        """Lexicon lists, blacklist, corpus manifest and pages read as
+        stored: CRLF files give the index, blacklist and reports of LF ones."""
+        eval_dir = workspace["eval_manifest"].parent
+        seeded = sorted({p.url.registrable_domain for p in workspace["eval_pages"][:3]})
+        outputs = {}
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            root = tmp_path / name
+            (root / "lexicons").mkdir(parents=True)
+            entries = {}
+            for entry, path in bundled_lexicon_entries().items():
+                entries[entry] = str(root / "lexicons" / Path(path).name)
+                _write_lines(Path(entries[entry]), Path(path).read_text(encoding="utf-8"), newline)
+            lexicons = root / "lexicons.json"
+            lexicons.write_text(json.dumps(entries), encoding="utf-8")
+            corpus = root / "corpus"
+            corpus.mkdir()
+            for page in eval_dir.iterdir():
+                # a line end between tags too, not only at the end of the file
+                text = page.read_text(encoding="utf-8").replace("><", ">\n<")
+                _write_lines(corpus / page.name, text, newline)
+            blacklist = root / "blacklist.txt"
+            _write_lines(blacklist, "".join(f"{d}\n" for d in seeded), newline)
+            common = ["--lexicons", str(lexicons), "--corpus", str(corpus / "manifest.csv"),
+                      "--model", str(workspace["model"])]
+            assert main(["filter", *common, "--index", str(root / "index.txt"),
+                         "--blacklist", str(blacklist), "--report", str(root / "filter.json")]) == 0
+            assert main(["eval", *common, "--report", str(root / "eval.json")]) == 0
+            assert main(["eval", *common, "--full-pipeline",
+                         "--report", str(root / "full.json")]) == 0
+            outputs[name] = [
+                (root / out).read_bytes()
+                for out in ("index.txt", "blacklist.txt", "filter.json", "eval.json", "full.json")
+            ]
+        assert outputs["crlf"] == outputs["lf"]
+        assert json.loads(outputs["lf"][2])["blacklist"] > 0

@@ -1,6 +1,6 @@
 import os
 
-from safeindex.fileio import write_atomic
+from safeindex.fileio import read_input, write_atomic
 from safeindex.forest import save_forest
 from safeindex.pipeline import load_blacklist, save_blacklist
 
@@ -13,6 +13,12 @@ def test_writes_and_replaces(tmp_path):
     write_atomic(target, "second ü\n")
     assert target.read_bytes() == "second ü\n".encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_reads_utf8_with_line_ends_as_stored(tmp_path):
+    source = tmp_path / "in.txt"
+    source.write_bytes("a\r\nb\rc\nü".encode("utf-8"))
+    assert read_input(source, "test file") == "a\r\nb\rc\nü"
 
 
 def test_savers_write_through_a_replace(tmp_path, monkeypatch):

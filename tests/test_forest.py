@@ -461,6 +461,12 @@ class TestTrainForest:
         with pytest.raises(ValueError):
             TrainConfig(max_depth=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["fn_cost", "min_leaf_weight"])
+    def test_non_finite_cost_raises(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})
+
 
 class TestSerialization:
     def _forest(self):

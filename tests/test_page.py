@@ -397,9 +397,11 @@ class TestCorpusIO:
                 "a.html,http://a.com/1,adult",
                 "missing.html,http://b.com/1,safe",
                 "a.html,http://a..com/,safe",
+                "sub,http://c.com/1,safe",
             ],
             {"a.html": "<p>hello</p>"},
         )
+        (tmp_path / "sub").mkdir()
         results = list(iter_corpus(manifest))
         assert isinstance(results[0], Page)
         assert results[0].tokens == ("hello",)
@@ -408,3 +410,6 @@ class TestCorpusIO:
         # a host with an empty label is a malformed URL, not a lost run
         assert isinstance(results[2], PageLoadFailure)
         assert "no recognizable host" in results[2].error
+        # a page path that names a directory is one skipped row too
+        assert isinstance(results[3], PageLoadFailure)
+        assert f"cannot read page file {tmp_path / 'sub'}" in results[3].error
