@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ConfigError, SafeIndexError
 from .evaluation import attribute_usage, format_confusion, metrics, score_run
@@ -31,7 +32,7 @@ from .forest import (
     train_forest,
 )
 from .lexicon import load_lexicon_set
-from .page import Page, iter_corpus
+from .page import Page, PageLoadFailure, iter_corpus
 from .pipeline import (
     FilterState,
     StageReport,
@@ -81,7 +82,8 @@ _TRAIN_FIELDS = {
 def _merge_config(args: argparse.Namespace) -> dict:
     """File values first, then every flag the user actually set.  Raises
     ConfigError for a file key that names no option, or for a value of
-    the wrong type; numbers come back as floats."""
+    the wrong type, a path with a NUL byte included; numbers come back
+    as floats."""
     merged: dict = {}
     if args.config:
         text = read_input(args.config, "config file")
@@ -98,7 +100,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"unknown option {key!r} in config file {args.config}")
         kind = OPTIONS[key][0]
         what, json_types = _KINDS[kind]
-        if type(value) not in json_types:
+        if type(value) not in json_types or (kind is str and "\0" in value):
             raise ConfigError(f"option {key} must be {what}, got {value!r}")
         merged[key] = kind(value)
     return merged
@@ -110,10 +112,22 @@ def _require(cfg: dict, *keys: str) -> None:
         raise ConfigError(f"missing required options: {', '.join(missing)}")
 
 
+def _corpus_rows(cfg: dict, labeled: bool) -> Iterator[Page | PageLoadFailure]:
+    """The corpus's rows, printing `skipped <path>: <reason>` to stderr for
+    each PageLoadFailure.  With `labeled`, an unlabeled page is skipped too
+    and is named by its URL, as a page keeps no file path."""
+    for row in iter_corpus(cfg["corpus"]):
+        if isinstance(row, PageLoadFailure):
+            print(f"skipped {row.path}: {row.error}", file=sys.stderr)
+        elif labeled and row.label is None:
+            print(f"skipped {row.url.full_url}: unlabeled", file=sys.stderr)
+        yield row
+
+
 def _load_labeled(cfg: dict) -> tuple[list[Page], int]:
     """The corpus's labeled pages, and how many manifest rows were skipped
-    (unreadable files, malformed URLs, unlabeled rows)."""
-    rows = list(iter_corpus(cfg["corpus"]))
+    (see `iter_corpus`, plus unlabeled rows)."""
+    rows = list(_corpus_rows(cfg, labeled=True))
     pages = [row for row in rows if isinstance(row, Page) and row.label is not None]
     if not pages:
         raise ConfigError("no labeled pages")
@@ -126,6 +140,8 @@ def _load_labeled(cfg: dict) -> tuple[list[Page], int]:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model")
+    if "min_votes" in cfg and "vote_threshold" in cfg:
+        raise ConfigError("give vote_threshold or min_votes, not both")
     # TrainConfig, count_threshold and check_vote_threshold reject
     # out-of-range values with ValueError; here those values are the
     # user's options, so they are checked before any file is read.
@@ -162,7 +178,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if blacklist_path and Path(blacklist_path).exists():
         state.blacklist = load_blacklist(blacklist_path)
     index, report, state = build_safe_index(
-        iter_corpus(cfg["corpus"]), forest, lexicons, state
+        _corpus_rows(cfg, labeled=False), forest, lexicons, state
     )
     write_atomic(cfg["index"], "".join(f"{url}\n" for url in index))
     if blacklist_path:
@@ -185,7 +201,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     vectors = [extract_features(p, lexicons) for p in pages]
     if cfg.get("full_pipeline"):
-        stage_report = StageReport()
+        stage_report = StageReport(skipped=skipped)
         predictions = []
         for page, fv in zip(pages, vectors):
             verdict, state = filter_page(page, forest, lexicons, state, fv)

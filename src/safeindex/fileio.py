@@ -1,6 +1,6 @@
 """The package's one file boundary: `read_input` reads every input file
-as UTF-8 with its line ends as stored, and `write_atomic` replaces every
-output file whole or not at all."""
+as UTF-8, less a leading BOM, with its line ends as stored, and
+`write_atomic` replaces every output file whole or not at all."""
 
 from __future__ import annotations
 
@@ -11,15 +11,16 @@ from .errors import ConfigError
 
 
 def read_input(path: str | Path, what: str) -> str:
-    """The UTF-8 text of the file at path, line ends as stored.  `what`
-    names the kind of input in the ConfigError raised when the file cannot
-    be read or is not valid UTF-8."""
+    """The UTF-8 text of the file at path, line ends as stored, without a
+    leading byte order mark.  `what` names the kind of input in the
+    ConfigError raised when the file cannot be read, is not valid UTF-8,
+    or the path is not one (a NUL byte)."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # a ValueError, so its clause comes first
         raise ConfigError(f"cannot read {what} {path}: not valid UTF-8 ({exc})") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def write_atomic(path: str | Path, text: str) -> None:

@@ -12,7 +12,8 @@ block runs to the end of the document.
 page's tokens or image count are first read, so the pipeline never strips
 a page whose domain is already blacklisted.  `extract_text` is total over
 `str`: a parse error would surface in whatever reads the page, far from
-where the page was loaded.
+where the page was loaded.  `iter_corpus` alone reads a corpus manifest;
+it turns each row into a page or a skipped row, so no row ends a run.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ import re
 from dataclasses import dataclass
 from html import unescape
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ConfigError, MalformedUrlError
 from .fileio import read_input
 
 ADULT = "adult"
 SAFE = "safe"
+# a manifest label, lowercased, -> the page's label
+_LABELS = {ADULT: ADULT, SAFE: SAFE, "unlabeled": None}
 
 # Word = run of alphanumerics, with apostrophes/hyphens kept when they sit
 # between alphanumerics ("l'amour", "coming-of-age").  `tokenize` turns '_'
@@ -105,7 +109,8 @@ class Page:
 
 @dataclass(frozen=True)
 class PageLoadFailure:
-    """A corpus entry whose file could not be read or whose URL is malformed."""
+    """A manifest row that gave no page, and the reason: too few fields,
+    a bad label, an unreadable page file or a malformed URL."""
 
     path: str
     url: str
@@ -170,39 +175,31 @@ def page_from_html(url: str, html: str, label: str | None = None) -> Page:
     return page
 
 
-def read_manifest(manifest_path: str | Path) -> list[tuple[str, str, str | None]]:
-    """Parse a corpus manifest CSV into (path, url, label) rows.
+def iter_corpus(manifest_path: str | Path) -> Iterator[Page | PageLoadFailure]:
+    """One Page, or one PageLoadFailure with its reason, per data row of a
+    corpus manifest: CSV with header path,url,label, paths relative to it.
 
-    Header must be path,url,label; label is one of adult, safe, unlabeled.
+    Only an unreadable manifest or a header without those names raises
+    ConfigError.  A row fails when it has fewer than three fields, a label
+    other than adult, safe or unlabeled (any case, spaces ignored), an
+    unreadable page file or a malformed URL, checked in that order.
     """
+    manifest_path = Path(manifest_path)
     text = read_input(manifest_path, "corpus manifest")
-    rows = []
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None or not {"path", "url", "label"} <= set(reader.fieldnames):
-        raise ConfigError(
-            f"corpus manifest {manifest_path} needs header path,url,label"
-        )
-    for record in reader:
-        label = record["label"].strip().lower()
-        if label == "unlabeled":
-            label = None
-        elif label not in (ADULT, SAFE):
-            raise ConfigError(
-                f"bad label {record['label']!r} in {manifest_path}"
-            )
-        rows.append((record["path"], record["url"], label))
-    return rows
-
-
-def iter_corpus(manifest_path: str | Path):
-    """Yield Page objects for a manifest; unreadable files and malformed
-    URLs yield PageLoadFailure entries instead of raising."""
-    manifest_path = Path(manifest_path)
+        raise ConfigError(f"corpus manifest {manifest_path} needs header path,url,label")
     base = manifest_path.parent
-    for path, url, label in read_manifest(manifest_path):
+    for record in reader:
+        # DictReader gives a field missing from a short row as None
+        path, url, label = record["path"], record["url"], record["label"]
         try:
-            page = page_from_html(url, read_input(base / path, "page file"), label)
+            if None in (path, url, label):
+                raise ConfigError("row has fewer than 3 fields")
+            key = label.strip().lower()
+            if key not in _LABELS:
+                raise ConfigError(f"bad label {label!r}")
+            page = page_from_html(url, read_input(base / path, "page file"), _LABELS[key])
         except (ConfigError, MalformedUrlError) as exc:
-            page = PageLoadFailure(path, url, str(exc))
+            page = PageLoadFailure(path or "", url or "", str(exc))
         yield page
-

@@ -49,6 +49,25 @@ def count_extract_text(monkeypatch) -> list[str]:
     return calls
 
 
+# A bad corpus manifest row -> the reason its one PageLoadFailure starts
+# with; "{base}" is the manifest's directory.  The rows name a readable
+# page file a.html and a directory sub beside the manifest.
+BAD_ROWS = {
+    "short row": ("p.html,http://x.com/z", "row has fewer than 3 fields"),
+    "bad label": ("a.html,http://a.com/2,adlut", "bad label 'adlut'"),
+    "empty label": ("a.html,http://a.com/2,", "bad label ''"),
+    "NUL in path": (
+        "a\0.html,http://a.com/2,safe", "cannot read page file {base}/a\0.html: embedded null byte"
+    ),
+    "missing file": (
+        "gone.html,http://a.com/2,safe", "cannot read page file {base}/gone.html: [Errno 2]"
+    ),
+    "directory": ("sub,http://a.com/2,safe", "cannot read page file {base}/sub: [Errno 21]"),
+    "malformed URL": ("a.html,http://a..com/,safe", "no recognizable host"),
+    "empty URL": ("a.html,,safe", "empty URL"),
+}
+
+
 def make_vector(**values: float) -> FeatureVector:
     """FeatureVector with the named attributes set and everything else 0."""
     return FeatureVector(

@@ -15,9 +15,14 @@ from safeindex.features import extract_features
 from safeindex.page import Page, iter_corpus
 from safeindex.synth import generate_corpus, write_corpus
 
-from helpers import count_extract_text
+from helpers import BAD_ROWS, count_extract_text
 
 LEXICON_MANIFEST = str(files("safeindex").joinpath("data/lexicons/manifest.json"))
+
+
+def must_not_run(*args, **kwargs):
+    """Stands in for a function the options must be checked before."""
+    raise AssertionError("read or trained before the options were checked")
 
 
 def bundled_lexicon_entries() -> dict[str, str]:
@@ -65,6 +70,7 @@ def noisy_manifest(tmp_path_factory, lexicons):
     return write_corpus(pages, tmp_path_factory.mktemp("noisy"))
 
 
+PATH_KEYS = ("lexicons", "corpus", "model", "index", "blacklist", "report")
 # option -> (subcommand that reads it, its output flag); train otherwise
 COMMAND_OF = {"blacklist_trigger": ("filter", "index"), "full_pipeline": ("eval", "report")}
 INTEGER_KEYS = ("trees", "max_depth", "seed", "min_votes", "blacklist_trigger")
@@ -193,11 +199,8 @@ class TestTrain:
         ids=lambda option: " ".join(option),
     )
     def test_out_of_range_option_exits_1(self, workspace, monkeypatch, capsys, option):
-        def refuse(*args, **kwargs):
-            raise AssertionError("read or trained before the options were checked")
-
-        monkeypatch.setattr(safeindex.cli, "load_lexicon_set", refuse)
-        monkeypatch.setattr(safeindex.cli, "train_forest", refuse)
+        monkeypatch.setattr(safeindex.cli, "load_lexicon_set", must_not_run)
+        monkeypatch.setattr(safeindex.cli, "train_forest", must_not_run)
         model = workspace["root"] / "out_of_range.json"
         code = main(
             [
@@ -212,6 +215,38 @@ class TestTrain:
         assert code == 1
         assert "bad training option" in err
         assert "internal error" not in err
+        assert not model.exists()
+
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({}, ["--vote-threshold", "0.9", "--min-votes", "2"]),
+            ({"min_votes": 2}, ["--vote-threshold", "0.9"]),
+            ({"vote_threshold": 0.9}, ["--min-votes", "2"]),
+        ],
+        ids=["flag and flag", "file and flag", "flag and file"],
+    )
+    def test_both_threshold_options_exit_1(
+        self, workspace, tmp_path, monkeypatch, capsys, config, flags
+    ):
+        """vote_threshold and min_votes set one value: neither may win silently."""
+        monkeypatch.setattr(safeindex.cli, "load_lexicon_set", must_not_run)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        model = tmp_path / "model.json"
+        code = main(
+            [
+                "train",
+                "--config", str(config_path),
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(workspace["train_manifest"]),
+                "--model", str(model),
+                *flags,
+            ]
+        )
+        assert code == 1
+        assert "give vote_threshold or min_votes, not both" in capsys.readouterr().err
         assert not model.exists()
 
 
@@ -436,6 +471,32 @@ class TestEval:
         assert code == 0
         assert "stage report:" in out
 
+    def test_full_pipeline_report_counts_skipped_rows(self, workspace, tmp_path):
+        """The stage report's skipped count is the report's own."""
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            workspace["eval_manifest"].read_text(encoding="utf-8")
+            + "missing.html,http://gone.com/1,adult\n"
+            + "p0000.html,http://a..com/,safe\n",
+            encoding="utf-8",
+        )
+        for page in workspace["eval_manifest"].parent.glob("*.html"):
+            (tmp_path / page.name).write_bytes(page.read_bytes())
+        report = tmp_path / "report.json"
+        code = main(
+            [
+                "eval",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(manifest),
+                "--model", str(workspace["model"]),
+                "--full-pipeline",
+                "--report", str(report),
+            ]
+        )
+        assert code == 0
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        assert doc["skipped"] == doc["stages"]["skipped"] == 2
+
     def test_full_pipeline_extracts_each_page_once(self, workspace, lexicons, monkeypatch):
         root = workspace["root"]
         pages = generate_corpus(
@@ -550,10 +611,22 @@ class TestMalformedInputs:
         assert f"blacklist_trigger {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["lexicons", "corpus", "model", "index", "blacklist", "report"])
+    @pytest.mark.parametrize("key", PATH_KEYS)
     def test_non_string_path_option_exits_1(self, workspace, tmp_path, capsys, key):
+        self._check_bad_path_option(workspace, tmp_path, capsys, key, 5)
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_nul_in_path_option_exits_1(self, workspace, tmp_path, monkeypatch, capsys, key):
+        """Rejected with the option's type, before any file is read or written."""
+        monkeypatch.setattr(safeindex.cli, "load_lexicon_set", must_not_run)
+        self._check_bad_path_option(workspace, tmp_path, capsys, key, str(tmp_path / "a\0b"))
+
+    @staticmethod
+    def _check_bad_path_option(workspace, tmp_path, capsys, key, value):
+        """`filter` with `value` for the path option `key` in its config
+        file exits 1 and writes nothing."""
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({key: 5}), encoding="utf-8")
+        config_path.write_text(json.dumps({key: value}), encoding="utf-8")
         flags = {
             "lexicons": LEXICON_MANIFEST,
             "corpus": str(workspace["eval_manifest"]),
@@ -566,7 +639,7 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 1
         assert f"option {key} must be a path string" in err
-        assert not (tmp_path / "index.txt").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
         "key, value", WRONG_TYPES, ids=[f"{key} {json.dumps(value)}" for key, value in WRONG_TYPES]
@@ -720,6 +793,54 @@ class TestCorpusLoader:
         assert dirty_doc == clean_doc
 
 
+    def test_no_row_ends_a_run(self, workspace, lexicons, tmp_path, capsys):
+        """Every kind of bad row is one skipped row, with its reason on
+        stderr, in filter, train and eval alike; stdout and the outputs
+        are those of the corpus without them, less the skipped counts."""
+        pages = generate_corpus(lexicons, 12, 6, seed=8, url_prefix="rows")
+        clean = write_corpus(pages, tmp_path / "corpus")
+        (clean.parent / "a.html").write_text("<p>hello</p>", encoding="utf-8")
+        (clean.parent / "sub").mkdir()
+        dirty = clean.with_name("dirty.csv")
+        rows = "".join(f"{row}\n" for row, _ in BAD_ROWS.values())
+        dirty.write_text(clean.read_text(encoding="utf-8") + rows, encoding="utf-8")
+        reasons = [
+            f"skipped {row.split(',')[0]}: {reason.format(base=clean.parent)}"
+            for row, reason in BAD_ROWS.values()
+        ]
+        n_bad = len(reasons)
+        outputs = {}
+        for name, manifest, want in (("clean", clean, []), ("dirty", dirty, reasons)):
+            out = tmp_path / name
+            out.mkdir()
+            common = ["--lexicons", LEXICON_MANIFEST, "--corpus", str(manifest),
+                      "--model", str(out / "model.json")]
+            stdout = []
+            for args in (
+                ["train", *common],
+                ["filter", *common, "--index", str(out / "index.txt"),
+                 "--report", str(out / "filter.json")],
+                ["eval", *common, "--full-pipeline", "--report", str(out / "eval.json")],
+            ):
+                assert main(args) == 0
+                captured = capsys.readouterr()
+                lines = captured.err.splitlines()
+                assert len(lines) == len(want) and all(map(str.startswith, lines, want))
+                stdout.append(captured.out.replace(str(out), "<out>"))
+            outputs[name] = stdout, {f.name: f.read_bytes() for f in out.iterdir()}
+        (clean_stdout, clean_files), (dirty_stdout, dirty_files) = outputs.values()
+        counted = f"skipped {n_bad} of {len(pages) + n_bad} manifest rows\n"
+        marked = [out.replace('"skipped": 0', f'"skipped": {n_bad}') for out in clean_stdout]
+        assert dirty_stdout == [counted + marked[0], marked[1], counted + marked[2]]
+        clean_filter = json.loads(clean_files.pop("filter.json"))
+        assert json.loads(dirty_files.pop("filter.json")) == {**clean_filter, "skipped": n_bad}
+        clean_eval = json.loads(clean_files.pop("eval.json"))
+        stages = {**clean_eval["stages"], "skipped": n_bad}
+        expected = {**clean_eval, "skipped": n_bad, "stages": stages}
+        assert json.loads(dirty_files.pop("eval.json")) == expected
+        assert dirty_files == clean_files
+
+
 class TestAtomicOutputs:
     """A failed write leaves the old output whole and no temporary file."""
 
@@ -847,45 +968,66 @@ class TestInputReader:
         assert {p.name for p in tmp_path.iterdir()} <= {bad.name, "lexicons.json"}
 
 
-def _write_lines(dest, text, newline):
-    """Write text to dest as UTF-8 with every line end as `newline`."""
-    dest.write_bytes(text.replace("\n", newline).encode("utf-8"))
+def _run_on_written_inputs(workspace, root, encode):
+    """Write every input (config file, lexicon manifest and lists, corpus
+    manifest and pages, model, blacklist) under root as encode(text), run
+    filter, eval and eval --full-pipeline on them, and return the outputs."""
+    def write(dest, text):
+        dest.write_bytes(encode(text))
+
+    eval_dir = workspace["eval_manifest"].parent
+    seeded = sorted({p.url.registrable_domain for p in workspace["eval_pages"][:3]})
+    (root / "lexicons").mkdir(parents=True)
+    entries = {}
+    for entry, path in bundled_lexicon_entries().items():
+        entries[entry] = str(root / "lexicons" / Path(path).name)
+        write(Path(entries[entry]), Path(path).read_text(encoding="utf-8"))
+    write(root / "lexicons.json", json.dumps(entries, indent=1) + "\n")
+    corpus = root / "corpus"
+    corpus.mkdir()
+    for page in eval_dir.iterdir():
+        # a line end between tags too, not only at the end of the file
+        write(corpus / page.name, page.read_text(encoding="utf-8").replace("><", ">\n<"))
+    blacklist = root / "blacklist.txt"
+    write(blacklist, "".join(f"{d}\n" for d in seeded))
+    write(root / "model.json", workspace["model"].read_text(encoding="utf-8"))
+    config = root / "config.json"
+    write(config, json.dumps({"model": str(root / "model.json")}, indent=1) + "\n")
+    common = ["--config", str(config), "--lexicons", str(root / "lexicons.json"),
+              "--corpus", str(corpus / "manifest.csv")]
+    assert main(["filter", *common, "--index", str(root / "index.txt"),
+                 "--blacklist", str(blacklist), "--report", str(root / "filter.json")]) == 0
+    assert main(["eval", *common, "--report", str(root / "eval.json")]) == 0
+    assert main(["eval", *common, "--full-pipeline", "--report", str(root / "full.json")]) == 0
+    return [
+        (root / out).read_bytes()
+        for out in ("index.txt", "blacklist.txt", "filter.json", "eval.json", "full.json")
+    ]
+
+
+def _utf8(text):
+    return text.encode("utf-8")
 
 
 class TestLineEnds:
     def test_crlf_inputs_give_the_lf_outputs(self, workspace, tmp_path):
-        """Lexicon lists, blacklist, corpus manifest and pages read as
-        stored: CRLF files give the index, blacklist and reports of LF ones."""
-        eval_dir = workspace["eval_manifest"].parent
-        seeded = sorted({p.url.registrable_domain for p in workspace["eval_pages"][:3]})
-        outputs = {}
-        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
-            root = tmp_path / name
-            (root / "lexicons").mkdir(parents=True)
-            entries = {}
-            for entry, path in bundled_lexicon_entries().items():
-                entries[entry] = str(root / "lexicons" / Path(path).name)
-                _write_lines(Path(entries[entry]), Path(path).read_text(encoding="utf-8"), newline)
-            lexicons = root / "lexicons.json"
-            lexicons.write_text(json.dumps(entries), encoding="utf-8")
-            corpus = root / "corpus"
-            corpus.mkdir()
-            for page in eval_dir.iterdir():
-                # a line end between tags too, not only at the end of the file
-                text = page.read_text(encoding="utf-8").replace("><", ">\n<")
-                _write_lines(corpus / page.name, text, newline)
-            blacklist = root / "blacklist.txt"
-            _write_lines(blacklist, "".join(f"{d}\n" for d in seeded), newline)
-            common = ["--lexicons", str(lexicons), "--corpus", str(corpus / "manifest.csv"),
-                      "--model", str(workspace["model"])]
-            assert main(["filter", *common, "--index", str(root / "index.txt"),
-                         "--blacklist", str(blacklist), "--report", str(root / "filter.json")]) == 0
-            assert main(["eval", *common, "--report", str(root / "eval.json")]) == 0
-            assert main(["eval", *common, "--full-pipeline",
-                         "--report", str(root / "full.json")]) == 0
-            outputs[name] = [
-                (root / out).read_bytes()
-                for out in ("index.txt", "blacklist.txt", "filter.json", "eval.json", "full.json")
-            ]
-        assert outputs["crlf"] == outputs["lf"]
-        assert json.loads(outputs["lf"][2])["blacklist"] > 0
+        """Every input is read as stored: CRLF files give the index,
+        blacklist and reports of LF ones."""
+        lf = _run_on_written_inputs(workspace, tmp_path / "lf", _utf8)
+        crlf = _run_on_written_inputs(
+            workspace, tmp_path / "crlf", lambda text: _utf8(text.replace("\n", "\r\n"))
+        )
+        assert crlf == lf
+        assert json.loads(lf[2])["blacklist"] > 0
+
+
+class TestByteOrderMark:
+    def test_bom_inputs_give_the_plain_outputs(self, workspace, tmp_path):
+        """A leading UTF-8 byte order mark is not content: the first term,
+        domain, header or JSON value of a file with one reads as without."""
+        plain = _run_on_written_inputs(workspace, tmp_path / "plain", _utf8)
+        bom = _run_on_written_inputs(
+            workspace, tmp_path / "bom", lambda text: _utf8("\ufeff" + text)
+        )
+        assert bom == plain
+        assert json.loads(plain[2])["blacklist"] > 0

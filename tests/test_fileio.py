@@ -1,5 +1,8 @@
 import os
 
+import pytest
+
+from safeindex.errors import ConfigError
 from safeindex.fileio import read_input, write_atomic
 from safeindex.forest import save_forest
 from safeindex.pipeline import load_blacklist, save_blacklist
@@ -19,6 +22,18 @@ def test_reads_utf8_with_line_ends_as_stored(tmp_path):
     source = tmp_path / "in.txt"
     source.write_bytes("a\r\nb\rc\nü".encode("utf-8"))
     assert read_input(source, "test file") == "a\r\nb\rc\nü"
+
+
+def test_drops_a_leading_bom_only(tmp_path):
+    source = tmp_path / "in.txt"
+    source.write_bytes("\ufeffbad.com\nx\ufeffy\n".encode("utf-8"))
+    assert read_input(source, "test file") == "bad.com\nx\ufeffy\n"
+    assert load_blacklist(source) == {"bad.com", "x\ufeffy"}
+
+
+def test_nul_byte_in_path_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read test file .*: embedded null byte"):
+        read_input(tmp_path / "a\0b", "test file")
 
 
 def test_savers_write_through_a_replace(tmp_path, monkeypatch):

@@ -17,11 +17,11 @@ from safeindex import (
     page_from_html,
     parse_url,
 )
-from safeindex.page import PageLoadFailure, read_manifest, tokenize
+from safeindex.page import PageLoadFailure, tokenize
 from safeindex.errors import ConfigError
 
 from fixture_docs import DOCS, EDGE_DOCS, oracle_extract
-from helpers import count_extract_text, parent_extract_text
+from helpers import BAD_ROWS, count_extract_text, parent_extract_text
 
 # Fragments of closed markup for the differential test against the
 # html.parser oracle.  Every fragment is complete, so a document built from
@@ -354,41 +354,57 @@ class TestDeferredPage:
 
 
 class TestCorpusIO:
-    def _write(self, tmp_path, rows, bodies):
-        for name, body in bodies.items():
-            (tmp_path / name).write_text(body, encoding="utf-8")
-        manifest = tmp_path / "manifest.csv"
+    def _write(self, tmp_path, rows, bodies, name="manifest.csv"):
+        for page_name, body in bodies.items():
+            (tmp_path / page_name).write_text(body, encoding="utf-8")
+        manifest = tmp_path / name
         manifest.write_text(
             "path,url,label\n" + "".join(f"{r}\n" for r in rows), encoding="utf-8"
         )
         return manifest
 
-    def test_read_manifest(self, tmp_path):
+    def test_rows_give_labeled_pages(self, tmp_path):
+        bodies = {"a.html": "<p>one</p>", "b.html": "<p>two</p>", "c.html": "three"}
         manifest = self._write(
             tmp_path,
             [
                 "a.html,http://a.com/1,adult",
-                "b.html,http://b.com/1,safe",
-                "c.html,http://c.com/1,unlabeled",
+                "b.html,http://b.com/1, SAFE ",
+                "c.html,http://c.com/1,Unlabeled",
             ],
-            {},
+            bodies,
         )
-        assert read_manifest(manifest) == [
-            ("a.html", "http://a.com/1", ADULT),
-            ("b.html", "http://b.com/1", SAFE),
-            ("c.html", "http://c.com/1", None),
+        assert list(iter_corpus(manifest)) == [
+            page_from_html("http://a.com/1", bodies["a.html"], ADULT),
+            page_from_html("http://b.com/1", bodies["b.html"], SAFE),
+            page_from_html("http://c.com/1", bodies["c.html"], None),
         ]
 
-    def test_bad_label_raises(self, tmp_path):
-        manifest = self._write(tmp_path, ["a.html,http://a.com/1,spam"], {})
-        with pytest.raises(ConfigError, match="bad label"):
-            read_manifest(manifest)
+    def test_bad_label_is_a_skipped_row(self, tmp_path):
+        manifest = self._write(tmp_path, ["a.html,http://a.com/1,spam"], {"a.html": "x"})
+        assert list(iter_corpus(manifest)) == [
+            PageLoadFailure("a.html", "http://a.com/1", "bad label 'spam'")
+        ]
 
     def test_bad_header_raises(self, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("file,link\na,b\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="header"):
-            read_manifest(manifest)
+            list(iter_corpus(manifest))
+
+    @pytest.mark.parametrize("kind", BAD_ROWS)
+    def test_bad_row_is_one_failure_between_good_rows(self, tmp_path, kind):
+        row, reason = BAD_ROWS[kind]
+        (tmp_path / "sub").mkdir()
+        bodies = {"a.html": "<p>hello</p>", "b.html": "<p>world</p>"}
+        good = ["a.html,http://a.com/1,adult", "b.html,http://b.com/1,unlabeled"]
+        clean = self._write(tmp_path, good, bodies, "clean.csv")
+        dirty = self._write(tmp_path, [good[0], row, good[1]], bodies, "dirty.csv")
+        first, failure, last = iter_corpus(dirty)
+        assert [first, last] == list(iter_corpus(clean))
+        assert isinstance(failure, PageLoadFailure)
+        assert [failure.path, failure.url] == row.split(",")[:2]
+        assert failure.error.startswith(reason.format(base=tmp_path))
 
     def test_iter_corpus_yields_pages_and_failures(self, tmp_path):
         manifest = self._write(
