@@ -112,15 +112,21 @@ def _require(cfg: dict, *keys: str) -> None:
         raise ConfigError(f"missing required options: {', '.join(missing)}")
 
 
+def _printable(text: str) -> str:
+    """text with each non-printable character escaped as repr() escapes it,
+    so a line break or NUL in a manifest field cannot split a stderr line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _corpus_rows(cfg: dict, labeled: bool) -> Iterator[Page | PageLoadFailure]:
-    """The corpus's rows, printing `skipped <path>: <reason>` to stderr for
-    each PageLoadFailure.  With `labeled`, an unlabeled page is skipped too
-    and is named by its URL, as a page keeps no file path."""
+    """The corpus's rows, printing one line `skipped <path>: <reason>` to
+    stderr for each PageLoadFailure.  With `labeled`, an unlabeled page is
+    skipped too and is named by its URL, as a page keeps no file path."""
     for row in iter_corpus(cfg["corpus"]):
         if isinstance(row, PageLoadFailure):
-            print(f"skipped {row.path}: {row.error}", file=sys.stderr)
+            print(f"skipped {_printable(row.path)}: {_printable(row.error)}", file=sys.stderr)
         elif labeled and row.label is None:
-            print(f"skipped {row.url.full_url}: unlabeled", file=sys.stderr)
+            print(f"skipped {_printable(row.url.full_url)}: unlabeled", file=sys.stderr)
         yield row
 
 

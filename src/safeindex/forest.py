@@ -5,6 +5,11 @@ thresholds, mean-gain guard) with AdaBoost.M1-style reweighting between
 trees.  False negatives (adult classified safe) are penalized through the
 initial row weights and through expected-cost leaf labeling; the final
 vote is a plain equal-weight majority.
+
+numpy is imported inside the three training functions that use it
+(`best_split`, `_entropies`, `train_forest`), not at module load: loading,
+scoring and printing a model never touch it, and importing numpy would be
+most of the start-up time of a process that only filters.
 """
 
 from __future__ import annotations
@@ -13,14 +18,15 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import SafeIndexError, TrainingError
 from .features import _ATTRIBUTE_INDEX, ATTRIBUTE_NAMES, FeatureVector
 from .fileio import read_input, write_atomic
 from .page import ADULT, SAFE
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODEL_VERSION = 1
 
@@ -154,6 +160,8 @@ def best_split(
     with the same operations in the same order as entropy() applied to one
     boundary at a time, so the choice is bit-identical to that loop.
     """
+    import numpy as np
+
     total = float(w.sum())
     total_adult = float(w[y].sum())
     total_safe = total - total_adult
@@ -208,6 +216,8 @@ def _entropies(adult: np.ndarray, safe: np.ndarray) -> np.ndarray:
     may use vector code that differs from it in the last bit, which can
     change a chosen split.  Pairs must have a positive total.
     """
+    import numpy as np
+
     total = adult + safe
     p = np.stack([adult / total, safe / total])
     present = np.stack([adult, safe]) > 0
@@ -301,6 +311,8 @@ def train_forest(
     forest always reaches its full size.  Weights are kept normalized to
     the row count so min_leaf_weight speaks in "cases".
     """
+    import numpy as np
+
     if len(vectors) != len(labels):
         raise ValueError("vectors and labels length mismatch")
     n = len(vectors)

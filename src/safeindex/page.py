@@ -109,8 +109,9 @@ class Page:
 
 @dataclass(frozen=True)
 class PageLoadFailure:
-    """A manifest row that gave no page, and the reason: too few fields,
-    a bad label, an unreadable page file or a malformed URL."""
+    """A manifest row that gave no page, and the reason: a row the csv
+    module cannot parse (its path and URL are then empty), too few
+    fields, a bad label, an unreadable page file or a malformed URL."""
 
     path: str
     url: str
@@ -180,17 +181,30 @@ def iter_corpus(manifest_path: str | Path) -> Iterator[Page | PageLoadFailure]:
     corpus manifest: CSV with header path,url,label, paths relative to it.
 
     Only an unreadable manifest or a header without those names raises
-    ConfigError.  A row fails when it has fewer than three fields, a label
-    other than adult, safe or unlabeled (any case, spaces ignored), an
-    unreadable page file or a malformed URL, checked in that order.
+    ConfigError.  A row fails when the csv module cannot parse it (a field
+    over its size limit), it has fewer than three fields, a label other
+    than adult, safe or unlabeled (any case, spaces ignored), an
+    unreadable page file or a malformed URL, checked in that order.  The
+    csv reader resumes at the line after an unparsable row.
     """
     manifest_path = Path(manifest_path)
     text = read_input(manifest_path, "corpus manifest")
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None or not {"path", "url", "label"} <= set(reader.fieldnames):
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:
+        raise ConfigError(f"cannot read corpus manifest {manifest_path}: {exc}") from exc
+    if header is None or not {"path", "url", "label"} <= set(header):
         raise ConfigError(f"corpus manifest {manifest_path} needs header path,url,label")
     base = manifest_path.parent
-    for record in reader:
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield PageLoadFailure("", "", f"manifest line {reader.reader.line_num}: {exc}")
+            continue
         # DictReader gives a field missing from a short row as None
         path, url, label = record["path"], record["url"], record["label"]
         try:

@@ -4,6 +4,10 @@ The real term lists and page corpora cannot be distributed, so this
 module fabricates pseudo-word lexicons with the reference cardinalities
 and labeled page corpora whose adult pages are sampled from those
 lexicons.  Everything is deterministic given a seed.
+
+numpy is imported inside the three functions that draw from a generator
+(`generate_lexicon_materials`, `_term_units`, `generate_corpus`), not at
+module load, so importing this module, or the package, does not load it.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ import json
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .lexicon import (
     CONTENT_LEXICON_NAMES,
@@ -25,6 +27,9 @@ from .lexicon import (
     LexiconSet,
 )
 from .page import ADULT, SAFE, Page, parse_url
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_LEXICON_SEED = 20160913
 
@@ -79,6 +84,8 @@ def generate_lexicon_materials(
     seed: int = DEFAULT_LEXICON_SEED,
 ) -> dict[str, list[str]]:
     """Term lists (including in-url and disclaimer) keyed by list name."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     taken: set[str] = set()
     materials: dict[str, list[str]] = {}
@@ -166,6 +173,8 @@ def _term_units(
 ) -> list[list[str]]:
     """`count` lexicon terms apportioned across lists by weight (largest
     remainder), so term mass spreads over every list deterministically."""
+    import numpy as np
+
     names = list(_LEXICON_WEIGHTS)
     weights = np.array([_LEXICON_WEIGHTS[n] for n in names])
     ideal = count * weights / weights.sum()
@@ -197,6 +206,8 @@ def generate_corpus(
     `url_prefix` namespaces them so corpora from separate calls do not
     collide.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     terms, forbidden, url_terms = _vocabulary(
         tuple(lexicons.content(name).terms for name in CONTENT_LEXICON_NAMES),

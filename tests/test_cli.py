@@ -804,8 +804,9 @@ class TestCorpusLoader:
         dirty = clean.with_name("dirty.csv")
         rows = "".join(f"{row}\n" for row, _ in BAD_ROWS.values())
         dirty.write_text(clean.read_text(encoding="utf-8") + rows, encoding="utf-8")
+        # stderr shows a NUL byte escaped, as repr() does
         reasons = [
-            f"skipped {row.split(',')[0]}: {reason.format(base=clean.parent)}"
+            f"skipped {row.split(',')[0]}: {reason.format(base=clean.parent)}".replace("\0", r"\x00")
             for row, reason in BAD_ROWS.values()
         ]
         n_bad = len(reasons)
@@ -839,6 +840,67 @@ class TestCorpusLoader:
         expected = {**clean_eval, "skipped": n_bad, "stages": stages}
         assert json.loads(dirty_files.pop("eval.json")) == expected
         assert dirty_files == clean_files
+
+    def test_field_over_the_csv_limit_is_one_skipped_row(self, workspace, lexicons, tmp_path, capsys):
+        """A manifest field longer than the csv module's limit skips its
+        row; filter and eval keep the rows on both sides and exit 0."""
+        pages = generate_corpus(lexicons, 12, 6, seed=8, url_prefix="big")
+        clean = write_corpus(pages, tmp_path / "corpus")
+        header, *rows = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+        dirty = clean.with_name("dirty.csv")
+        long_row = f"p0000.html,http://big.com/{'a' * 140_000},safe\n"
+        dirty.write_text("".join([header, *rows[:6], long_row, *rows[6:]]), encoding="utf-8")
+        reports = {}
+        for name, manifest in (("clean", clean), ("dirty", dirty)):
+            common = ["--lexicons", LEXICON_MANIFEST, "--corpus", str(manifest),
+                      "--model", str(workspace["model"])]
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["filter", *common, "--index", str(out / "index.txt"),
+                         "--report", str(out / "filter.json")]) == 0
+            assert main(["eval", *common, "--report", str(out / "eval.json")]) == 0
+            reports[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+        err = capsys.readouterr().err
+        assert err == 2 * "skipped : manifest line 8: field larger than field limit (131072)\n"
+        assert reports["dirty"].pop("index.txt") == reports["clean"].pop("index.txt")
+        for name in ("filter.json", "eval.json"):
+            clean_doc = json.loads(reports["clean"][name])
+            dirty_doc = json.loads(reports["dirty"][name])
+            assert (clean_doc.pop("skipped"), dirty_doc.pop("skipped")) == (0, 1)
+            assert dirty_doc == clean_doc
+
+    def test_one_stderr_line_per_skipped_row(self, workspace, lexicons, tmp_path, capsys):
+        """A line break, carriage return or NUL in a path or URL is shown
+        escaped, so each skipped row prints exactly one stderr line."""
+        pages = generate_corpus(lexicons, 12, 6, seed=8, url_prefix="esc")
+        manifest = write_corpus(pages, tmp_path / "corpus")
+        bad = '"gone\nx.html",http://a.com/1,safe\n' \
+              '"gone\rx.html",http://a.com/2,adult\n' \
+              'gone\0x.html,http://a.com/3,safe\n' \
+              '"p0000.html","http://a.com/4\n\0",unlabeled\n'
+        with open(manifest, "a", encoding="utf-8", newline="") as fh:
+            fh.write(bad)
+        base = manifest.parent
+        failed = [
+            rf"skipped gone\nx.html: cannot read page file {base}/gone\nx.html: ",
+            rf"skipped gone\rx.html: cannot read page file {base}/gone\rx.html: ",
+            rf"skipped gone\x00x.html: cannot read page file {base}/gone\x00x.html: ",
+        ]
+        unlabeled = [r"skipped http://a.com/4\n\x00: unlabeled"]
+        common = ["--lexicons", LEXICON_MANIFEST, "--corpus", str(manifest)]
+        model = str(tmp_path / "model.json")
+        for args, want in (
+            (["train", *common, "--model", model], failed + unlabeled),
+            (["eval", *common, "--model", model], failed + unlabeled),
+            (["filter", *common, "--model", model, "--index", str(tmp_path / "i.txt")], failed),
+        ):
+            assert main(args) == 0
+            captured = capsys.readouterr()
+            lines = captured.err.split("\n")
+            assert lines.pop() == ""
+            assert len(lines) == len(want) and all(map(str.startswith, lines, want))
+            if args[0] != "filter":
+                assert f"skipped {len(want)} of {len(pages) + len(want)} manifest rows\n" in captured.out
 
 
 class TestAtomicOutputs:

@@ -429,3 +429,31 @@ class TestCorpusIO:
         # a page path that names a directory is one skipped row too
         assert isinstance(results[3], PageLoadFailure)
         assert f"cannot read page file {tmp_path / 'sub'}" in results[3].error
+
+    def test_field_over_the_csv_limit_is_one_failure(self, tmp_path):
+        """A field longer than the csv module's limit (131072 characters)
+        is one skipped row; the rows on both sides are still read."""
+        long_url = "http://big.com/" + "a" * 140_000
+        good = ["a.html,http://a.com/1,adult", "b.html,http://b.com/1,safe"]
+        bodies = {"a.html": "<p>hello</p>", "b.html": "<p>world</p>"}
+        clean = self._write(tmp_path, good, bodies, "clean.csv")
+        dirty = self._write(tmp_path, [good[0], f"a.html,{long_url},safe", good[1]], bodies)
+        first, failure, last = iter_corpus(dirty)
+        assert [first, last] == list(iter_corpus(clean))
+        assert failure == PageLoadFailure(
+            "", "", "manifest line 3: field larger than field limit (131072)"
+        )
+
+    def test_manifest_of_unparsable_rows_ends(self, tmp_path):
+        rows = [f"a{i}.html,http://big.com/{'a' * 140_000},safe" for i in range(3)]
+        manifest = self._write(tmp_path, rows, {})
+        results = list(iter_corpus(manifest))
+        assert [r.error for r in results] == [
+            f"manifest line {n}: field larger than field limit (131072)" for n in (2, 3, 4)
+        ]
+
+    def test_header_over_the_csv_limit_raises(self, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"path,url,label{'x' * 140_000}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="cannot read corpus manifest"):
+            list(iter_corpus(manifest))
