@@ -27,7 +27,6 @@ from .forest import (
     load_forest,
     save_forest,
     train_forest,
-    tree_classify,
 )
 from .lexicon import (
     CONTENT_LEXICON_NAMES,

@@ -154,18 +154,22 @@ def best_split(
     positive-gain candidates are discarded.  Ties break by higher gain,
     then attribute name, then lower threshold.  Returns None when no
     candidate has positive gain or every split starves a side below
-    min_leaf_weight.
+    min_leaf_weight.  A node lighter than 2 * min_leaf_weight returns None
+    before anything is sorted: a side of at least min_leaf_weight leaves
+    the other, computed exactly (Sterbenz), below it.
 
     Every candidate of every attribute is scored in one pass over arrays,
     with the same operations in the same order as entropy() applied to one
-    boundary at a time, so the choice is bit-identical to that loop.
+    boundary at a time, so the choice is bit-identical to that loop.  The
+    split entropy of the gain ratio is taken only for the candidates that
+    pass the positive-gain filter and the mean-gain guard.
     """
     import numpy as np
 
     total = float(w.sum())
     total_adult = float(w[y].sum())
     total_safe = total - total_adult
-    if total_adult <= 0 or total_safe <= 0:
+    if total_adult <= 0 or total_safe <= 0 or total < 2 * min_leaf_weight:
         return None
     parent = entropy(total_adult, total_safe)
 
@@ -184,23 +188,21 @@ def best_split(
     ls = np.maximum(wl - la, 0.0)
     ra = np.maximum(total_adult - la, 0.0)
     rs = np.maximum(total_safe - ls, 0.0)
-    h_left, h_right, h_split = _entropies(
-        np.stack([la, ra, wl]), np.stack([ls, rs, wr])
-    )
+    h_left, h_right = _entropies(np.stack([la, ra]), np.stack([ls, rs]))
     gain = parent - (wl * h_left + wr * h_right) / total
     positive = gain > 0
     if not positive.any():
         return None
     col, row, gain = col[positive], row[positive], gain[positive]
-    gain_ratio = gain / h_split[positive]
+    wl, wr = wl[positive], wr[positive]
 
     # gains added left to right in candidate order (np.sum adds pairwise,
     # which can move the mean in the last bit); epsilon keeps the guard
     # from starving on all-equal gains (float noise)
     mean_gain = sum(gain.tolist()) / len(gain)
     eligible = gain >= mean_gain - 1e-12
-    col, row = col[eligible], row[eligible]
-    gain, gain_ratio = gain[eligible], gain_ratio[eligible]
+    col, row, gain = col[eligible], row[eligible], gain[eligible]
+    gain_ratio = gain / _entropies(wl[eligible], wr[eligible])
     threshold = (xs[row, col] + xs[row + 1, col]) / 2.0
     names = np.asarray(attr_names)[col]
     best = np.lexsort((threshold, names, -gain, -gain_ratio))[0]
@@ -273,13 +275,6 @@ def forest_votes(
     return tuple(votes)
 
 
-def tree_classify(tree: TreeNode, fv: FeatureVector) -> tuple[str, set[str]]:
-    """One tree's label; also reports the attributes tested en route."""
-    visited: set[str] = set()
-    (adult,) = forest_votes((tree,), fv, visited)
-    return (ADULT if adult else SAFE), visited
-
-
 def forest_score(forest: Forest, fv: FeatureVector) -> float:
     """Fraction of trees voting adult."""
     votes = forest_votes(forest.trees, fv)
@@ -308,13 +303,20 @@ def train_forest(
     Adult rows start at fn_cost times the weight of safe rows; each round
     upweights the previous tree's mistakes by (1-e)/e.  A round with
     weighted error >= 0.5 restarts from perturbed initial weights so the
-    forest always reaches its full size.  Weights are kept normalized to
-    the row count so min_leaf_weight speaks in "cases".
+    forest always reaches its full size.  A perfect round (error 0) leaves
+    the weights where they are, so every later round would grow the same
+    tree again: that tree, its stats and its votes fill the remaining
+    rounds, and no further tree is grown.  Weights are kept normalized to
+    the row count so min_leaf_weight speaks in "cases".  Every label must
+    be ADULT or SAFE.
     """
     import numpy as np
 
     if len(vectors) != len(labels):
         raise ValueError("vectors and labels length mismatch")
+    for label in labels:
+        if label not in (ADULT, SAFE):
+            raise ValueError(f"bad training label {label!r}")
     n = len(vectors)
     if n < 2:
         raise TrainingError("need at least 2 training rows")
@@ -332,15 +334,17 @@ def train_forest(
     stats: list[TreeStats] = []
     votes = np.zeros(n, dtype=int)
     restarts = 0
-    for _ in range(config.n_trees):
+    while len(trees) < config.n_trees:
         tree = grow_tree(X, y, w, config)
         pred = np.array([forest_votes((tree,), fv)[0] for fv in vectors])
         wrong = pred != y
-        trees.append(tree)
-        stats.append(TreeStats(tree_size(tree), float(wrong.mean())))
-        votes += pred
-
         eps = float(w[wrong].sum() / w.sum())
+        # a perfect round's tree stands for itself in every remaining round
+        copies = config.n_trees - len(trees) if eps == 0.0 else 1
+        trees += [tree] * copies
+        stats += [TreeStats(tree_size(tree), float(wrong.mean()))] * copies
+        votes += copies * pred
+
         if eps >= 0.5:
             restarts += 1
             if rng is None:
@@ -351,7 +355,7 @@ def train_forest(
             w = w.copy()
             w[wrong] *= (1.0 - eps) / eps
             w *= n / w.sum()
-        # eps == 0: nothing to upweight; weights stay put
+        # eps == 0: the copies above filled the forest
 
     forest = Forest(tuple(trees))
     scores = (votes / config.n_trees).tolist()

@@ -16,7 +16,17 @@ import numpy as np
 import safeindex.page
 from safeindex import ADULT, SAFE, FeatureVector, Lexicon, LexiconSet
 from safeindex.features import ATTRIBUTE_NAMES
-from safeindex.forest import Forest, Leaf, Split, SplitChoice, entropy
+from safeindex.forest import (
+    Forest,
+    Leaf,
+    Split,
+    SplitChoice,
+    TrainReport,
+    TreeStats,
+    entropy,
+    grow_tree,
+    tree_size,
+)
 from safeindex.lexicon import CONTENT_LEXICON_NAMES
 from safeindex.page import Page, parse_url
 from safeindex.synth import _LEXICON_WEIGHTS, _SYLLABLES, DISCLAIMER_PHRASES
@@ -290,6 +300,48 @@ def loop_best_split(X, y, w, attr_names, min_leaf_weight):
         eligible, key=lambda c: (-c[0], -c[1], c[2], c[3])
     )
     return SplitChoice(name, threshold, gr)
+
+
+# ---------------------------------------------------------------------------
+# reference: the boosting rounds, each growing its own tree
+
+
+def loop_train_forest(vectors, labels, config):
+    """forest.train_forest with a tree grown in every round, perfect rounds
+    too, and votes and errors read from the recursive oracle walk.  Same
+    weight arithmetic, so the two must return equal forests and reports."""
+    n = len(vectors)
+    y = np.array([label == ADULT for label in labels])
+    X = np.array([fv.values for fv in vectors], dtype=float)
+    initial = np.where(y, config.fn_cost, 1.0)
+    initial *= n / initial.sum()
+    w = initial.copy()
+    rng = None
+    trees, stats, restarts = [], [], 0
+    for _ in range(config.n_trees):
+        tree = grow_tree(X, y, w, config)
+        pred = np.array([oracle_tree_classify(tree, fv)[0] == ADULT for fv in vectors])
+        wrong = pred != y
+        trees.append(tree)
+        stats.append(TreeStats(tree_size(tree), int(wrong.sum()) / n))
+        eps = float(w[wrong].sum() / w.sum())
+        if eps >= 0.5:
+            restarts += 1
+            if rng is None:
+                rng = np.random.default_rng(config.rng_seed)
+            w = initial * rng.uniform(0.8, 1.2, n)
+            w *= n / w.sum()
+        elif eps > 0.0:
+            w = w.copy()
+            w[wrong] *= (1.0 - eps) / eps
+            w *= n / w.sum()
+
+    forest = Forest(tuple(trees))
+    errors = 0
+    for fv, label in zip(vectors, labels):
+        adult_votes = sum(oracle_tree_classify(t, fv)[0] == ADULT for t in trees)
+        errors += forest.label(adult_votes / len(trees)) != label
+    return forest, TrainReport(tuple(stats), errors / n, restarts, len(set(trees)))
 
 
 # ---------------------------------------------------------------------------

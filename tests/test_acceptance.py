@@ -28,12 +28,12 @@ from safeindex import (
     count_threshold,
     extract_features,
     filter_page,
+    forest_votes,
     metrics,
     page_from_html,
     parse_url,
     score_run,
     train_forest,
-    tree_classify,
 )
 from safeindex.forest import best_split, forest_from_json, forest_to_json, leaf_label
 from safeindex.pipeline import REASON_BLACKLIST, REASON_FOREST
@@ -156,7 +156,10 @@ def test_induction_oracles():
     for _ in range(1000):
         tree = random_tree(rnd)
         fv = random_vector(rnd)
-        assert tree_classify(tree, fv) == oracle_tree_classify(tree, fv)
+        label, names = oracle_tree_classify(tree, fv)
+        visited = set()
+        assert forest_votes((tree,), fv, visited) == (label == ADULT,)
+        assert visited == names
 
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"took {elapsed:.1f}s"

@@ -20,7 +20,6 @@ from safeindex import (
     load_forest,
     save_forest,
     train_forest,
-    tree_classify,
 )
 import safeindex.forest
 from safeindex.errors import TrainingError
@@ -42,6 +41,7 @@ from safeindex.synth import generate_corpus
 
 from helpers import (
     loop_best_split,
+    loop_train_forest,
     make_vector,
     oracle_best_split,
     oracle_tree_classify,
@@ -110,15 +110,29 @@ class TestBestSplit:
         assert best_split(*self._table(rows), ["a"], 0.5) is None
 
     def test_min_leaf_weight_blocks_starving_splits(self):
-        rows = [
-            ((0.0,), True, 1.0),
-            ((1.0,), False, 1.0),
-            ((1.0,), False, 1.0),
-            ((1.0,), False, 1.0),
+        starving = [((0.0,), True, 1.0)] + [((1.0,), False, 1.0)] * 3
+        # the float just below 2.0, less 1.0: 1.0 plus it sums below 2.0
+        under_one = math.nextafter(2.0, 0.0) - 1.0
+        cases = [  # rows, min_leaf_weight, whether a split is found
+            # the only boundary leaves 1.0 on the left, below the floor
+            (starving, 2.0, False),
+            (starving, 1.0, True),
+            # a node of exactly 2 * min_leaf_weight still splits
+            ([((0.0,), True, 1.0), ((1.0,), False, 1.0)], 1.0, True),
+            # just below 2 * min_leaf_weight: too light to split
+            ([((0.0,), True, 1.0), ((1.0,), False, under_one)], 1.0, False),
+            ([((0.0,), True, 0.5), ((1.0,), False, under_one / 2)], 0.5, False),
+            (
+                [((0.0,), True, 0.5), ((1.0,), False, 0.5), ((2.0,), True, under_one)],
+                1.0,
+                False,
+            ),
         ]
-        # the only boundary leaves 1.0 on the left, below the floor
-        assert best_split(*self._table(rows), ["a"], 2.0) is None
-        assert best_split(*self._table(rows), ["a"], 1.0) is not None
+        for rows, min_leaf, splits in cases:
+            X, y, w = self._table(rows)
+            got = best_split(X, y, w, ["a"], min_leaf)
+            assert (got is not None) == splits
+            assert got == loop_best_split(X, y, w, ["a"], min_leaf)
 
     def test_constant_attribute_has_no_candidates(self):
         rows = [((3.0,), True, 1.0), ((3.0,), False, 1.0)]
@@ -150,6 +164,7 @@ class TestBestSplit:
         # small integer values and weights from {0.5, 1, 20} make many
         # equal gains, ratios and mean-gain guard edges
         rnd = random.Random(11)
+        light = 0  # mixed nodes lighter than 2 * min_leaf: None before sorting
         for _ in range(2000):
             names = rnd.sample("abcdefgh", rnd.randint(1, 8))
             n = rnd.randint(2, 40)
@@ -159,9 +174,11 @@ class TestBestSplit:
             y = np.array([rnd.random() < 0.5 for _ in range(n)])
             w = np.array([rnd.choice([0.5, 1.0, 20.0]) for _ in range(n)])
             min_leaf = rnd.choice([0.5, 1.0, 2.0])
+            light += y.any() and not y.all() and w.sum() < 2 * min_leaf
             assert best_split(X, y, w, names, min_leaf) == loop_best_split(
                 X, y, w, names, min_leaf
             )
+        assert light > 0
 
 
 class TestGrowTree:
@@ -186,7 +203,7 @@ class TestGrowTree:
         X, y, w = self._data(rows)
         tree = grow_tree(X, y, w, self.CONFIG)
         for fv, label in rows:
-            assert tree_classify(tree, fv)[0] == label
+            assert forest_votes((tree,), fv) == (label == ADULT,)
 
     def test_max_depth_limits_growth(self):
         rnd = random.Random(3)
@@ -221,20 +238,23 @@ class TestGrowTree:
 
 
 class TestTreeClassify:
+    """One tree's label and path, read from a one-tree forest_votes walk."""
+
     def test_descends_by_threshold(self):
         tree = Split(
             "nbr_img", 5.0, Leaf(SAFE), Split("in_url", 0.5, Leaf(SAFE), Leaf(ADULT))
         )
-        assert tree_classify(tree, make_vector(nbr_img=3))[0] == SAFE
-        assert tree_classify(tree, make_vector(nbr_img=9, in_url=1))[0] == ADULT
+        assert forest_votes((tree,), make_vector(nbr_img=3)) == (False,)
+        assert forest_votes((tree,), make_vector(nbr_img=9, in_url=1)) == (True,)
         # boundary value goes left
-        assert tree_classify(tree, make_vector(nbr_img=5, in_url=1))[0] == SAFE
+        assert forest_votes((tree,), make_vector(nbr_img=5, in_url=1)) == (False,)
 
     def test_reports_only_path_attributes(self):
         tree = Split(
             "nbr_img", 5.0, Leaf(SAFE), Split("in_url", 0.5, Leaf(SAFE), Leaf(ADULT))
         )
-        _, visited = tree_classify(tree, make_vector(nbr_img=1))
+        visited = set()
+        forest_votes((tree,), make_vector(nbr_img=1), visited)
         assert visited == {"nbr_img"}
 
     def test_matches_recursive_oracle(self):
@@ -242,11 +262,14 @@ class TestTreeClassify:
         for _ in range(300):
             tree = random_tree(rnd)
             fv = random_vector(rnd)
-            assert tree_classify(tree, fv) == oracle_tree_classify(tree, fv)
+            label, names = oracle_tree_classify(tree, fv)
+            visited = set()
+            assert forest_votes((tree,), fv, visited) == (label == ADULT,)
+            assert visited == names
 
 
 class TestForestVotes:
-    """One walk serves votes, score, verdict, usage and tree_classify.
+    """One walk serves votes, score, verdict, usage and one tree's path.
 
     Vectors take their values from the trees' own thresholds and their
     float neighbours, so `value == threshold` is common on every path.
@@ -286,8 +309,10 @@ class TestForestVotes:
                 for k in {1, (n + 1) // 2, n}:
                     forest = Forest(trees, count_threshold(n, k))
                     assert classify(forest, fv) == (ADULT if sum(expected) >= k else SAFE)
-                for tree, oracle_result in zip(trees, oracle):
-                    assert tree_classify(tree, fv) == oracle_result
+                for tree, (label, names) in zip(trees, oracle):
+                    visited = set()
+                    assert forest_votes((tree,), fv, visited) == (label == ADULT,)
+                    assert visited == names
 
     def test_attribute_usage_matches_oracle(self):
         for trees, vectors in self._cases(6, n_forests=20):
@@ -399,7 +424,7 @@ class TestTrainForest:
         adult = float(w[:2].sum())
         assert first.trees[2].weights == (adult, float(w.sum()) - adult)
 
-    def test_report_counts_restarts_and_distinct_trees(self):
+    def test_report_counts_restarts_and_distinct_trees(self, monkeypatch):
         # the four identical rows above: every other round has error 0.5
         vectors = [make_vector(nbr_img=1.0)] * 4
         labels = [ADULT, ADULT, SAFE, SAFE]
@@ -408,12 +433,22 @@ class TestTrainForest:
         assert report.distinct_trees == len(set(forest.trees))
 
         # separable rows: error 0 from the first round, so the weights never
-        # move and every round regrows the first tree
+        # move; the first tree is grown once and fills all ten rounds
+        roots = []
+        grow = safeindex.forest.grow_tree
+
+        def counting(X, y, w, config, depth=0):
+            if depth == 0:
+                roots.append(len(y))
+            return grow(X, y, w, config, depth)
+
+        monkeypatch.setattr(safeindex.forest, "grow_tree", counting)
         vectors, labels = self._separable()
         forest, report = train_forest(vectors, labels, TrainConfig(rng_seed=1, min_leaf_weight=0.5))
         assert report.restarts == 0
         assert report.distinct_trees == 1
         assert len(forest.trees) == 10
+        assert len(roots) == 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_report_errors_match_the_oracle_walk(self, lexicons, seed):
@@ -432,6 +467,50 @@ class TestTrainForest:
             oracle = ADULT if votes / len(forest.trees) > forest.vote_threshold else SAFE
             wrong += oracle != label
         assert report.global_training_error == wrong / n
+
+    def test_equals_the_loop_that_grows_every_round(self):
+        rnd = random.Random(17)
+        perfect_rounds = restarts = 0
+        for case in range(120):
+            kind = case % 3
+            n = rnd.randint(4, 16)
+            if kind == 0:  # separable: a perfect round, often the first
+                labels = [ADULT if i < n // 2 else SAFE for i in range(n)]
+                vectors = [
+                    make_vector(nbr_img=rnd.randint(10, 14) if label == ADULT else rnd.randint(0, 9),
+                                in_url=rnd.randint(0, 2))
+                    for label in labels
+                ]
+            elif kind == 1:  # identical rows: every tree is one leaf, and rounds restart
+                vectors = [make_vector(nbr_img=1.0)] * n
+                labels = [ADULT] * rnd.randint(1, n - 1)
+                labels += [SAFE] * (n - len(labels))
+            else:  # noisy: labels independent of the values
+                labels = [ADULT, SAFE] + [rnd.choice([ADULT, SAFE]) for _ in range(n - 2)]
+                vectors = [
+                    make_vector(nbr_img=rnd.randint(0, 3), in_url=rnd.randint(0, 2),
+                                **{"nb_tags-en": rnd.randint(0, 3)})
+                    for _ in labels
+                ]
+            config = TrainConfig(
+                n_trees=rnd.randint(1, 10),
+                fn_cost=rnd.choice([1.0, 20.0]),
+                min_leaf_weight=rnd.choice([0.5, 1.0, 2.0]),
+                rng_seed=rnd.randint(0, 99),
+            )
+            forest, report = train_forest(vectors, labels, config)
+            loop_forest, loop_report = loop_train_forest(vectors, labels, config)
+            assert forest_to_json(forest) == forest_to_json(loop_forest)
+            assert report == loop_report
+            perfect_rounds += any(t.training_error == 0 for t in report.per_tree[:-1])
+            restarts += report.restarts > 0
+        assert perfect_rounds > 10 and restarts > 10
+
+    def test_bad_labels_raise(self):
+        vectors = [make_vector(nbr_img=i) for i in range(6)]
+        labels = [ADULT, ADULT, "Adult", None, SAFE, "bogus"]
+        with pytest.raises(ValueError, match="bad training label 'Adult'"):
+            train_forest(vectors, labels, TrainConfig(n_trees=2))
 
     def test_degenerate_labels_raise(self):
         vectors, _ = self._separable()
