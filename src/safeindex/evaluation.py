@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -69,12 +70,15 @@ def format_confusion(cm: ConfusionMatrix) -> str:
 def attribute_usage(
     forest: Forest, vectors: Sequence[FeatureVector]
 ) -> dict[str, float]:
-    """Per attribute: fraction of pages where some tree's path tested it."""
-    counts = dict.fromkeys(ATTRIBUTE_NAMES, 0)
+    """Per attribute: fraction of pages where some tree's path tested it.
+
+    Every name of ATTRIBUTE_NAMES is a key, in that order.  Each page's
+    walk fills one `visited` set, which one `Counter.update` tallies.
+    """
+    counts: Counter[str] = Counter()
     for fv in vectors:
         visited: set[str] = set()
         forest_votes(forest.trees, fv, visited)
-        for name in visited:
-            counts[name] += 1
+        counts.update(visited)
     n = len(vectors)
     return {name: (counts[name] / n if n else 0.0) for name in ATTRIBUTE_NAMES}

@@ -6,6 +6,12 @@ trees.  False negatives (adult classified safe) are penalized through the
 initial row weights and through expected-cost leaf labeling; the final
 vote is a plain equal-weight majority.
 
+A node resolves what scoring needs once, when it is built: a `Split` holds
+the column of its attribute in `FeatureVector.values`, a `Leaf` whether it
+votes adult.  Both are derived fields outside equality, hashing, `repr` and
+the model JSON, so `forest_votes` reads a value and a vote per node without
+a name lookup or a label compare.
+
 numpy is imported inside the three training functions that use it
 (`best_split`, `_entropies`, `train_forest`), not at module load: loading,
 scoring and printing a model never touch it, and importing numpy would be
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -33,25 +39,40 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class Leaf:
+    """A tree's vote.  `adult` (the label is ADULT) is set from the label
+    when the leaf is built, and is left out of equality, hashing and repr."""
+
     label: str
     # (adult weight, safe weight) seen at this node during training
     weights: tuple[float, float] = (0.0, 0.0)
+    adult: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.label not in (ADULT, SAFE):
             raise ValueError(f"bad leaf label {self.label!r}")
+        if any(math.isnan(w) for w in self.weights):
+            raise ValueError(f"NaN leaf weight in {self.weights!r}")
+        object.__setattr__(self, "adult", self.label == ADULT)
 
 
 @dataclass(frozen=True)
 class Split:
+    """A threshold test.  `column` (the attribute's index in
+    `FeatureVector.values`) is set from the attribute when the split is
+    built, and is left out of equality, hashing and repr."""
+
     attribute: str
     threshold: float
     left: "TreeNode"   # taken when value <= threshold
     right: "TreeNode"  # taken when value > threshold
+    column: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.attribute not in _ATTRIBUTE_INDEX:
             raise ValueError(f"unknown attribute {self.attribute!r}")
+        if math.isnan(self.threshold):
+            raise ValueError("NaN split threshold")  # no value is <= NaN
+        object.__setattr__(self, "column", _ATTRIBUTE_INDEX[self.attribute])
 
 
 TreeNode = Union[Leaf, Split]
@@ -260,18 +281,19 @@ def forest_votes(
 ) -> tuple[bool, ...]:
     """Each tree's vote, True for adult: one root-to-leaf descent per tree.
 
-    Values are read by column from `fv.values`.  A caller that passes a
-    `visited` set gets every attribute tested on the way added to it.
+    Each split reads `fv.values` at its `column` and each leaf gives its
+    `adult` flag, both fixed when the node was built.  A caller that passes
+    a `visited` set gets the name of every attribute tested on the way
+    added to it.
     """
     values = fv.values
-    column = _ATTRIBUTE_INDEX
     votes = []
     for node in trees:
         while type(node) is Split:
             if visited is not None:
                 visited.add(node.attribute)
-            node = node.left if values[column[node.attribute]] <= node.threshold else node.right
-        votes.append(node.label == ADULT)
+            node = node.left if values[node.column] <= node.threshold else node.right
+        votes.append(node.adult)
     return tuple(votes)
 
 
@@ -379,13 +401,20 @@ def _node_to_obj(node: TreeNode) -> dict:
     }
 
 
+def _number(value) -> float:
+    """A JSON number (int or float, never a bool or a string) as a float."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _node_from_obj(obj: dict) -> TreeNode:
     if "label" in obj:
-        weights = obj.get("weights", [0.0, 0.0])
-        return Leaf(obj["label"], (float(weights[0]), float(weights[1])))
+        adult_weight, safe_weight = obj.get("weights", [0.0, 0.0])
+        return Leaf(obj["label"], (_number(adult_weight), _number(safe_weight)))
     return Split(
         obj["attr"],
-        float(obj["thr"]),
+        _number(obj["thr"]),
         _node_from_obj(obj["left"]),
         _node_from_obj(obj["right"]),
     )
@@ -403,7 +432,8 @@ def forest_to_json(forest: Forest) -> str:
 def forest_from_json(text: str) -> Forest:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # JSONDecodeError is a ValueError, and so is an int of too many digits
+    except (ValueError, RecursionError) as exc:
         raise SafeIndexError(f"model file is not valid JSON: {exc}") from exc
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != MODEL_VERSION:
@@ -411,9 +441,11 @@ def forest_from_json(text: str) -> Forest:
     try:
         return Forest(
             tuple(_node_from_obj(t) for t in doc["trees"]),
-            float(doc["vote_threshold"]),
+            _number(doc["vote_threshold"]),
         )
-    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+    except (
+        KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError
+    ) as exc:
         raise SafeIndexError(
             f"malformed model ({type(exc).__name__}: {exc})"
         ) from exc

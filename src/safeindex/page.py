@@ -176,16 +176,25 @@ def page_from_html(url: str, html: str, label: str | None = None) -> Page:
     return page
 
 
+def _fields(record: dict) -> list[str]:
+    """Every field of a DictReader record: a short row's missing fields are
+    None, and a long row's extra fields sit in a list under the key None."""
+    fields = [v for k, v in record.items() if k is not None and v is not None]
+    return fields + record.get(None, [])
+
+
 def iter_corpus(manifest_path: str | Path) -> Iterator[Page | PageLoadFailure]:
     """One Page, or one PageLoadFailure with its reason, per data row of a
     corpus manifest: CSV with header path,url,label, paths relative to it.
 
     Only an unreadable manifest or a header without those names raises
-    ConfigError.  A row fails when the csv module cannot parse it (a field
-    over its size limit), it has fewer than three fields, a label other
-    than adult, safe or unlabeled (any case, spaces ignored), an
-    unreadable page file or a malformed URL, checked in that order.  The
-    csv reader resumes at the line after an unparsable row.
+    ConfigError.  A row fails when the csv module cannot parse it, it has
+    a field over the csv module's size limit, fewer than three fields, a
+    label other than adult, safe or unlabeled (any case, spaces ignored),
+    an unreadable page file or a malformed URL, checked in that order.
+    The limit is lifted while a record is parsed and restored after it,
+    so a long quoted field that spans lines is one skipped record, and
+    the reader resumes after its closing quote.
     """
     manifest_path = Path(manifest_path)
     text = read_input(manifest_path, "corpus manifest")
@@ -198,12 +207,22 @@ def iter_corpus(manifest_path: str | Path) -> Iterator[Page | PageLoadFailure]:
         raise ConfigError(f"corpus manifest {manifest_path} needs header path,url,label")
     base = manifest_path.parent
     while True:
+        # a record is parsed whole under a limit no field of the text can
+        # reach, and the limit in force is back before anything is yielded
+        error = None
+        limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
         try:
             record = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            yield PageLoadFailure("", "", f"manifest line {reader.reader.line_num}: {exc}")
+            error = str(exc)
+        finally:
+            csv.field_size_limit(limit)
+        if error is None and any(len(f) > limit for f in _fields(record)):
+            error = f"field larger than field limit ({limit})"
+        if error is not None:
+            yield PageLoadFailure("", "", f"manifest line {reader.reader.line_num}: {error}")
             continue
         # DictReader gives a field missing from a short row as None
         path, url, label = record["path"], record["url"], record["label"]

@@ -77,6 +77,26 @@ BAD_ROWS = {
     "empty URL": ("a.html,,safe", "empty URL"),
 }
 
+# model JSON with a NaN or a non-number where a number belongs -> the
+# message forest_from_json gives; Python's json reads NaN as a float
+_SPLIT = '{{"attr": "nbr_img", "thr": {}, "left": {{"label": "safe"}}, "right": {{"label": "adult"}}}}'
+BAD_NUMBER_MODELS = {
+    "NaN threshold": (_SPLIT.format("NaN"), 0.5, "NaN split threshold"),
+    "string threshold": (_SPLIT.format('"0.5"'), 0.5, "expected a number, got '0.5'"),
+    "bool threshold": (_SPLIT.format("true"), 0.5, "expected a number, got True"),
+    "huge threshold": (_SPLIT.format("1" + "0" * 400), 0.5, "OverflowError"),
+    "string weights": ('{"label": "safe", "weights": "12"}', 0.5, "expected a number, got '1'"),
+    "bool weight": ('{"label": "safe", "weights": [true, 2]}', 0.5, "expected a number, got True"),
+    "NaN weight": ('{"label": "safe", "weights": [NaN, 2]}', 0.5, "NaN leaf weight"),
+    "three weights": ('{"label": "safe", "weights": [1, 2, 3]}', 0.5, "too many values"),
+    "string vote threshold": ('{"label": "safe"}', '"0.5"', "expected a number, got '0.5'"),
+}
+
+
+def bad_number_model(name: str) -> str:
+    tree, vote_threshold, _ = BAD_NUMBER_MODELS[name]
+    return f'{{"version": 1, "vote_threshold": {vote_threshold}, "trees": [{tree}]}}'
+
 
 def make_vector(**values: float) -> FeatureVector:
     """FeatureVector with the named attributes set and everything else 0."""

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -12,10 +13,10 @@ import safeindex.pipeline
 from safeindex import ADULT, build_safe_index, load_forest
 from safeindex.cli import main
 from safeindex.features import extract_features
-from safeindex.page import Page, iter_corpus
+from safeindex.page import Page, PageLoadFailure, iter_corpus
 from safeindex.synth import generate_corpus, write_corpus
 
-from helpers import BAD_ROWS, count_extract_text
+from helpers import BAD_NUMBER_MODELS, BAD_ROWS, bad_number_model, count_extract_text
 
 LEXICON_MANIFEST = str(files("safeindex").joinpath("data/lexicons/manifest.json"))
 
@@ -869,6 +870,31 @@ class TestCorpusLoader:
             assert (clean_doc.pop("skipped"), dirty_doc.pop("skipped")) == (0, 1)
             assert dirty_doc == clean_doc
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["one line", "spans lines"])
+    def test_long_field_is_one_record(self, tmp_path, quoted):
+        """A field over the csv limit is parsed whole and skipped, even when
+        its closing quote is on a later line: the line after the break is
+        no row of its own, and csv.field_size_limit() is left as it was."""
+        (tmp_path / "p.html").write_text("hello", encoding="utf-8")
+        url = "http://b.com/" + "a" * 140_000
+        field = f'"{url}\n"' if quoted else url
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            f"path,url,label\np.html,{field},safe\np.html,http://c.com/x,adult\n",
+            encoding="utf-8",
+        )
+        limit = csv.field_size_limit()
+        rows = iter_corpus(manifest)
+        failure = next(rows)
+        assert csv.field_size_limit() == limit
+        line = 3 if quoted else 2
+        assert failure == PageLoadFailure(
+            "", "", f"manifest line {line}: field larger than field limit ({limit})"
+        )
+        page, = rows
+        assert (page.url.full_url, page.label, page.tokens) == ("http://c.com/x", ADULT, ("hello",))
+        assert csv.field_size_limit() == limit
+
     def test_one_stderr_line_per_skipped_row(self, workspace, lexicons, tmp_path, capsys):
         """A line break, carriage return or NUL in a path or URL is shown
         escaped, so each skipped row prints exactly one stderr line."""
@@ -968,6 +994,18 @@ class TestInspectModel:
         assert main(["inspect-model", "--model", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "malformed model" in err and message in err
+
+    @pytest.mark.parametrize("name", BAD_NUMBER_MODELS)
+    def test_nan_or_non_number_exits_1(self, workspace, tmp_path, capsys, name):
+        bad = tmp_path / "bad_number.json"
+        bad.write_text(bad_number_model(name), encoding="utf-8")
+        index = tmp_path / "index.txt"
+        assert main(["inspect-model", "--model", str(bad)]) == 1
+        assert main(["filter", "--lexicons", LEXICON_MANIFEST, "--model", str(bad),
+                     "--corpus", str(workspace["eval_manifest"]), "--index", str(index)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("malformed model") == 2 and BAD_NUMBER_MODELS[name][2] in err
+        assert not index.exists()
 
     def test_non_utf8_model_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "utf16.json"

@@ -1,8 +1,14 @@
+import copy
+import dataclasses
+import json
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safeindex import (
     ADULT,
@@ -40,6 +46,8 @@ from safeindex.forest import (
 from safeindex.synth import generate_corpus
 
 from helpers import (
+    BAD_NUMBER_MODELS,
+    bad_number_model,
     loop_best_split,
     loop_train_forest,
     make_vector,
@@ -232,6 +240,12 @@ class TestGrowTree:
         with pytest.raises(ValueError, match="bad leaf label"):
             Leaf(label)
 
+    def test_nan_threshold_and_weight_are_rejected(self):
+        with pytest.raises(ValueError, match="NaN split threshold"):
+            Split("nbr_img", math.nan, Leaf(SAFE), Leaf(ADULT))
+        with pytest.raises(ValueError, match="NaN leaf weight"):
+            Leaf(SAFE, (1.0, math.nan))
+
     def test_split_rejects_an_unknown_attribute(self):
         with pytest.raises(ValueError, match="unknown attribute 'no_such_attr'"):
             Split("no_such_attr", 1.0, Leaf(SAFE), Leaf(ADULT))
@@ -328,6 +342,87 @@ class TestForestVotes:
         visited = {"in_url"}
         assert forest_votes((Leaf(ADULT), Leaf(SAFE)), make_vector(), visited) == (True, False)
         assert visited == {"in_url"}
+
+
+def _rebuilt(node):
+    """The same tree made afresh by the constructors."""
+    if isinstance(node, Leaf):
+        return Leaf(node.label, node.weights)
+    return Split(node.attribute, node.threshold, _rebuilt(node.left), _rebuilt(node.right))
+
+
+def _shift_attributes(node):
+    """Every split moved to the next attribute, by dataclasses.replace."""
+    if isinstance(node, Leaf):
+        return node
+    i = ATTRIBUTE_NAMES.index(node.attribute)
+    return dataclasses.replace(
+        node,
+        attribute=ATTRIBUTE_NAMES[(i + 1) % len(ATTRIBUTE_NAMES)],
+        left=_shift_attributes(node.left),
+        right=_shift_attributes(node.right),
+    )
+
+
+def _flip_labels(node):
+    """Every leaf given the other label, by dataclasses.replace."""
+    if isinstance(node, Leaf):
+        return dataclasses.replace(node, label=SAFE if node.label == ADULT else ADULT)
+    return dataclasses.replace(node, left=_flip_labels(node.left), right=_flip_labels(node.right))
+
+
+def _one_tree_round_trip(node):
+    return forest_from_json(forest_to_json(Forest((node,)))).trees[0]
+
+
+class TestResolvedFields:
+    """A split's column and a leaf's adult flag come with every way a node
+    is made, and stay out of equality, hashing, repr and the model JSON."""
+
+    VARIANTS = {
+        "built": lambda t: t,
+        "json": _one_tree_round_trip,
+        "replace attribute": _shift_attributes,
+        "replace label": _flip_labels,
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda t: pickle.loads(pickle.dumps(t)),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0))
+    def test_every_variant_walks_like_the_oracle(self, seed):
+        rnd = random.Random(seed)
+        tree = random_tree(rnd, max_depth=5)
+        vectors = [random_vector(rnd) for _ in range(5)]
+        vectors += [threshold_vector(rnd, tree_thresholds(tree)) for _ in range(5)]
+        for name, make in self.VARIANTS.items():
+            node = make(tree)
+            for fv in vectors:
+                label, names = oracle_tree_classify(node, fv)
+                visited = set()
+                assert forest_votes((node,), fv, visited) == (label == ADULT,), name
+                assert visited == names, name
+            twin = _rebuilt(node)
+            assert node == twin and hash(node) == hash(twin), name
+            assert repr(node) == repr(twin), name
+            assert forest_to_json(Forest((node,))) == forest_to_json(Forest((twin,))), name
+            assert format_tree(node) == format_tree(twin), name
+            assert len({node, twin}) == 1, name
+
+    def test_fields_are_outside_repr_and_json(self):
+        tree = Split("in_url", 0.5, Leaf(SAFE, (0.0, 2.0)), Leaf(ADULT, (3.0, 0.0)))
+        assert (tree.column, tree.left.adult, tree.right.adult) == (0, False, True)
+        assert repr(tree) == (
+            "Split(attribute='in_url', threshold=0.5, "
+            "left=Leaf(label='safe', weights=(0.0, 2.0)), "
+            "right=Leaf(label='adult', weights=(3.0, 0.0)))"
+        )
+        (doc,) = json.loads(forest_to_json(Forest((tree,))))["trees"]
+        assert set(doc) == {"attr", "thr", "left", "right"}
+        assert set(doc["left"]) == set(doc["right"]) == {"label", "weights"}
+        with pytest.raises(TypeError):
+            Split("in_url", 0.5, Leaf(SAFE), Leaf(ADULT), 3)
 
 
 class TestVoting:
@@ -575,6 +670,11 @@ class TestSerialization:
         with pytest.raises(SafeIndexError, match="JSON"):
             forest_from_json("{nope")
 
+    def test_integer_past_the_digit_limit_raises(self):
+        """json.loads raises a plain ValueError for an int of over 4300 digits."""
+        with pytest.raises(SafeIndexError, match="4300 digits"):
+            forest_from_json('{"version": 1, "vote_threshold": ' + "1" * 5000 + "}")
+
     def test_unknown_attribute_raises(self):
         doc = (
             '{"version": 1, "vote_threshold": 0.5, "trees": ['
@@ -601,6 +701,22 @@ class TestSerialization:
     def test_malformed_model_raises(self, doc):
         with pytest.raises(SafeIndexError, match="malformed model"):
             forest_from_json(doc)
+
+    @pytest.mark.parametrize("name", BAD_NUMBER_MODELS)
+    def test_nan_or_non_number_raises(self, name):
+        """A NaN threshold would send every page right (no value is <= NaN);
+        float() would read "0.5", true, and "12" as the weights (1.0, 2.0)."""
+        with pytest.raises(SafeIndexError, match="malformed model") as info:
+            forest_from_json(bad_number_model(name))
+        assert BAD_NUMBER_MODELS[name][2] in str(info.value)
+
+    def test_integer_numbers_load(self):
+        doc = ('{"version": 1, "vote_threshold": 1, "trees": [{"attr": "nbr_img",'
+               ' "thr": 5, "left": {"label": "safe", "weights": [0, 1]},'
+               ' "right": {"label": "adult", "weights": [2, 0]}}]}')
+        assert forest_from_json(doc) == Forest(
+            (Split("nbr_img", 5.0, Leaf(SAFE, (0.0, 1.0)), Leaf(ADULT, (2.0, 0.0))),), 1.0
+        )
 
     def test_deeply_nested_model_raises(self):
         n = 5000
