@@ -1,5 +1,7 @@
 """Command-line surface: train, filter, eval, inspect-model.
 
+A command that reads a corpus streams it, a row at a time: `train` keeps
+one feature vector and label per page, `eval` and `filter` keep no page.
 Every option is one row of `OPTIONS`.  A JSON config file (--config) may
 give any option under its name; the value must have the flag's JSON type,
 an unknown key is an error, and explicit flags override file values.
@@ -12,19 +14,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
 from .errors import ConfigError, SafeIndexError
-from .evaluation import attribute_usage, format_confusion, metrics, score_run
-from .features import extract_features
+from .evaluation import format_confusion, metrics, score_run
+from .features import ATTRIBUTE_NAMES, extract_features
 from .fileio import read_input, write_atomic
 from .forest import (
     TrainConfig,
     check_vote_threshold,
     classify,
     count_threshold,
+    forest_score,
     format_report,
     format_tree,
     load_forest,
@@ -118,29 +122,31 @@ def _printable(text: str) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
-def _corpus_rows(cfg: dict, labeled: bool) -> Iterator[Page | PageLoadFailure]:
+def _corpus_rows(cfg: dict) -> Iterator[Page | PageLoadFailure]:
     """The corpus's rows, printing one line `skipped <path>: <reason>` to
-    stderr for each PageLoadFailure.  With `labeled`, an unlabeled page is
-    skipped too and is named by its URL, as a page keeps no file path."""
+    stderr for each PageLoadFailure."""
     for row in iter_corpus(cfg["corpus"]):
         if isinstance(row, PageLoadFailure):
             print(f"skipped {_printable(row.path)}: {_printable(row.error)}", file=sys.stderr)
-        elif labeled and row.label is None:
-            print(f"skipped {_printable(row.url.full_url)}: unlabeled", file=sys.stderr)
         yield row
 
 
-def _load_labeled(cfg: dict) -> tuple[list[Page], int]:
-    """The corpus's labeled pages, and how many manifest rows were skipped
-    (see `iter_corpus`, plus unlabeled rows)."""
-    rows = list(_corpus_rows(cfg, labeled=True))
-    pages = [row for row in rows if isinstance(row, Page) and row.label is not None]
-    if not pages:
+def _labeled_pages(cfg: dict, report: StageReport) -> Iterator[Page]:
+    """The corpus's labeled pages, one at a time; every other row counts in
+    `report.skipped`, and an unlabeled page is named on stderr by its URL.
+    When the rows run out, prints `skipped N of M manifest rows` if N > 0."""
+    rows = 0
+    for rows, row in enumerate(_corpus_rows(cfg), 1):
+        if isinstance(row, Page) and row.label is not None:
+            yield row
+            continue
+        if isinstance(row, Page):
+            print(f"skipped {_printable(row.url.full_url)}: unlabeled", file=sys.stderr)
+        report.skipped += 1
+    if rows == report.skipped:
         raise ConfigError("no labeled pages")
-    skipped = len(rows) - len(pages)
-    if skipped:
-        print(f"skipped {skipped} of {len(rows)} manifest rows")
-    return pages, skipped
+    if report.skipped:
+        print(f"skipped {report.skipped} of {rows} manifest rows")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -160,9 +166,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad training option: {exc}") from exc
     lexicons = load_lexicon_set(cfg["lexicons"])
-    pages, _ = _load_labeled(cfg)
-    vectors = [extract_features(p, lexicons) for p in pages]
-    labels = [p.label for p in pages]
+    rows = [(extract_features(p, lexicons), p.label) for p in _labeled_pages(cfg, StageReport())]
+    vectors, labels = zip(*rows)
     forest, report = train_forest(vectors, labels, config)
     forest = replace(forest, vote_threshold=cfg.get("vote_threshold", forest.vote_threshold))
     # the report's global error is the saved model's, at its threshold
@@ -184,7 +189,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if blacklist_path and Path(blacklist_path).exists():
         state.blacklist = load_blacklist(blacklist_path)
     index, report, state = build_safe_index(
-        _corpus_rows(cfg, labeled=False), forest, lexicons, state
+        _corpus_rows(cfg), forest, lexicons, state
     )
     write_atomic(cfg["index"], "".join(f"{url}\n" for url in index))
     if blacklist_path:
@@ -203,24 +208,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
     state = FilterState(**{k: v for k, v in cfg.items() if k == "blacklist_trigger"})
     lexicons = load_lexicon_set(cfg["lexicons"])
     forest = load_forest(cfg["model"])
-    pages, skipped = _load_labeled(cfg)
-
-    vectors = [extract_features(p, lexicons) for p in pages]
-    if cfg.get("full_pipeline"):
-        stage_report = StageReport(skipped=skipped)
-        predictions = []
-        for page, fv in zip(pages, vectors):
+    stage_report = StageReport()
+    pairs: Counter[tuple[str, str]] = Counter()  # (gold, predicted) -> pages
+    visits: Counter[str] = Counter()  # attribute -> pages whose walk tested it
+    for page in _labeled_pages(cfg, stage_report):
+        fv = extract_features(page, lexicons)
+        visited: set[str] = set()
+        # the forest stage alone decides, unless --full-pipeline's stages run
+        predicted = forest.label(forest_score(forest, fv, visited))
+        if cfg.get("full_pipeline"):
             verdict, state = filter_page(page, forest, lexicons, state, fv)
             stage_report.tally(verdict)
-            predictions.append(verdict.label)
-    else:
-        # forest stage only: no blacklist, disclaimer, or TLD shortcuts
-        predictions = [classify(forest, fv) for fv in vectors]
-        stage_report = None
+            predicted = verdict.label
+        pairs[page.label, predicted] += 1
+        visits.update(visited)
 
-    cm = score_run([(p.label, pred) for p, pred in zip(pages, predictions)])
+    cm = score_run(pairs.elements())
     scores = metrics(cm)
-    usage = attribute_usage(forest, vectors)
+    usage = {name: visits[name] / cm.total for name in ATTRIBUTE_NAMES}
 
     print(format_confusion(cm))
     for name, value in scores.items():
@@ -229,7 +234,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for name, freq in sorted(usage.items(), key=lambda kv: -kv[1]):
         if freq > 0:
             print(f"  {freq:6.1%}  {name}")
-    if stage_report is not None:
+    if cfg.get("full_pipeline"):
         print("stage report:")
         print(json.dumps(stage_report.as_dict(), indent=2))
     if cfg.get("report"):
@@ -237,9 +242,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "confusion": {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn},
             "metrics": scores,
             "attribute_usage": usage,
-            "skipped": skipped,
+            "skipped": stage_report.skipped,
         }
-        if stage_report is not None:
+        if cfg.get("full_pipeline"):
             doc["stages"] = stage_report.as_dict()
         write_atomic(cfg["report"], json.dumps(doc, indent=2) + "\n")
     return 0

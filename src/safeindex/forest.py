@@ -297,9 +297,12 @@ def forest_votes(
     return tuple(votes)
 
 
-def forest_score(forest: Forest, fv: FeatureVector) -> float:
-    """Fraction of trees voting adult."""
-    votes = forest_votes(forest.trees, fv)
+def forest_score(
+    forest: Forest, fv: FeatureVector, visited: set[str] | None = None
+) -> float:
+    """Fraction of trees voting adult.  A `visited` set is passed on to
+    `forest_votes`, so one walk gives the score and the tested attributes."""
+    votes = forest_votes(forest.trees, fv, visited)
     return sum(votes) / len(votes)
 
 
@@ -409,6 +412,9 @@ def _number(value) -> float:
 
 
 def _node_from_obj(obj: dict) -> TreeNode:
+    # a string or a list would pass the `in` test below
+    if not isinstance(obj, dict):
+        raise TypeError(f"a tree node must be a JSON object, got {obj!r}")
     if "label" in obj:
         adult_weight, safe_weight = obj.get("weights", [0.0, 0.0])
         return Leaf(obj["label"], (_number(adult_weight), _number(safe_weight)))

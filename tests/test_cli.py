@@ -3,12 +3,15 @@ import json
 import math
 import os
 import re
+import sys
+import weakref
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
 import safeindex.cli
+import safeindex.forest
 import safeindex.pipeline
 from safeindex import ADULT, build_safe_index, load_forest
 from safeindex.cli import main
@@ -572,6 +575,47 @@ class TestEval:
         assert stages["forest_safe"] == cm["tn"] + cm["fn"]
 
 
+class TestStreaming:
+    """train and eval read the corpus one row at a time."""
+
+    @pytest.mark.parametrize("command, corpus", [
+        (["train", "--seed", "0"], "train_manifest"),
+        (["eval"], "eval_manifest"),
+        (["eval", "--full-pipeline"], "eval_manifest"),
+    ], ids=["train", "eval", "eval --full-pipeline"])
+    def test_no_page_outlives_its_row(self, workspace, tmp_path, monkeypatch, command, corpus):
+        earlier = []
+        alive = []  # per extraction, how many earlier pages are still alive
+
+        def watching(page, lex):
+            alive.append(sum(ref() is not None for ref in earlier))
+            earlier.append(weakref.ref(page))
+            return extract_features(page, lex)
+
+        monkeypatch.setattr(safeindex.cli, "extract_features", watching)
+        model = tmp_path / "model.json" if command[0] == "train" else workspace["model"]
+        assert main([*command, "--lexicons", LEXICON_MANIFEST,
+                     "--corpus", str(workspace[corpus]), "--model", str(model)]) == 0
+        assert alive == [0] * (60 if command[0] == "train" else 40)
+
+    def test_forest_only_eval_walks_each_page_once(self, workspace, monkeypatch):
+        forest_votes = safeindex.forest.forest_votes
+        calls = []
+
+        def counting(trees, fv, visited=None):
+            calls.append(fv)
+            return forest_votes(trees, fv, visited)
+
+        binders = [m for name, m in sys.modules.items()
+                   if name.startswith("safeindex") and getattr(m, "forest_votes", None) is forest_votes]
+        assert safeindex.forest in binders
+        for module in binders:
+            monkeypatch.setattr(module, "forest_votes", counting)
+        assert main(["eval", "--lexicons", LEXICON_MANIFEST, "--corpus",
+                     str(workspace["eval_manifest"]), "--model", str(workspace["model"])]) == 0
+        assert len(calls) == 40
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
         "args, config, message",
@@ -987,6 +1031,9 @@ class TestInspectModel:
         ('{"label": "Adult"}', "bad leaf label 'Adult'"),
         ('{"attr": "no_such_attr", "thr": 1, "left": {"label": "safe"},'
          ' "right": {"label": "adult"}}', "unknown attribute 'no_such_attr'"),
+        ('"label"', "a tree node must be a JSON object, got 'label'"),
+        ('{"attr": "nbr_img", "thr": 1, "left": "label", "right": {"label": "adult"}}',
+         "a tree node must be a JSON object, got 'label'"),
     ])
     def test_bad_tree_node_exits_1(self, tmp_path, capsys, tree, message):
         bad = tmp_path / "bad_node.json"

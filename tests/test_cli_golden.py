@@ -1,0 +1,59 @@
+"""`train` and `eval` print, write and report byte for byte what their
+golden files under tests/golden/cli/ hold.  The corpus there is 30 fixed
+pages with one bad-label row and one unlabeled row; six adult pages share
+a domain, so `eval --full-pipeline` blacklists it.
+
+Run this file as a script to rewrite the golden files from the current
+code:  PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+from importlib.resources import files
+from pathlib import Path
+from tempfile import TemporaryDirectory
+
+import pytest
+
+from safeindex.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+CORPUS = str(GOLDEN / "corpus" / "manifest.csv")
+LEXICONS = str(files("safeindex").joinpath("data/lexicons/manifest.json"))
+
+# run name -> (arguments, the file it writes in its working directory);
+# eval reads the model that train's golden file holds
+RUNS = {
+    "train": (["train", "--corpus", CORPUS, "--model", "model.json", "--seed", "0"], "model.json"),
+    "eval": (["eval", "--corpus", CORPUS, "--model", str(GOLDEN / "train.model.json"),
+              "--report", "report.json"], "report.json"),
+    "eval-full-pipeline": (["eval", "--corpus", CORPUS, "--model", str(GOLDEN / "train.model.json"),
+                            "--report", "report.json", "--full-pipeline"], "report.json"),
+}
+
+
+def run(name: str) -> dict[str, str]:
+    """Golden file name -> text, for one run in a fresh directory."""
+    argv, written = RUNS[name]
+    out, err = io.StringIO(), io.StringIO()
+    with TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main([*argv, "--lexicons", LEXICONS]) == 0
+        output = Path(written).read_text(encoding="utf-8")
+    return {
+        f"{name}.stdout": out.getvalue(),
+        f"{name}.stderr": err.getvalue(),
+        f"{name}.{written}": output,
+    }
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_cli_output_matches_golden(name):
+    for filename, text in run(name).items():
+        assert text == (GOLDEN / filename).read_text(encoding="utf-8"), filename
+
+
+if __name__ == "__main__":
+    for name in RUNS:
+        for filename, text in run(name).items():
+            (GOLDEN / filename).write_text(text, encoding="utf-8")
