@@ -22,7 +22,7 @@ from typing import Iterator
 from .errors import ConfigError, SafeIndexError
 from .evaluation import format_confusion, metrics, score_run
 from .features import ATTRIBUTE_NAMES, extract_features
-from .fileio import read_input, write_atomic
+from .fileio import parse_json, read_input, write_atomic
 from .forest import (
     TrainConfig,
     check_vote_threshold,
@@ -91,10 +91,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if args.config:
         text = read_input(args.config, "config file")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        doc = parse_json(text, f"config file {args.config}")
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         merged.update(doc)

@@ -1,11 +1,14 @@
 """The package's one file boundary: `read_input` reads every input file
-as UTF-8, less a leading BOM, with its line ends as stored, and
+as UTF-8, less a leading BOM, with its line ends as stored, `parse_json`
+parses every JSON input (config file, lexicon manifest, model), and
 `write_atomic` replaces every output file whole or not at all."""
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
+from typing import Any
 
 from .errors import ConfigError
 
@@ -21,6 +24,15 @@ def read_input(path: str | Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: not valid UTF-8 ({exc})") from exc
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_json(text: str, what: str) -> Any:
+    """json.loads(text), or a ConfigError naming `what` for a text it cannot
+    take: not JSON, an int of too many digits, or nesting too deep."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def write_atomic(path: str | Path, text: str) -> None:

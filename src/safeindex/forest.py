@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import SafeIndexError, TrainingError
 from .features import _ATTRIBUTE_INDEX, ATTRIBUTE_NAMES, FeatureVector
-from .fileio import read_input, write_atomic
+from .fileio import parse_json, read_input, write_atomic
 from .page import ADULT, SAFE
 
 if TYPE_CHECKING:
@@ -436,13 +436,9 @@ def forest_to_json(forest: Forest) -> str:
 
 
 def forest_from_json(text: str) -> Forest:
-    try:
-        doc = json.loads(text)
-    # JSONDecodeError is a ValueError, and so is an int of too many digits
-    except (ValueError, RecursionError) as exc:
-        raise SafeIndexError(f"model file is not valid JSON: {exc}") from exc
+    doc = parse_json(text, "model file")
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version != MODEL_VERSION:
+    if type(version) is not int or version != MODEL_VERSION:  # True and 1.0 both equal 1
         raise SafeIndexError(f"unsupported model version {version!r}")
     try:
         return Forest(

@@ -4,7 +4,8 @@ A lexicon file is plain UTF-8 text, one term per line; blank lines and
 lines starting with '#' are ignored.  A manifest is a JSON object mapping
 list names to file paths (relative to the manifest); the reserved names
 ``in-url`` and ``disclaimer`` point at the URL term list and the
-disclaimer phrase list.
+disclaimer phrase list, and any other name but the eleven content lists
+is an error.
 
 A LexiconSet owns the one index of its lists: a TermMatcher over the
 eleven content lists and, as list 12, the disclaimer phrases, built on
@@ -13,7 +14,6 @@ first use and kept for the life of the set.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, LexiconError
-from .fileio import read_input
+from .fileio import parse_json, read_input
 
 # The eleven content lists the feature extractor requires, in the fixed
 # order used everywhere (feature columns, CSV dumps, model files).
@@ -42,6 +42,8 @@ CONTENT_LEXICON_NAMES = (
 
 URL_LIST_NAME = "in-url"
 DISCLAIMER_LIST_NAME = "disclaimer"
+# Every name a manifest may hold.
+LIST_NAMES = frozenset((*CONTENT_LEXICON_NAMES, URL_LIST_NAME, DISCLAIMER_LIST_NAME))
 
 # Sizes of the reference lists; documentation targets for the synthetic
 # stand-ins shipped with the package, not enforced invariants.
@@ -192,8 +194,9 @@ class LexiconSet:
     """All term lists needed for one extraction configuration.
 
     Exactly the eleven canonical content lexicons must be present; the
-    URL term list and the disclaimer phrases, which may be empty, ride
-    along.  `matcher` indexes the content lists and the phrases together.
+    URL term list, which like every Lexicon holds at least one term, and
+    the disclaimer phrases, which may be empty, ride along.  `matcher`
+    indexes the content lists and the phrases together.
     """
 
     lexicons: dict[str, Lexicon]
@@ -226,12 +229,12 @@ def load_lexicon_set(manifest_path: str | Path) -> LexiconSet:
     """Load every list named by a JSON manifest (paths relative to it)."""
     manifest_path = Path(manifest_path)
     text = read_input(manifest_path, "lexicon manifest")
-    try:
-        manifest = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot read lexicon manifest {manifest_path}: {exc}") from exc
+    manifest = parse_json(text, f"lexicon manifest {manifest_path}")
     if not isinstance(manifest, dict) or not all(isinstance(v, str) for v in manifest.values()):
         raise ConfigError("lexicon manifest must be a JSON object mapping name to path")
+    for name in manifest:
+        if name not in LIST_NAMES:
+            raise ConfigError(f"unknown list {name!r} in lexicon manifest {manifest_path}")
 
     base = manifest_path.parent
 

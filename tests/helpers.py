@@ -92,6 +92,14 @@ BAD_NUMBER_MODELS = {
     "string vote threshold": ('{"label": "safe"}', '"0.5"', "expected a number, got '0.5'"),
 }
 
+# texts json.loads refuses: a syntax error, an int past the digit limit
+# (both ValueError) and nesting past the recursion limit (RecursionError)
+NOT_JSON = {
+    "syntax": "{not json",
+    "long-int": '{"x": ' + "1" * 5000 + "}",
+    "deep": "[" * 100_000 + "]" * 100_000,
+}
+
 
 def bad_number_model(name: str) -> str:
     tree, vote_threshold, _ = BAD_NUMBER_MODELS[name]

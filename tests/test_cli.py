@@ -19,7 +19,7 @@ from safeindex.features import extract_features
 from safeindex.page import Page, PageLoadFailure, iter_corpus
 from safeindex.synth import generate_corpus, write_corpus
 
-from helpers import BAD_NUMBER_MODELS, BAD_ROWS, bad_number_model, count_extract_text
+from helpers import BAD_NUMBER_MODELS, BAD_ROWS, NOT_JSON, bad_number_model, count_extract_text
 
 LEXICON_MANIFEST = str(files("safeindex").joinpath("data/lexicons/manifest.json"))
 
@@ -766,6 +766,20 @@ class TestMalformedInputs:
         assert "internal error" not in err
         assert not index.exists()
 
+    def test_misspelled_list_name_exits_1(self, workspace, tmp_path, capsys):
+        """A misspelled list would otherwise switch its stage off unseen."""
+        entries = bundled_lexicon_entries()
+        entries["disclaimers"] = entries.pop("disclaimer")
+        lex_manifest = tmp_path / "lexicons.json"
+        lex_manifest.write_text(json.dumps(entries), encoding="utf-8")
+        index = tmp_path / "index.txt"
+        code = main(["filter", "--lexicons", str(lex_manifest), "--model", str(workspace["model"]),
+                     "--corpus", str(workspace["eval_manifest"]), "--index", str(index)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"unknown list 'disclaimers' in lexicon manifest {lex_manifest}" in err
+        assert not index.exists()
+
 
 class TestParser:
     # the flags each subcommand's --help listed before the option table,
@@ -1054,6 +1068,16 @@ class TestInspectModel:
         assert err.count("malformed model") == 2 and BAD_NUMBER_MODELS[name][2] in err
         assert not index.exists()
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_version_not_the_integer_1_exits_1(self, tmp_path, capsys, version):
+        bad = tmp_path / "version.json"
+        bad.write_text(f'{{"version": {version}, "vote_threshold": 0.5, "trees": '
+                       '[{"label": "safe"}]}', encoding="utf-8")
+        assert main(["inspect-model", "--model", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"unsupported model version {json.loads(version)!r}" in err
+        assert "internal error" not in err
+
     def test_non_utf8_model_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "utf16.json"
         bad.write_bytes('{"version": 1}'.encode("utf-16"))
@@ -1113,6 +1137,30 @@ class TestInputReader:
         assert f"cannot read {what} {bad}" in err
         assert "internal error" not in err
         assert {p.name for p in tmp_path.iterdir()} <= {bad.name, "lexicons.json"}
+
+    @pytest.mark.parametrize("text", NOT_JSON.values(), ids=NOT_JSON)
+    @pytest.mark.parametrize("option", ["config", "lexicons", "model"])
+    def test_malformed_json_exits_1(self, workspace, tmp_path, capsys, option, text):
+        """Every JSON input goes through one parser, so a text json.loads
+        refuses with a ValueError or a RecursionError is a data error."""
+        bad = tmp_path / f"bad_{option}.json"
+        bad.write_text(text, encoding="utf-8")
+        index = tmp_path / "index.txt"
+        flags = {
+            "lexicons": LEXICON_MANIFEST,
+            "corpus": str(workspace["eval_manifest"]),
+            "model": str(workspace["model"]),
+            "index": str(index),
+            option: str(bad),
+        }
+        code = main(["filter", *(arg for name, v in flags.items() for arg in (f"--{name}", v))])
+        err = capsys.readouterr().err
+        what = {"config": f"config file {bad}", "lexicons": f"lexicon manifest {bad}",
+                "model": "model file"}[option]
+        assert code == 1
+        assert f"{what} is not valid JSON" in err
+        assert "internal error" not in err
+        assert not index.exists()
 
 
 def _run_on_written_inputs(workspace, root, encode):

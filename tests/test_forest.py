@@ -666,6 +666,13 @@ class TestSerialization:
         with pytest.raises(SafeIndexError, match="version"):
             forest_from_json('{"version": 99, "vote_threshold": 0.5, "trees": []}')
 
+    @pytest.mark.parametrize("version, shown", [("true", "True"), ("1.0", "1.0")])
+    def test_version_must_be_the_integer_1(self, version, shown):
+        """True and 1.0 compare equal to 1, but neither is the version."""
+        doc = f'{{"version": {version}, "vote_threshold": 0.5, "trees": [{{"label": "safe"}}]}}'
+        with pytest.raises(SafeIndexError, match=f"^unsupported model version {shown}$"):
+            forest_from_json(doc)
+
     def test_bad_json_raises(self):
         with pytest.raises(SafeIndexError, match="JSON"):
             forest_from_json("{nope")

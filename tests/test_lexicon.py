@@ -221,6 +221,17 @@ class TestLoadLexiconSet:
         with pytest.raises(ConfigError):
             load_lexicon_set(tmp_path / "nope.json")
 
+    def test_unknown_list_name_raises_before_reading_lists(self, tmp_path):
+        """A misspelled "disclaimer" must not switch the stage off; no list
+        file exists, so the error comes before any is read."""
+        manifest = {name: f"{name}.txt" for name in CONTENT_LEXICON_NAMES}
+        manifest.update({"in-url": "in-url.txt", "disclaimers": "disclaimer.txt"})
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_lexicon_set(path)
+        assert str(info.value) == f"unknown list 'disclaimers' in lexicon manifest {path}"
+
     def test_manifest_must_be_object(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("[1, 2]", encoding="utf-8")
