@@ -1,7 +1,7 @@
-"""`train` and `eval` print, write and report byte for byte what their
-golden files under tests/golden/cli/ hold.  The corpus there is 30 fixed
-pages with one bad-label row and one unlabeled row; six adult pages share
-a domain, so `eval --full-pipeline` blacklists it.
+"""`train`, `eval` and `filter` print, write and report byte for byte what
+their golden files under tests/golden/cli/ hold.  The corpus there is 30
+fixed pages with one bad-label row and one unlabeled row; six adult pages
+share a domain, so `eval --full-pipeline` and `filter` blacklist it.
 
 Run this file as a script to rewrite the golden files from the current
 code:  PYTHONPATH=src python tests/test_cli_golden.py
@@ -21,14 +21,20 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 CORPUS = str(GOLDEN / "corpus" / "manifest.csv")
 LEXICONS = str(files("safeindex").joinpath("data/lexicons/manifest.json"))
 
-# run name -> (arguments, the file it writes in its working directory);
-# eval reads the model that train's golden file holds
+# run name -> (arguments, the files it writes in its working directory);
+# eval and filter read the model that train's golden file holds, and
+# filter starts with no blacklist file
+MODEL = str(GOLDEN / "train.model.json")
 RUNS = {
-    "train": (["train", "--corpus", CORPUS, "--model", "model.json", "--seed", "0"], "model.json"),
-    "eval": (["eval", "--corpus", CORPUS, "--model", str(GOLDEN / "train.model.json"),
-              "--report", "report.json"], "report.json"),
-    "eval-full-pipeline": (["eval", "--corpus", CORPUS, "--model", str(GOLDEN / "train.model.json"),
-                            "--report", "report.json", "--full-pipeline"], "report.json"),
+    "train": (["train", "--corpus", CORPUS, "--model", "model.json", "--seed", "0"],
+              ("model.json",)),
+    "eval": (["eval", "--corpus", CORPUS, "--model", MODEL, "--report", "report.json"],
+             ("report.json",)),
+    "eval-full-pipeline": (["eval", "--corpus", CORPUS, "--model", MODEL,
+                            "--report", "report.json", "--full-pipeline"], ("report.json",)),
+    "filter": (["filter", "--corpus", CORPUS, "--model", MODEL, "--index", "index.txt",
+                "--report", "report.json", "--blacklist", "blacklist.txt"],
+               ("index.txt", "report.json", "blacklist.txt")),
 }
 
 
@@ -39,12 +45,8 @@ def run(name: str) -> dict[str, str]:
     with TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert main([*argv, "--lexicons", LEXICONS]) == 0
-        output = Path(written).read_text(encoding="utf-8")
-    return {
-        f"{name}.stdout": out.getvalue(),
-        f"{name}.stderr": err.getvalue(),
-        f"{name}.{written}": output,
-    }
+        outputs = {f"{name}.{f}": Path(f).read_text(encoding="utf-8") for f in written}
+    return {f"{name}.stdout": out.getvalue(), f"{name}.stderr": err.getvalue(), **outputs}
 
 
 @pytest.mark.parametrize("name", RUNS)
