@@ -211,12 +211,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for page in _labeled_pages(cfg, stage_report):
         fv = extract_features(page, lexicons)
         visited: set[str] = set()
+        score = forest_score(forest, fv, visited)
         # the forest stage alone decides, unless --full-pipeline's stages run
-        predicted = forest.label(forest_score(forest, fv, visited))
         if cfg.get("full_pipeline"):
-            verdict, state = filter_page(page, forest, lexicons, state, fv)
+            verdict, state = filter_page(page, forest, lexicons, state, fv, score)
             stage_report.tally(verdict)
             predicted = verdict.label
+        else:
+            predicted = forest.label(score)
         pairs[page.label, predicted] += 1
         visits.update(visited)
 

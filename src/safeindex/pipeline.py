@@ -87,13 +87,14 @@ def filter_page(
     lexicons: LexiconSet,
     state: FilterState,
     features: FeatureVector | None = None,
+    score: float | None = None,
 ) -> tuple[Verdict, FilterState]:
     """Run the staged filter on one page, updating the blacklist state.
 
-    A caller that already holds the page's `features` from
-    `extract_features` passes them in.  A `FeatureVector(values)` built
-    from stored values has no disclaimer flag: the disclaimer stage
-    would pass the page on.
+    Pass the page's `features` from `extract_features`, and their
+    `score` from `forest_score(forest, features)`, when already held.
+    A `FeatureVector(values)` built from stored values has no
+    disclaimer flag: the disclaimer stage would pass the page on.
     """
     domain = page.url.registrable_domain
     if domain in state.blacklist:
@@ -106,7 +107,8 @@ def filter_page(
         elif page.url.tld == "xxx":
             verdict = Verdict(ADULT, REASON_TLD_XXX)
         else:
-            score = forest_score(forest, features)
+            if score is None:
+                score = forest_score(forest, features)
             verdict = Verdict(forest.label(score), REASON_FOREST, score)
 
     # a blacklisted domain's pages are decided already: they count nothing
