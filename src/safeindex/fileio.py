@@ -26,11 +26,23 @@ def read_input(path: str | Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The JSON object of `pairs`; a key given twice is a ValueError, as
+    RFC 8259 leaves its meaning open."""
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_json(text: str, what: str) -> Any:
     """json.loads(text), or a ConfigError naming `what` for a text it cannot
-    take: not JSON, an int of too many digits, or nesting too deep."""
+    take: not JSON, a key repeated in one object, an int of too many
+    digits, or nesting too deep."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 

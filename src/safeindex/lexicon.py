@@ -228,13 +228,13 @@ class LexiconSet:
 def load_lexicon_set(manifest_path: str | Path) -> LexiconSet:
     """Load every list named by a JSON manifest (paths relative to it)."""
     manifest_path = Path(manifest_path)
-    text = read_input(manifest_path, "lexicon manifest")
-    manifest = parse_json(text, f"lexicon manifest {manifest_path}")
+    what = f"lexicon manifest {manifest_path}"
+    manifest = parse_json(read_input(manifest_path, "lexicon manifest"), what)
     if not isinstance(manifest, dict) or not all(isinstance(v, str) for v in manifest.values()):
-        raise ConfigError("lexicon manifest must be a JSON object mapping name to path")
+        raise ConfigError(f"{what} must be a JSON object mapping name to path")
     for name in manifest:
         if name not in LIST_NAMES:
-            raise ConfigError(f"unknown list {name!r} in lexicon manifest {manifest_path}")
+            raise ConfigError(f"unknown list {name!r} in {what}")
 
     base = manifest_path.parent
 
@@ -242,7 +242,7 @@ def load_lexicon_set(manifest_path: str | Path) -> LexiconSet:
         try:
             return base / manifest[name]
         except KeyError:
-            raise ConfigError(f"lexicon manifest is missing entry {name!r}") from None
+            raise ConfigError(f"{what} is missing entry {name!r}") from None
 
     lexicons = {
         name: load_lexicon(name, resolve(name)) for name in CONTENT_LEXICON_NAMES

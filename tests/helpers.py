@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from html import unescape
 
 import numpy as np
 
+import safeindex.forest
 import safeindex.page
 from safeindex import ADULT, SAFE, FeatureVector, Lexicon, LexiconSet
 from safeindex.features import ATTRIBUTE_NAMES
@@ -59,6 +61,24 @@ def count_extract_text(monkeypatch) -> list[str]:
     return calls
 
 
+def count_forest_votes(monkeypatch) -> list[FeatureVector]:
+    """The vector of every later forest_votes call, through every safeindex
+    module that binds the name."""
+    forest_votes = safeindex.forest.forest_votes
+    calls = []
+
+    def counting(trees, fv, visited=None):
+        calls.append(fv)
+        return forest_votes(trees, fv, visited)
+
+    binders = [m for name, m in sys.modules.items()
+               if name.startswith("safeindex") and getattr(m, "forest_votes", None) is forest_votes]
+    assert safeindex.forest in binders
+    for module in binders:
+        monkeypatch.setattr(module, "forest_votes", counting)
+    return calls
+
+
 # A bad corpus manifest row -> the reason its one PageLoadFailure starts
 # with; "{base}" is the manifest's directory.  The rows name a readable
 # page file a.html and a directory sub beside the manifest.
@@ -92,12 +112,14 @@ BAD_NUMBER_MODELS = {
     "string vote threshold": ('{"label": "safe"}', '"0.5"', "expected a number, got '0.5'"),
 }
 
-# texts json.loads refuses: a syntax error, an int past the digit limit
-# (both ValueError) and nesting past the recursion limit (RecursionError)
+# texts parse_json refuses: a syntax error, an int past the digit limit
+# (both ValueError), nesting past the recursion limit (RecursionError)
+# and a key repeated in one object, here a nested one
 NOT_JSON = {
     "syntax": "{not json",
     "long-int": '{"x": ' + "1" * 5000 + "}",
     "deep": "[" * 100_000 + "]" * 100_000,
+    "repeated-key": '{"x": {"y": 1, "y": 2}}',
 }
 
 

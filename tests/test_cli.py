@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import sys
 import weakref
 from importlib.resources import files
 from pathlib import Path
@@ -11,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import safeindex.cli
-import safeindex.forest
 import safeindex.pipeline
 from safeindex import ADULT, build_safe_index, load_forest
 from safeindex.cli import main
@@ -19,7 +17,14 @@ from safeindex.features import extract_features
 from safeindex.page import Page, PageLoadFailure, iter_corpus
 from safeindex.synth import generate_corpus, write_corpus
 
-from helpers import BAD_NUMBER_MODELS, BAD_ROWS, NOT_JSON, bad_number_model, count_extract_text
+from helpers import (
+    BAD_NUMBER_MODELS,
+    BAD_ROWS,
+    NOT_JSON,
+    bad_number_model,
+    count_extract_text,
+    count_forest_votes,
+)
 
 LEXICON_MANIFEST = str(files("safeindex").joinpath("data/lexicons/manifest.json"))
 
@@ -598,22 +603,23 @@ class TestStreaming:
                      "--corpus", str(workspace[corpus]), "--model", str(model)]) == 0
         assert alive == [0] * (60 if command[0] == "train" else 40)
 
-    def test_forest_only_eval_walks_each_page_once(self, workspace, monkeypatch):
-        forest_votes = safeindex.forest.forest_votes
-        calls = []
-
-        def counting(trees, fv, visited=None):
-            calls.append(fv)
-            return forest_votes(trees, fv, visited)
-
-        binders = [m for name, m in sys.modules.items()
-                   if name.startswith("safeindex") and getattr(m, "forest_votes", None) is forest_votes]
-        assert safeindex.forest in binders
-        for module in binders:
-            monkeypatch.setattr(module, "forest_votes", counting)
-        assert main(["eval", "--lexicons", LEXICON_MANIFEST, "--corpus",
-                     str(workspace["eval_manifest"]), "--model", str(workspace["model"])]) == 0
-        assert len(calls) == 40
+    @pytest.mark.parametrize("command", [["eval"], ["eval", "--full-pipeline"], ["filter"]],
+                             ids=["eval", "eval --full-pipeline", "filter"])
+    def test_walks_each_scored_page_once(self, workspace, tmp_path, monkeypatch, command):
+        """eval walks every labeled page once, for its verdict and its
+        attribute usage alike; filter walks only the pages that reach the
+        forest stage."""
+        calls = count_forest_votes(monkeypatch)
+        report = tmp_path / "report.json"
+        index = ["--index", str(tmp_path / "index.txt")] if command[0] == "filter" else []
+        assert main([*command, *index, "--lexicons", LEXICON_MANIFEST, "--corpus",
+                     str(workspace["eval_manifest"]), "--model", str(workspace["model"]),
+                     "--report", str(report)]) == 0
+        if command[0] == "filter":
+            stages = json.loads(report.read_text(encoding="utf-8"))
+            assert len(calls) == stages["forest_adult"] + stages["forest_safe"]
+        else:
+            assert len(calls) == 40
 
 
 class TestMalformedInputs:

@@ -238,6 +238,21 @@ class TestLoadLexiconSet:
         with pytest.raises(ConfigError, match="JSON object"):
             load_lexicon_set(path)
 
+    def test_not_an_object_error_names_the_manifest(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_lexicon_set(path)
+        assert str(info.value) == (
+            f"lexicon manifest {path} must be a JSON object mapping name to path"
+        )
+
+    def test_missing_entry_error_names_the_manifest(self, tmp_path):
+        path = self._write_manifest(tmp_path, {name: ["alpha"] for name in CONTENT_LEXICON_NAMES})
+        with pytest.raises(ConfigError) as info:
+            load_lexicon_set(path)
+        assert str(info.value) == f"lexicon manifest {path} is missing entry 'in-url'"
+
 
 class TestShippedLexicons:
     def test_cardinalities_match_reference(self, lexicons):
