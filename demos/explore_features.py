@@ -9,9 +9,9 @@ lexicons = default_lexicon_set()
 
 # Grab a few real terms from the bundled synthetic lexicons so the adult
 # page actually lights up the corresponding attributes.
-tags = sorted(lexicons.content("tags-en").terms)[:6]
-categories = sorted(lexicons.content("categories-en").terms)[:4]
-url_term = sorted(lexicons.url_terms.terms)[0]
+tags = sorted(lexicons.content["tags-en"])[:6]
+categories = sorted(lexicons.content["categories-en"])[:4]
+url_term = sorted(lexicons.url_terms)[0]
 
 adult_html = "<p>{}</p>{}".format(
     " ".join(tags + categories + ["and", "some", "filler", "words"]),

@@ -30,13 +30,10 @@ from .forest import (
 )
 from .lexicon import (
     CONTENT_LEXICON_NAMES,
-    Lexicon,
     LexiconSet,
     default_lexicon_set,
-    load_lexicon,
     load_lexicon_set,
     normalize_term,
-    parse_lexicon,
 )
 from .page import (
     ADULT,

@@ -3,19 +3,20 @@
 Layout: in_url, in_ndd, nbr_img, then nb_X / ratio_X / prop_X for each of
 the eleven content lexicons in canonical order.
 
-URL attributes use raw substring matching (URLs have no token
-boundaries).  The content attributes of all eleven lists come from one
-scan of the token stream through the lexicon set's matcher, which
-indexes the terms of every list and the disclaimer phrases together;
-multi-word terms match as contiguous token sequences.  The vector also
-carries whether that scan found a disclaimer phrase.
+URL attributes use raw substring matching of the URL terms as written
+(URLs have no token boundaries).  The content attributes of all eleven
+lists come from one scan of the token stream through the lexicon set's
+matcher, which indexes the terms of every list and the disclaimer
+phrases together; their terms were split into words by the page's rule
+when loaded, and multi-word terms match as contiguous token sequences.
+The vector also carries whether that scan found a disclaimer phrase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lexicon import CONTENT_LEXICON_NAMES, Lexicon, LexiconSet
+from .lexicon import CONTENT_LEXICON_NAMES, LexiconSet
 from .page import Page
 
 
@@ -54,9 +55,9 @@ class FeatureVector:
         return dict(zip(ATTRIBUTE_NAMES, self.values))
 
 
-def substring_hits(haystack: str, lexicon: Lexicon) -> int:
-    """Distinct lexicon terms occurring as substrings of the haystack."""
-    return sum(1 for term in lexicon.terms if term in haystack)
+def substring_hits(haystack: str, terms: frozenset[str]) -> int:
+    """Distinct terms occurring as substrings of the haystack."""
+    return sum(1 for term in terms if term in haystack)
 
 
 def extract_features(page: Page, lexicons: LexiconSet) -> FeatureVector:
@@ -67,11 +68,10 @@ def extract_features(page: Page, lexicons: LexiconSet) -> FeatureVector:
         float(substring_hits(page.url.registrable_domain, lexicons.url_terms)),
         float(page.image_count),
     ]
-    content = [lexicons.content(name) for name in CONTENT_LEXICON_NAMES]
     *scans, (disclaimer_hits, _, _) = lexicons.matcher.scan(page.tokens)
-    for lexicon, (total, distinct, covered) in zip(content, scans):
+    for name, (total, distinct, covered) in zip(CONTENT_LEXICON_NAMES, scans):
         values.append(float(total))
-        values.append(distinct / lexicon.term_count)
+        values.append(distinct / len(lexicons.content[name]))
         values.append(covered / len(page.tokens) if page.tokens else 0.0)
     return FeatureVector(tuple(values), disclaimer_hits > 0)
 

@@ -1,4 +1,4 @@
-"""Named term lists and the set of lists the feature extractor runs against.
+"""Term lists and the set of lists the feature extractor runs against.
 
 A lexicon file is plain UTF-8 text, one term per line; blank lines and
 lines starting with '#' are ignored.  A manifest is a JSON object mapping
@@ -6,6 +6,11 @@ list names to file paths (relative to the manifest); the reserved names
 ``in-url`` and ``disclaimer`` point at the URL term list and the
 disclaimer phrase list, and any other name but the eleven content lists
 is an error.
+
+Every list is a frozenset of normalized terms.  The eleven content lists
+and the disclaimer phrases are matched against a page's tokens, so their
+terms are split into words by the page's own rule, page.tokenize; the
+URL terms are matched as substrings and keep their spelling.
 
 A LexiconSet owns the one index of its lists: a TermMatcher over the
 eleven content lists and, as list 12, the disclaimer phrases, built on
@@ -15,7 +20,7 @@ first use and kept for the life of the set.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
 from pathlib import Path
@@ -23,6 +28,7 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigError, LexiconError
 from .fileio import parse_json, read_input
+from .page import tokenize
 
 # The eleven content lists the feature extractor requires, in the fixed
 # order used everywhere (feature columns, CSV dumps, model files).
@@ -72,22 +78,6 @@ def normalize_term(raw: str) -> str:
     if not term:
         raise LexiconError("blank term")
     return term
-
-
-@dataclass(frozen=True)
-class Lexicon:
-    """An immutable named set of normalized terms."""
-
-    name: str
-    terms: frozenset[str]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise LexiconError(f"empty lexicon: {self.name!r}")
-
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
 
 
 class TermMatcher:
@@ -166,62 +156,71 @@ class TermMatcher:
         return list(zip(totals, distinct, covered))
 
 
-def parse_terms(source: str) -> tuple[str, ...]:
-    """Normalized terms of line-oriented text, in first-seen order.
+def parse_terms(source: str) -> frozenset[str]:
+    """The normalized terms of line-oriented text.
 
     Empty lines and '#' comments are skipped; duplicates after
     normalization are merged silently.
     """
-    terms = []
+    terms = set()
     for line in source.splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            terms.append(normalize_term(stripped))
-    return tuple(dict.fromkeys(terms))
+            terms.add(normalize_term(stripped))
+    return frozenset(terms)
 
 
-def parse_lexicon(name: str, source: str) -> Lexicon:
-    """Build a Lexicon from line-oriented text; see parse_terms()."""
-    return Lexicon(name, frozenset(parse_terms(source)))
+def split_as_page(terms: frozenset[str], path: Path) -> frozenset[str]:
+    """The terms split into words by the page's own rule, page.tokenize,
+    so that a term matches the text it is spelled as.
 
-
-def load_lexicon(name: str, path: str | Path) -> Lexicon:
-    return parse_lexicon(name, read_input(path, "lexicon file"))
+    A list whose terms are all alphanumeric words (str.isalnum is the
+    regex class \\w without '_') is split so already; only a list holding
+    another character pays for tokenize.  Raises LexiconError, naming the
+    file, for a term that holds no word.
+    """
+    if "".join(terms).replace(" ", "").isalnum():
+        return terms
+    split = []
+    for term in sorted(terms):  # so the error names the same term every run
+        words = tokenize(term)
+        if not words:
+            raise LexiconError(f"lexicon file {path}: term {term!r} holds no word")
+        split.append(" ".join(words))
+    return frozenset(split)
 
 
 @dataclass(frozen=True)
 class LexiconSet:
-    """All term lists needed for one extraction configuration.
+    """All term lists needed for one extraction configuration, each a
+    frozenset of normalized terms.
 
-    Exactly the eleven canonical content lexicons must be present; the
-    URL term list, which like every Lexicon holds at least one term, and
-    the disclaimer phrases, which may be empty, ride along.  `matcher`
-    indexes the content lists and the phrases together.
+    `content` holds exactly the eleven canonical content lists; each of
+    them and `url_terms` holds at least one term, while the disclaimer
+    phrases may be empty.  `matcher` indexes the content lists and the
+    phrases together.
     """
 
-    lexicons: dict[str, Lexicon]
-    url_terms: Lexicon
-    disclaimer_phrases: tuple[str, ...] = field(default_factory=tuple)
+    content: dict[str, frozenset[str]]
+    url_terms: frozenset[str]
+    disclaimer_phrases: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        missing = [n for n in CONTENT_LEXICON_NAMES if n not in self.lexicons]
+        missing = [n for n in CONTENT_LEXICON_NAMES if n not in self.content]
         if missing:
             raise ConfigError(f"missing content lexicons: {', '.join(missing)}")
-        extra = [n for n in self.lexicons if n not in CONTENT_LEXICON_NAMES]
+        extra = [n for n in self.content if n not in CONTENT_LEXICON_NAMES]
         if extra:
             raise ConfigError(f"unknown content lexicons: {', '.join(extra)}")
-
-    def content(self, name: str) -> Lexicon:
-        try:
-            return self.lexicons[name]
-        except KeyError:
-            raise ConfigError(f"missing content lexicon: {name!r}") from None
+        for name, terms in (*self.content.items(), (URL_LIST_NAME, self.url_terms)):
+            if not terms:
+                raise LexiconError(f"empty lexicon: {name!r}")
 
     @cached_property
     def matcher(self) -> TermMatcher:
         """The content lists in CONTENT_LEXICON_NAMES order, then the
         disclaimer phrases as the last list."""
-        content = [self.lexicons[n].terms for n in CONTENT_LEXICON_NAMES]
+        content = [self.content[n] for n in CONTENT_LEXICON_NAMES]
         return TermMatcher(content + [self.disclaimer_phrases])
 
 
@@ -238,21 +237,21 @@ def load_lexicon_set(manifest_path: str | Path) -> LexiconSet:
 
     base = manifest_path.parent
 
-    def resolve(name: str) -> Path:
-        try:
-            return base / manifest[name]
-        except KeyError:
-            raise ConfigError(f"{what} is missing entry {name!r}") from None
+    def load(name: str) -> frozenset[str]:
+        if name not in manifest:
+            raise ConfigError(f"{what} is missing entry {name!r}")
+        path = base / manifest[name]
+        terms = parse_terms(read_input(path, "lexicon file"))
+        if not terms and name != DISCLAIMER_LIST_NAME:
+            raise LexiconError(f"lexicon file {path} holds no term")
+        # URL terms are matched as substrings, so they keep their spelling
+        return terms if name == URL_LIST_NAME else split_as_page(terms, path)
 
-    lexicons = {
-        name: load_lexicon(name, resolve(name)) for name in CONTENT_LEXICON_NAMES
-    }
-    url_terms = load_lexicon(URL_LIST_NAME, resolve(URL_LIST_NAME))
+    content = {name: load(name) for name in CONTENT_LEXICON_NAMES}
+    url_terms = load(URL_LIST_NAME)
     if DISCLAIMER_LIST_NAME in manifest:
-        disclaimer = parse_terms(read_input(resolve(DISCLAIMER_LIST_NAME), "lexicon file"))
-    else:
-        disclaimer = ()
-    return LexiconSet(lexicons, url_terms, disclaimer)
+        return LexiconSet(content, url_terms, load(DISCLAIMER_LIST_NAME))
+    return LexiconSet(content, url_terms)
 
 
 def default_lexicon_set() -> LexiconSet:

@@ -210,8 +210,8 @@ def generate_corpus(
 
     rng = np.random.default_rng(seed)
     terms, forbidden, url_terms = _vocabulary(
-        tuple(lexicons.content(name).terms for name in CONTENT_LEXICON_NAMES),
-        lexicons.url_terms.terms,
+        tuple(lexicons.content[name] for name in CONTENT_LEXICON_NAMES),
+        lexicons.url_terms,
     )
     # the pool depends on the seed, so only its forbidden words are cached;
     # the copy keeps the cached set intact

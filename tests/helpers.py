@@ -16,7 +16,7 @@ import numpy as np
 
 import safeindex.forest
 import safeindex.page
-from safeindex import ADULT, SAFE, FeatureVector, Lexicon, LexiconSet
+from safeindex import ADULT, SAFE, FeatureVector, LexiconSet
 from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import (
     Forest,
@@ -41,11 +41,11 @@ def make_lexicon_set(
 ) -> LexiconSet:
     """A LexiconSet with one placeholder term per list unless overridden."""
     overrides = overrides or {}
-    lexicons = {}
-    for name in CONTENT_LEXICON_NAMES:
-        terms = overrides.get(name, {f"placeholder-{name}"})
-        lexicons[name] = Lexicon(name, frozenset(terms))
-    return LexiconSet(lexicons, Lexicon("in-url", frozenset(url_terms)), disclaimer)
+    content = {
+        name: frozenset(overrides.get(name, {f"placeholder-{name}"}))
+        for name in CONTENT_LEXICON_NAMES
+    }
+    return LexiconSet(content, frozenset(url_terms), frozenset(disclaimer))
 
 
 def count_extract_text(monkeypatch) -> list[str]:
@@ -147,10 +147,10 @@ def vote_forest(adult_votes: int, total: int, vote_threshold: float = 0.5) -> Fo
 # oracle: token/phrase matching over a token stream
 
 
-def oracle_matches(tokens, lexicon):
+def oracle_matches(tokens, terms):
     """Every (term, start) match by brute force over all start positions."""
     hits = []
-    for term in lexicon.terms:
+    for term in terms:
         parts = term.split(" ")
         for start in range(len(tokens) - len(parts) + 1):
             if list(tokens[start:start + len(parts)]) == parts:
@@ -164,7 +164,7 @@ def oracle_scan(tokens, term_lists):
     An empty list matches nothing."""
     results = []
     for terms in term_lists:
-        matches = oracle_matches(tokens, Lexicon("oracle", frozenset(terms))) if terms else []
+        matches = oracle_matches(tokens, terms)
         covered = {
             position
             for term, start in matches
@@ -174,20 +174,20 @@ def oracle_scan(tokens, term_lists):
     return results
 
 
-def oracle_nb(tokens, lexicon):
-    return len(oracle_matches(tokens, lexicon))
+def oracle_nb(tokens, terms):
+    return len(oracle_matches(tokens, terms))
 
 
-def oracle_ratio(tokens, lexicon):
-    present = {term for term, _ in oracle_matches(tokens, lexicon)}
-    return len(present) / lexicon.term_count
+def oracle_ratio(tokens, terms):
+    present = {term for term, _ in oracle_matches(tokens, terms)}
+    return len(present) / len(terms)
 
 
-def oracle_prop(tokens, lexicon):
+def oracle_prop(tokens, terms):
     if not tokens:
         return 0.0
     covered = set()
-    for term, start in oracle_matches(tokens, lexicon):
+    for term, start in oracle_matches(tokens, terms):
         covered.update(range(start, start + len(term.split(" "))))
     return len(covered) / len(tokens)
 
@@ -196,7 +196,7 @@ def oracle_features(page, lexicons) -> list[float]:
     """All 36 attributes computed with the naive matchers above."""
 
     def url_hits(haystack):
-        return sum(1 for t in lexicons.url_terms.terms if t in haystack)
+        return sum(1 for t in lexicons.url_terms if t in haystack)
 
     values = [
         float(url_hits(page.url.full_url)),
@@ -204,10 +204,10 @@ def oracle_features(page, lexicons) -> list[float]:
         float(page.image_count),
     ]
     for name in CONTENT_LEXICON_NAMES:
-        lexicon = lexicons.content(name)
-        values.append(float(oracle_nb(page.tokens, lexicon)))
-        values.append(oracle_ratio(page.tokens, lexicon))
-        values.append(oracle_prop(page.tokens, lexicon))
+        terms = lexicons.content[name]
+        values.append(float(oracle_nb(page.tokens, terms)))
+        values.append(oracle_ratio(page.tokens, terms))
+        values.append(oracle_prop(page.tokens, terms))
     return values
 
 
@@ -445,14 +445,14 @@ def loop_generate_corpus(
     equal pages."""
     rng = np.random.default_rng(seed)
     terms = {
-        name: sorted(lexicons.content(name).terms) for name in CONTENT_LEXICON_NAMES
+        name: sorted(lexicons.content[name]) for name in CONTENT_LEXICON_NAMES
     }
-    forbidden = set(lexicons.url_terms.terms)
+    forbidden = set(lexicons.url_terms)
     for name in CONTENT_LEXICON_NAMES:
-        for term in lexicons.content(name).terms:
+        for term in lexicons.content[name]:
             forbidden.update(term.split(" "))
     neutral = _loop_unique_words(rng, 900, set(forbidden))
-    url_terms = sorted(lexicons.url_terms.terms)
+    url_terms = sorted(lexicons.url_terms)
 
     def safe_domain():
         while True:

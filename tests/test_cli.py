@@ -1169,6 +1169,47 @@ class TestInputReader:
         assert not index.exists()
 
 
+class TestLexiconLists:
+    """A list file is checked against the page's word rule as it is loaded."""
+
+    @staticmethod
+    def _filter(tmp_path, lists, html):
+        """Run filter on one adult page with the bundled lists, `lists`
+        (name -> file text) replacing some of them; return the exit code."""
+        entries = bundled_lexicon_entries()
+        for name, text in lists.items():
+            entries[name] = str(tmp_path / f"{name}.txt")
+            Path(entries[name]).write_text(text, encoding="utf-8")
+        lex_manifest = tmp_path / "lexicons.json"
+        lex_manifest.write_text(json.dumps(entries), encoding="utf-8")
+        (tmp_path / "p.html").write_text(html, encoding="utf-8")
+        corpus = tmp_path / "manifest.csv"
+        corpus.write_text("path,url,label\np.html,http://a.com/x,adult\n", encoding="utf-8")
+        model = Path(__file__).resolve().parent / "golden" / "cli" / "train.model.json"
+        return main(["filter", "--lexicons", str(lex_manifest), "--corpus", str(corpus),
+                     "--model", str(model), "--index", str(tmp_path / "index.txt")])
+
+    @pytest.mark.parametrize("text", ["", "# no term here\n\n"], ids=["empty", "comments"])
+    @pytest.mark.parametrize("name", ["tags-fr", "in-url"])
+    def test_empty_list_file_names_its_path(self, tmp_path, capsys, name, text):
+        code = self._filter(tmp_path, {name: text}, "<p>hello</p>")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: lexicon file {tmp_path / f'{name}.txt'} holds no term\n"
+        assert not (tmp_path / "index.txt").exists()
+
+    def test_disclaimer_phrase_follows_the_word_rule(self, tmp_path, capsys):
+        """'18+' is the token '18' on a page, so the phrase must be too."""
+        code = self._filter(
+            tmp_path, {"disclaimer": "you must be 18+\n"}, "<p>You must be 18+ to enter</p>"
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out[: out.rindex("}") + 1])["disclaimer"] == 1
+        assert out.endswith("0 pages indexed\n")
+        assert (tmp_path / "index.txt").read_text(encoding="utf-8") == ""
+
+
 def _run_on_written_inputs(workspace, root, encode):
     """Write every input (config file, lexicon manifest and lists, corpus
     manifest and pages, model, blacklist) under root as encode(text), run

@@ -8,7 +8,6 @@ from safeindex import (
     ATTRIBUTE_NAMES,
     CONTENT_LEXICON_NAMES,
     FeatureVector,
-    Lexicon,
     Page,
     extract_features,
     load_lexicon_set,
@@ -72,24 +71,21 @@ class TestAttributeLayout:
 
 class TestSubstringHits:
     def test_counts_distinct_terms(self):
-        lex = Lexicon("in-url", frozenset({"porn", "sex", "tube"}))
-        assert substring_hits("http://hotsextube.com/sex", lex) == 2
+        terms = frozenset({"porn", "sex", "tube"})
+        assert substring_hits("http://hotsextube.com/sex", terms) == 2
 
     def test_no_hits(self):
-        lex = Lexicon("in-url", frozenset({"porn"}))
-        assert substring_hits("http://example.com/", lex) == 0
+        assert substring_hits("http://example.com/", frozenset({"porn"})) == 0
 
 
-def metrics(tokens, lexicon):
+def metrics(tokens, terms):
     """(nb, ratio, prop) of one list, from a matcher over that list alone."""
-    total, distinct, covered = TermMatcher([lexicon.terms]).scan(tokens)[0]
-    return total, distinct / lexicon.term_count, covered / len(tokens) if tokens else 0.0
+    total, distinct, covered = TermMatcher([terms]).scan(tokens)[0]
+    return total, distinct / len(terms), covered / len(tokens) if tokens else 0.0
 
 
 class TestTokenMetrics:
-    LEX = Lexicon(
-        "x", frozenset({"hot", "teen", "hot teen", "mia vex", "teen hot teen"})
-    )
+    LEX = frozenset({"hot", "teen", "hot teen", "mia vex", "teen hot teen"})
 
     def test_nb_counts_multiplicity_and_overlaps(self):
         tokens = ("hot", "teen", "hot", "teen")
@@ -127,14 +123,14 @@ class TestTokenMetrics:
 
     @given(st.lists(WORDS, max_size=20), st.randoms(use_true_random=False))
     def test_ratio_is_order_invariant(self, tokens, rnd):
-        lex = Lexicon("singles", frozenset({"hot", "teen", "mia"}))
+        lex = frozenset({"hot", "teen", "mia"})
         shuffled = list(tokens)
         rnd.shuffle(shuffled)
         assert metrics(tuple(tokens), lex)[1] == metrics(tuple(shuffled), lex)[1]
 
     @given(st.lists(WORDS, min_size=1, max_size=20).map(tuple))
     def test_duplication_doubles_nb_for_single_word_terms(self, tokens):
-        lex = Lexicon("singles", frozenset({"hot", "teen", "mia"}))
+        lex = frozenset({"hot", "teen", "mia"})
         assert metrics(tokens + tokens, lex)[0] == 2 * metrics(tokens, lex)[0]
 
 
@@ -169,9 +165,9 @@ class TestExtractFeatures:
         """A stale or shared index would score one set's page with another
         set's lists."""
         other = load_lexicon_set(write_lexicon_files(tmp_path, seed=99))
-        tags_fr = Lexicon("tags-fr", frozenset({"chaud", "tres chaud", "plain"}))
+        tags_fr = frozenset({"chaud", "tres chaud", "plain"})
         variant = dataclasses.replace(
-            lexicons, lexicons={**lexicons.lexicons, "tags-fr": tags_fr}
+            lexicons, content={**lexicons.content, "tags-fr": tags_fr}
         )
         sets = (lexicons, other, variant)
         pages = []
@@ -179,7 +175,7 @@ class TestExtractFeatures:
             terms = [
                 term
                 for name in ("tags-fr", "pornstars", "queries")
-                for term in sorted(lex.content(name).terms)[:3]
+                for term in sorted(lex.content[name])[:3]
             ]
             tokens = tuple(" ".join(["plain", *terms, "tres", "chaud"]).split(" "))
             pages.append(Page(parse_url("http://a.example.com/"), tokens, 0))

@@ -1,4 +1,5 @@
 import dataclasses
+import html
 import json
 
 import pytest
@@ -8,15 +9,14 @@ from hypothesis import strategies as st
 from safeindex import (
     CONTENT_LEXICON_NAMES,
     ConfigError,
-    Lexicon,
     LexiconError,
     LexiconSet,
-    load_lexicon,
+    extract_features,
     load_lexicon_set,
     normalize_term,
-    parse_lexicon,
+    page_from_html,
 )
-from safeindex.lexicon import REFERENCE_SIZES, TermMatcher
+from safeindex.lexicon import REFERENCE_SIZES, TermMatcher, parse_terms
 
 from helpers import make_lexicon_set, oracle_scan
 
@@ -26,6 +26,9 @@ _VOCAB = ("a", "b", "c")
 _TERMS = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=3).map(" ".join)
 _TERM_LISTS = st.lists(st.sets(_TERMS, min_size=1, max_size=6), min_size=1, max_size=4)
 _STREAMS = st.lists(st.sampled_from(_VOCAB + ("z",)), max_size=25).map(tuple)
+# Words of mixed case and script, and what may stand between them in a term
+_WORDS = st.text(st.characters(categories=("Lu", "Ll", "Nd")), min_size=1, max_size=5)
+_JOINERS = st.sampled_from([" ", "  ", "+", ", ", "_", ".", "&", "<", "/", "-", "'", " + "])
 
 
 class TestNormalizeTerm:
@@ -40,62 +43,35 @@ class TestNormalizeTerm:
             normalize_term("   \t ")
 
 
-class TestParseLexicon:
+class TestParseTerms:
     def test_skips_blanks_and_comments(self):
-        lex = parse_lexicon("x", "alpha\n\n# comment\nbeta\n  # indented\n")
-        assert lex.terms == frozenset({"alpha", "beta"})
+        assert parse_terms("alpha\n\n# comment\nbeta\n  # indented\n") == {"alpha", "beta"}
 
     def test_merges_duplicates_after_normalization(self):
-        lex = parse_lexicon("x", "Alpha\nalpha\nALPHA  \n")
-        assert lex.terms == frozenset({"alpha"})
-
-    def test_empty_source_raises(self):
-        with pytest.raises(LexiconError):
-            parse_lexicon("x", "# only a comment\n\n")
-
-    def test_empty_lexicon_constructor_raises(self):
-        with pytest.raises(LexiconError):
-            Lexicon("x", frozenset())
-
-    def test_term_count(self):
-        assert parse_lexicon("x", "a\nb\nc\n").term_count == 3
-
-
-class TestLoadLexicon:
-    def test_reads_file(self, tmp_path):
-        p = tmp_path / "words.txt"
-        p.write_text("one\ntwo\n", encoding="utf-8")
-        assert load_lexicon("words", p).terms == frozenset({"one", "two"})
-
-    def test_non_utf8_raises(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_bytes(b"\xff\xfe\x00bad")
-        with pytest.raises(ConfigError, match="UTF-8"):
-            load_lexicon("bad", p)
+        assert parse_terms("Alpha\nalpha\nALPHA  \n") == {"alpha"}
 
 
 class TestLexiconSet:
     def test_requires_all_content_lexicons(self):
-        lexicons = {
-            name: Lexicon(name, frozenset({"t"}))
-            for name in CONTENT_LEXICON_NAMES[:-1]
-        }
+        content = {name: frozenset({"t"}) for name in CONTENT_LEXICON_NAMES[:-1]}
         with pytest.raises(ConfigError, match="missing content lexicons"):
-            LexiconSet(lexicons, Lexicon("in-url", frozenset({"porn"})))
+            LexiconSet(content, frozenset({"porn"}))
 
     def test_rejects_unknown_names(self):
-        lexicons = {
-            name: Lexicon(name, frozenset({"t"})) for name in CONTENT_LEXICON_NAMES
-        }
-        lexicons["mystery"] = Lexicon("mystery", frozenset({"t"}))
+        content = {name: frozenset({"t"}) for name in CONTENT_LEXICON_NAMES}
+        content["mystery"] = frozenset({"t"})
         with pytest.raises(ConfigError, match="unknown content lexicons"):
-            LexiconSet(lexicons, Lexicon("in-url", frozenset({"porn"})))
+            LexiconSet(content, frozenset({"porn"}))
 
-    def test_content_lookup(self):
-        lexicons = make_lexicon_set()
-        assert lexicons.content("tags-en").name == "tags-en"
-        with pytest.raises(ConfigError):
-            lexicons.content("not-a-list")
+    @pytest.mark.parametrize(
+        "name, lists",
+        [("tags-fr", {"overrides": {"tags-fr": ()}}), ("in-url", {"url_terms": ()})],
+        ids=["tags-fr", "in-url"],
+    )
+    def test_empty_list_raises(self, name, lists):
+        with pytest.raises(LexiconError) as info:
+            make_lexicon_set(**lists)
+        assert str(info.value) == f"empty lexicon: {name!r}"
 
     def test_matchers_are_built_once(self):
         lexicons = make_lexicon_set()
@@ -121,7 +97,7 @@ def content_sample(lexicons):
     return sorted(
         term
         for name in CONTENT_LEXICON_NAMES
-        for term in sorted(lexicons.content(name).terms)[:5]
+        for term in sorted(lexicons.content[name])[:5]
     )
 
 
@@ -153,7 +129,7 @@ class TestTermMatcher:
 
     @given(st.data())
     def test_folded_index_matches_oracle(self, lexicons, content_sample, data):
-        phrases = lexicons.disclaimer_phrases
+        phrases = sorted(lexicons.disclaimer_phrases)
         words = sorted({word for phrase in phrases for word in phrase.split(" ")})
         pieces = st.one_of(
             st.sampled_from(phrases),
@@ -166,7 +142,7 @@ class TestTermMatcher:
             # a term with a word the stream lacks cannot match, so leaving
             # it out changes no count and keeps the oracle fast
             content = [
-                {t for t in lexicons.content(name).terms if set(stream).issuperset(t.split(" "))}
+                {t for t in lexicons.content[name] if set(stream).issuperset(t.split(" "))}
                 for name in CONTENT_LEXICON_NAMES
             ]
             *scans, disclaimer = lexicons.matcher.scan(stream)
@@ -190,9 +166,9 @@ class TestLoadLexiconSet:
         entries["in-url"] = ["porn"]
         entries["disclaimer"] = ["you must be 18", "# skip", "adults only"]
         lexicons = load_lexicon_set(self._write_manifest(tmp_path, entries))
-        assert lexicons.url_terms.terms == frozenset({"porn"})
-        assert lexicons.disclaimer_phrases == ("you must be 18", "adults only")
-        assert lexicons.content("queries").terms == frozenset({"alpha", "beta"})
+        assert lexicons.url_terms == frozenset({"porn"})
+        assert lexicons.disclaimer_phrases == frozenset({"you must be 18", "adults only"})
+        assert lexicons.content["queries"] == frozenset({"alpha", "beta"})
         # the matcher waits for the first scan
         assert "matcher" not in vars(lexicons)
 
@@ -200,7 +176,49 @@ class TestLoadLexiconSet:
         entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}
         entries["in-url"] = ["porn"]
         lexicons = load_lexicon_set(self._write_manifest(tmp_path, entries))
-        assert lexicons.disclaimer_phrases == ()
+        assert lexicons.disclaimer_phrases == frozenset()
+
+    def test_token_lists_follow_the_page_word_rule(self, tmp_path):
+        entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}
+        entries["tags-en"] = ["Hot_Babe", "x+y", "18+", "18", "x-rated"]
+        entries["in-url"] = ["sex+cam", "Porn"]
+        entries["disclaimer"] = ["You must be 18+", "you  must be 18"]
+        lexicons = load_lexicon_set(self._write_manifest(tmp_path, entries))
+        assert lexicons.content["tags-en"] == frozenset({"hot babe", "x y", "18", "x-rated"})
+        # matched as substrings, so kept as written but for case and spaces
+        assert lexicons.url_terms == frozenset({"sex+cam", "porn"})
+        assert lexicons.disclaimer_phrases == frozenset({"you must be 18"})
+
+    def test_term_with_no_word_raises(self, tmp_path):
+        entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}
+        entries["in-url"] = ["+++"]
+        entries["queries"] = ["alpha", "+++"]
+        with pytest.raises(LexiconError) as info:
+            load_lexicon_set(self._write_manifest(tmp_path, entries))
+        assert str(info.value) == f"lexicon file {tmp_path / 'queries.txt'}: term '+++' holds no word"
+
+    def test_disclaimer_file_may_hold_no_phrase(self, tmp_path):
+        entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}
+        entries["in-url"] = ["porn"]
+        entries["disclaimer"] = ["# none yet"]
+        lexicons = load_lexicon_set(self._write_manifest(tmp_path, entries))
+        assert lexicons.disclaimer_phrases == frozenset()
+
+    @given(
+        st.sampled_from(CONTENT_LEXICON_NAMES + ("disclaimer",)),
+        st.lists(_WORDS, min_size=1, max_size=4),
+        st.data(),
+    )
+    def test_loaded_term_matches_the_page_it_spells(self, tmp_path_factory, name, words, data):
+        """A term loaded from its file is found on a page whose whole text
+        is that term, however its words are joined or cased."""
+        term = words[0] + "".join(data.draw(_JOINERS) + word for word in words[1:])
+        entries = {n: ["alpha"] for n in CONTENT_LEXICON_NAMES}
+        entries.update({"in-url": ["porn"], name: [term]})
+        manifest = self._write_manifest(tmp_path_factory.mktemp("lists"), entries)
+        page = page_from_html("http://a.example.com/", f"<p>{html.escape(term)}</p>")
+        fv = extract_features(page, load_lexicon_set(manifest))
+        assert fv.disclaimer if name == "disclaimer" else fv[f"nb_{name}"] >= 1
 
     def test_non_utf8_disclaimer_raises(self, tmp_path):
         entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}
@@ -257,18 +275,18 @@ class TestLoadLexiconSet:
 class TestShippedLexicons:
     def test_cardinalities_match_reference(self, lexicons):
         for name in CONTENT_LEXICON_NAMES:
-            assert lexicons.content(name).term_count == REFERENCE_SIZES[name]
-        assert lexicons.url_terms.term_count == REFERENCE_SIZES["in-url"]
+            assert len(lexicons.content[name]) == REFERENCE_SIZES[name]
+        assert len(lexicons.url_terms) == REFERENCE_SIZES["in-url"]
 
     def test_disclaimer_phrases_present(self, lexicons):
         assert len(lexicons.disclaimer_phrases) >= 1
 
     def test_pornstars_are_two_word_names(self, lexicons):
         assert all(
-            len(t.split(" ")) == 2 for t in lexicons.content("pornstars").terms
+            len(t.split(" ")) == 2 for t in lexicons.content["pornstars"]
         )
 
     def test_queries_are_phrases(self, lexicons):
         assert all(
-            len(t.split(" ")) >= 2 for t in lexicons.content("queries").terms
+            len(t.split(" ")) >= 2 for t in lexicons.content["queries"]
         )

@@ -24,8 +24,8 @@ class TestLexiconGeneration:
         manifest = write_lexicon_files(tmp_path, seed=99)
         lexicons = load_lexicon_set(manifest)
         for name in CONTENT_LEXICON_NAMES:
-            assert lexicons.content(name).term_count == REFERENCE_SIZES[name]
-        assert lexicons.url_terms.term_count == REFERENCE_SIZES["in-url"]
+            assert len(lexicons.content[name]) == REFERENCE_SIZES[name]
+        assert len(lexicons.url_terms) == REFERENCE_SIZES["in-url"]
         assert lexicons.disclaimer_phrases
 
     def test_deterministic(self):
@@ -116,15 +116,15 @@ class TestVocabularyCache:
     @staticmethod
     def _key(lexicons):
         return (
-            tuple(lexicons.content(name).terms for name in CONTENT_LEXICON_NAMES),
-            lexicons.url_terms.terms,
+            tuple(lexicons.content[name] for name in CONTENT_LEXICON_NAMES),
+            lexicons.url_terms,
         )
 
     def test_alternating_lexicon_sets(self, lexicons, tmp_path):
         other = load_lexicon_set(write_lexicon_files(tmp_path, seed=99))
         # sets that differ from the bundled one in a single list catch a
         # cache keyed on only some of the lists
-        one_list = replace(lexicons, lexicons={**lexicons.lexicons, "tags-fr": other.content("tags-fr")})
+        one_list = replace(lexicons, content={**lexicons.content, "tags-fr": other.content["tags-fr"]})
         url_only = replace(lexicons, url_terms=other.url_terms)
         for seed, lex in enumerate([lexicons, other, one_list, lexicons, url_only, other, one_list]):
             assert generate_corpus(lex, 12, 6, seed=seed % 2, overlap=0.3) == loop_generate_corpus(
