@@ -12,8 +12,15 @@ votes adult.  Both are derived fields outside equality, hashing, `repr` and
 the model JSON, so `forest_votes` reads a value and a vote per node without
 a name lookup or a label compare.
 
-numpy is imported inside the three training functions that use it
-(`best_split`, `_entropies`, `train_forest`), not at module load: loading,
+Training sorts its rows once.  The rows never change across boosting
+rounds, only their weights, so `train_forest` takes one stable argsort per
+attribute, and each node hands its children that order filtered by the
+split mask (the presorted attribute lists of SLIQ and SPRINT).  Each leaf
+writes its vote for the rows that reach it, so a round gets its tree's
+predictions on the training rows without walking the tree.
+
+numpy is imported inside the training functions that use it (`best_split`,
+`_entropies`, `grow_tree`, `train_forest`), not at module load: loading,
 scoring and printing a model never touch it, and importing numpy would be
 most of the start-up time of a process that only filters.
 """
@@ -168,6 +175,7 @@ def best_split(
     w: np.ndarray,
     attr_names: Sequence[str],
     min_leaf_weight: float,
+    order: np.ndarray | None = None,
 ) -> SplitChoice | None:
     """Highest gain-ratio midpoint split passing the C4.5 mean-gain guard.
 
@@ -176,8 +184,14 @@ def best_split(
     then attribute name, then lower threshold.  Returns None when no
     candidate has positive gain or every split starves a side below
     min_leaf_weight.  A node lighter than 2 * min_leaf_weight returns None
-    before anything is sorted: a side of at least min_leaf_weight leaves
-    the other, computed exactly (Sterbenz), below it.
+    before anything is read in sorted order: a side of at least
+    min_leaf_weight leaves the other, computed exactly (Sterbenz), below it.
+
+    `order` holds, one row per attribute, the indices of X's rows in
+    stable ascending order of that attribute's values:
+    `np.argsort(X.T, axis=1, kind="stable")`.  `grow_tree` passes the
+    order it filtered down from the root, so a trained node sorts
+    nothing; a call without one sorts X here.
 
     Every candidate of every attribute is scored in one pass over arrays,
     with the same operations in the same order as entropy() applied to one
@@ -194,18 +208,19 @@ def best_split(
         return None
     parent = entropy(total_adult, total_safe)
 
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
+    if order is None:
+        order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
     ws = w[order]
-    cw = np.cumsum(ws, axis=0)
-    ca = np.cumsum(np.where(y[order], ws, 0.0), axis=0)
-    # boundaries attribute by attribute, each attribute's in row order
-    col, row = np.nonzero((xs[:-1] < xs[1:]).T)
-    wl = cw[row, col]
+    cw = np.cumsum(ws, axis=1)
+    ca = np.cumsum(np.where(y[order], ws, 0.0), axis=1)
+    # boundaries attribute by attribute, each attribute's in sorted order
+    col, row = np.nonzero(xs[:, :-1] < xs[:, 1:])
+    wl = cw[col, row]
     wr = total - wl
     keep = (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
     col, row, wl, wr = col[keep], row[keep], wl[keep], wr[keep]
-    la = ca[row, col]
+    la = ca[col, row]
     ls = np.maximum(wl - la, 0.0)
     ra = np.maximum(total_adult - la, 0.0)
     rs = np.maximum(total_safe - ls, 0.0)
@@ -224,7 +239,7 @@ def best_split(
     eligible = gain >= mean_gain - 1e-12
     col, row, gain = col[eligible], row[eligible], gain[eligible]
     gain_ratio = gain / _entropies(wl[eligible], wr[eligible])
-    threshold = (xs[row, col] + xs[row + 1, col]) / 2.0
+    threshold = (xs[col, row] + xs[col, row + 1]) / 2.0
     names = np.asarray(attr_names)[col]
     best = np.lexsort((threshold, names, -gain, -gain_ratio))[0]
     return SplitChoice(
@@ -235,44 +250,86 @@ def best_split(
 def _entropies(adult: np.ndarray, safe: np.ndarray) -> np.ndarray:
     """entropy() of every weight pair, elementwise and bit for bit.
 
-    The logs come from math.log2, once per distinct probability: np.log2
-    may use vector code that differs from it in the last bit, which can
-    change a chosen split.  Pairs must have a positive total.
+    Each present probability (weight > 0) gets its log from math.log2:
+    np.log2 may use vector code that differs from it in the last bit,
+    which can change a chosen split.  Pairs must have a positive total.
     """
     import numpy as np
 
     total = adult + safe
     p = np.stack([adult / total, safe / total])
     present = np.stack([adult, safe]) > 0
-    distinct, inverse = np.unique(p[present], return_inverse=True)
-    logs = np.fromiter(map(math.log2, distinct.tolist()), float, len(distinct))
+    kept = p[present]
     terms = np.zeros_like(p)
-    terms[present] = p[present] * logs[inverse]
+    terms[present] = kept * np.fromiter(map(math.log2, kept.tolist()), float, len(kept))
     return (0.0 - terms[0]) - terms[1]
+
+
+def _filter_order(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The entries of `order` where `keep` is True, attribute by attribute.
+
+    `order` holds a node's rows once per attribute, sorted by its values,
+    and `keep` marks the entries of the rows that go to one child, so every
+    attribute keeps the same rows.  A stable partition of a stable order is
+    the stable order of the part: the child's rows come out as a stable
+    argsort of the child alone would order them, with no sort.
+    """
+    return order[keep].reshape(len(order), -1)
 
 
 def grow_tree(
     X: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
+    rows: np.ndarray,
+    order: np.ndarray,
+    pred: np.ndarray,
     config: TrainConfig,
     depth: int = 0,
 ) -> TreeNode:
-    """Recursive induction; stops on purity, no useful split, or max depth."""
-    adult_w = float(w[y].sum())
-    safe_w = float(w.sum()) - adult_w
-    if adult_w <= 0 or safe_w <= 0 or depth >= config.max_depth:
-        return Leaf(leaf_label(adult_w, safe_w, config.fn_cost), (adult_w, safe_w))
-    choice = best_split(X, y, w, ATTRIBUTE_NAMES, config.min_leaf_weight)
+    """Recursive induction; stops on purity, no useful split, or max depth.
+
+    X, y and w hold every training row.  The node's rows are `rows`, their
+    indices in ascending order, and `order` holds the same indices once per
+    attribute, in stable ascending order of that attribute's values.  A
+    child's order is the parent's filtered by the split mask, so no node
+    sorts.  Each leaf writes its vote (True for adult) into `pred` at its
+    rows, so the tree's predictions on the training rows come without a
+    walk.
+    """
+    import numpy as np
+
+    yn, wn = y[rows], w[rows]
+    adult_w = float(wn[yn].sum())
+    safe_w = float(wn.sum()) - adult_w
+    choice = None
+    if adult_w > 0 and safe_w > 0 and depth < config.max_depth:
+        # best_split takes the order in the node's own row numbers; `order`
+        # holds only the node's rows, so no other entry of `number` is read
+        number = np.empty(len(X), dtype=np.intp)
+        number[rows] = np.arange(len(rows))
+        node_order = number[order]
+        choice = best_split(
+            X[rows], yn, wn, ATTRIBUTE_NAMES, config.min_leaf_weight, order=node_order
+        )
     if choice is None:
-        return Leaf(leaf_label(adult_w, safe_w, config.fn_cost), (adult_w, safe_w))
-    j = ATTRIBUTE_NAMES.index(choice.attribute)
-    mask = X[:, j] <= choice.threshold
+        leaf = Leaf(leaf_label(adult_w, safe_w, config.fn_cost), (adult_w, safe_w))
+        pred[rows] = leaf.adult
+        return leaf
+    mask = X[rows, _ATTRIBUTE_INDEX[choice.attribute]] <= choice.threshold
+    left = mask[node_order]
+    # only `order` and `left` stay alive while the subtrees grow, and the
+    # right child's order is made once the left subtree is done
+    del node_order
     return Split(
         choice.attribute,
         choice.threshold,
-        grow_tree(X[mask], y[mask], w[mask], config, depth + 1),
-        grow_tree(X[~mask], y[~mask], w[~mask], config, depth + 1),
+        grow_tree(
+            X, y, w, rows[mask], _filter_order(order, left), pred, config, depth + 1
+        ),
+        grow_tree(
+            X, y, w, rows[~mask], _filter_order(order, ~left), pred, config, depth + 1
+        ),
     )
 
 
@@ -349,6 +406,9 @@ def train_forest(
     if y.all() or not y.any():
         raise TrainingError("degenerate class distribution")
     X = np.array([fv.values for fv in vectors], dtype=float)
+    # the rows never change, only their weights: sorted once, filtered per node
+    order = np.argsort(X.T, axis=1, kind="stable")
+    rows = np.arange(n)
 
     initial = np.where(y, config.fn_cost, 1.0)
     initial *= n / initial.sum()
@@ -360,8 +420,8 @@ def train_forest(
     votes = np.zeros(n, dtype=int)
     restarts = 0
     while len(trees) < config.n_trees:
-        tree = grow_tree(X, y, w, config)
-        pred = np.array([forest_votes((tree,), fv)[0] for fv in vectors])
+        pred = np.empty(n, dtype=bool)
+        tree = grow_tree(X, y, w, rows, order, pred, config)
         wrong = pred != y
         eps = float(w[wrong].sum() / w.sum())
         # a perfect round's tree stands for itself in every remaining round

@@ -10,7 +10,8 @@ is an error.
 Every list is a frozenset of normalized terms.  The eleven content lists
 and the disclaimer phrases are matched against a page's tokens, so their
 terms are split into words by the page's own rule, page.tokenize; the
-URL terms are matched as substrings and keep their spelling.
+URL terms are matched as substrings and keep their spelling, and a URL
+term holding a space is an error, as no well-formed URL holds one.
 
 A LexiconSet owns the one index of its lists: a TermMatcher over the
 eleven content lists and, as list 12, the disclaimer phrases, built on
@@ -244,8 +245,16 @@ def load_lexicon_set(manifest_path: str | Path) -> LexiconSet:
         terms = parse_terms(read_input(path, "lexicon file"))
         if not terms and name != DISCLAIMER_LIST_NAME:
             raise LexiconError(f"lexicon file {path} holds no term")
+        if name != URL_LIST_NAME:
+            return split_as_page(terms, path)
         # URL terms are matched as substrings, so they keep their spelling
-        return terms if name == URL_LIST_NAME else split_as_page(terms, path)
+        for term in sorted(terms):  # so the error names the same term every run
+            if " " in term:
+                raise LexiconError(
+                    f"lexicon file {path}: in-url term {term!r} holds a space, "
+                    "which no well-formed URL holds"
+                )
+        return terms
 
     content = {name: load(name) for name in CONTENT_LEXICON_NAMES}
     url_terms = load(URL_LIST_NAME)

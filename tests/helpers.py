@@ -26,7 +26,7 @@ from safeindex.forest import (
     TrainReport,
     TreeStats,
     entropy,
-    grow_tree,
+    leaf_label,
     tree_size,
 )
 from safeindex.lexicon import CONTENT_LEXICON_NAMES
@@ -353,13 +353,33 @@ def loop_best_split(X, y, w, attr_names, min_leaf_weight):
 
 
 # ---------------------------------------------------------------------------
-# reference: the boosting rounds, each growing its own tree
+# reference: the boosting rounds, each growing its own tree from unsorted rows
+
+
+def loop_grow_tree(X, y, w, config, depth=0):
+    """forest.grow_tree with loop_best_split on each node's own rows, which
+    it sorts itself: no order passed down, no leaf writes a prediction."""
+    adult_w = float(w[y].sum())
+    safe_w = float(w.sum()) - adult_w
+    choice = None
+    if adult_w > 0 and safe_w > 0 and depth < config.max_depth:
+        choice = loop_best_split(X, y, w, ATTRIBUTE_NAMES, config.min_leaf_weight)
+    if choice is None:
+        return Leaf(leaf_label(adult_w, safe_w, config.fn_cost), (adult_w, safe_w))
+    mask = X[:, ATTRIBUTE_NAMES.index(choice.attribute)] <= choice.threshold
+    return Split(
+        choice.attribute,
+        choice.threshold,
+        loop_grow_tree(X[mask], y[mask], w[mask], config, depth + 1),
+        loop_grow_tree(X[~mask], y[~mask], w[~mask], config, depth + 1),
+    )
 
 
 def loop_train_forest(vectors, labels, config):
-    """forest.train_forest with a tree grown in every round, perfect rounds
-    too, and votes and errors read from the recursive oracle walk.  Same
-    weight arithmetic, so the two must return equal forests and reports."""
+    """forest.train_forest with a tree grown by loop_grow_tree in every
+    round, perfect rounds too, and votes and errors read from the recursive
+    oracle walk.  Same weight arithmetic, so the two must return equal
+    forests and reports."""
     n = len(vectors)
     y = np.array([label == ADULT for label in labels])
     X = np.array([fv.values for fv in vectors], dtype=float)
@@ -369,7 +389,7 @@ def loop_train_forest(vectors, labels, config):
     rng = None
     trees, stats, restarts = [], [], 0
     for _ in range(config.n_trees):
-        tree = grow_tree(X, y, w, config)
+        tree = loop_grow_tree(X, y, w, config)
         pred = np.array([oracle_tree_classify(tree, fv)[0] == ADULT for fv in vectors])
         wrong = pred != y
         trees.append(tree)

@@ -1198,6 +1198,16 @@ class TestLexiconLists:
         assert err == f"error: lexicon file {tmp_path / f'{name}.txt'} holds no term\n"
         assert not (tmp_path / "index.txt").exists()
 
+    def test_url_term_with_a_space_names_its_file(self, tmp_path, capsys):
+        code = self._filter(tmp_path, {"in-url": "porn\nsex cam\n"}, "<p>hello</p>")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            f"error: lexicon file {tmp_path / 'in-url.txt'}: in-url term 'sex cam' "
+            "holds a space, which no well-formed URL holds\n"
+        )
+        assert not (tmp_path / "index.txt").exists()
+
     def test_disclaimer_phrase_follows_the_word_rule(self, tmp_path, capsys):
         """'18+' is the token '18' on a page, so the phrase must be too."""
         code = self._filter(

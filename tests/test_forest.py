@@ -32,6 +32,8 @@ from safeindex.errors import TrainingError
 from safeindex.evaluation import attribute_usage
 from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import (
+    _entropies,
+    _filter_order,
     best_split,
     entropy,
     forest_from_json,
@@ -48,6 +50,7 @@ from safeindex.synth import generate_corpus
 from helpers import (
     BAD_NUMBER_MODELS,
     bad_number_model,
+    count_forest_votes,
     loop_best_split,
     loop_train_forest,
     make_vector,
@@ -79,6 +82,30 @@ class TestEntropy:
 
     def test_scale_invariant(self):
         assert entropy(2.0, 6.0) == pytest.approx(entropy(20.0, 60.0))
+
+    def test_array_form_equals_the_scalar_bit_for_bit(self):
+        weights = [0.0, 5e-324, 1e-300, 1e-10, 0.1, 1.0 / 3.0, 1.0, 2.0, 20.0, 1e10, 1e300]
+        rnd = random.Random(5)
+        weights += [rnd.uniform(0.0, 40.0) for _ in range(40)]
+        pairs, underflow = [], []
+        for a in weights:
+            for b in weights:
+                if a + b == 0:
+                    continue
+                # 5e-324 beside 1e300 is a probability of 0, which has no log
+                if a and b and 0.0 in (a / (a + b), b / (a + b)):
+                    underflow.append((a, b))
+                else:
+                    pairs.append((a, b))
+        adult, safe = np.array(pairs).T
+        got = _entropies(adult, safe).tolist()
+        assert [x.hex() for x in got] == [entropy(a, b).hex() for a, b in pairs]
+        assert underflow
+        for a, b in underflow:
+            with pytest.raises(ValueError):
+                entropy(a, b)
+            with pytest.raises(ValueError):
+                _entropies(np.array([a]), np.array([b]))
 
 
 class TestLeafLabel:
@@ -193,10 +220,12 @@ class TestGrowTree:
     CONFIG = TrainConfig(n_trees=1, fn_cost=1.0, min_leaf_weight=1.0)
 
     def _data(self, rows):
+        """grow_tree's arguments before the config, for a root over `rows`."""
         X = np.array([fv.values for fv, _ in rows], dtype=float)
         y = np.array([label == ADULT for _, label in rows], dtype=bool)
         w = np.ones(len(rows))
-        return X, y, w
+        order = np.argsort(X.T, axis=1, kind="stable")
+        return X, y, w, np.arange(len(rows)), order, np.empty(len(rows), dtype=bool)
 
     def test_pure_input_yields_leaf(self):
         rows = [(make_vector(nbr_img=i), ADULT) for i in range(4)]
@@ -208,10 +237,12 @@ class TestGrowTree:
     def test_separable_input_yields_perfect_tree(self):
         rows = [(make_vector(nbr_img=20 + i), ADULT) for i in range(5)]
         rows += [(make_vector(nbr_img=i), SAFE) for i in range(5)]
-        X, y, w = self._data(rows)
-        tree = grow_tree(X, y, w, self.CONFIG)
+        args = self._data(rows)
+        tree = grow_tree(*args, self.CONFIG)
         for fv, label in rows:
             assert forest_votes((tree,), fv) == (label == ADULT,)
+        # the leaves wrote each row's vote: the labels, as the tree is perfect
+        assert args[-1].tolist() == [label == ADULT for _, label in rows]
 
     def test_max_depth_limits_growth(self):
         rnd = random.Random(3)
@@ -249,6 +280,56 @@ class TestGrowTree:
     def test_split_rejects_an_unknown_attribute(self):
         with pytest.raises(ValueError, match="unknown attribute 'no_such_attr'"):
             Split("no_such_attr", 1.0, Leaf(SAFE), Leaf(ADULT))
+
+
+@st.composite
+def _masked_tables(draw):
+    """A table with tie-heavy columns and repeated rows, and two row masks."""
+    n_cols = draw(st.integers(1, 5))
+    value = st.sampled_from([0.0, 1.0, 1.5, 3.0]) | st.floats(-10.0, 10.0)
+    distinct = draw(st.lists(st.tuples(*[value] * n_cols), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
+    masks = st.lists(st.booleans(), min_size=len(picks), max_size=len(picks))
+    return np.array([distinct[i] for i in picks]), np.array(draw(masks)), np.array(draw(masks))
+
+
+class TestPresort:
+    @settings(max_examples=150, deadline=None)
+    @given(_masked_tables())
+    def test_child_order_is_the_stable_argsort_of_the_child(self, table):
+        X, mask, mask2 = table
+
+        def argsorted(rows):  # the rows in a stable argsort of X[rows] alone
+            return rows[np.argsort(X[rows], axis=0, kind="stable").T]
+
+        order = np.argsort(X.T, axis=1, kind="stable")
+        for side in (mask, ~mask):
+            child = _filter_order(order, side[order])
+            assert np.array_equal(child, argsorted(np.flatnonzero(side)))
+            # and a grandchild, filtered from the child
+            for side2 in (mask2, ~mask2):
+                grandchild = _filter_order(child, side2[child])
+                assert np.array_equal(grandchild, argsorted(np.flatnonzero(side & side2)))
+
+    def test_training_sorts_once_and_walks_no_tree(self, lexicons, monkeypatch):
+        pages = generate_corpus(lexicons, 200, 100, seed=0, overlap=0.3)
+        vectors = [extract_features(p, lexicons) for p in pages]
+        labels = [p.label for p in pages]
+        sorted_shapes = []
+        argsort = np.argsort
+
+        def counting(a, *args, **kwargs):
+            sorted_shapes.append(np.shape(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        walks = count_forest_votes(monkeypatch)
+        forest, report = train_forest(vectors, labels, TrainConfig(fn_cost=20.0))
+        assert sorted_shapes == [(len(ATTRIBUTE_NAMES), len(vectors))]
+        assert walks == []
+        # many nodes in several distinct trees were grown from that one sort
+        assert report.distinct_trees > 1
+        assert sum(ts.size for ts in report.per_tree) > 50
 
 
 class TestTreeClassify:
@@ -492,7 +573,10 @@ class TestTrainForest:
         labels = [p.label for p in pages]
         config = TrainConfig(fn_cost=20.0, rng_seed=4)
         arrays, _ = train_forest(vectors, labels, config)
-        monkeypatch.setattr(safeindex.forest, "best_split", loop_best_split)
+        monkeypatch.setattr(
+            safeindex.forest, "best_split",
+            lambda X, y, w, names, min_leaf, order: loop_best_split(X, y, w, names, min_leaf),
+        )
         loop, _ = train_forest(vectors, labels, config)
         assert forest_to_json(arrays) == forest_to_json(loop)
 
@@ -532,10 +616,10 @@ class TestTrainForest:
         roots = []
         grow = safeindex.forest.grow_tree
 
-        def counting(X, y, w, config, depth=0):
+        def counting(X, y, w, rows, order, pred, config, depth=0):
             if depth == 0:
-                roots.append(len(y))
-            return grow(X, y, w, config, depth)
+                roots.append(len(rows))
+            return grow(X, y, w, rows, order, pred, config, depth)
 
         monkeypatch.setattr(safeindex.forest, "grow_tree", counting)
         vectors, labels = self._separable()

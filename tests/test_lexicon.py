@@ -197,6 +197,17 @@ class TestLoadLexiconSet:
             load_lexicon_set(self._write_manifest(tmp_path, entries))
         assert str(info.value) == f"lexicon file {tmp_path / 'queries.txt'}: term '+++' holds no word"
 
+    def test_url_term_with_a_space_raises(self, tmp_path):
+        # 'sex cam' could match only a URL holding a literal space
+        entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}
+        entries["in-url"] = ["porn", "Sex \t Cam", "tube 8"]
+        with pytest.raises(LexiconError) as info:
+            load_lexicon_set(self._write_manifest(tmp_path, entries))
+        assert str(info.value) == (
+            f"lexicon file {tmp_path / 'in-url.txt'}: in-url term 'sex cam' holds a space, "
+            "which no well-formed URL holds"
+        )
+
     def test_disclaimer_file_may_hold_no_phrase(self, tmp_path):
         entries = {name: ["alpha"] for name in CONTENT_LEXICON_NAMES}
         entries["in-url"] = ["porn"]
