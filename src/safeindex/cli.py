@@ -25,8 +25,6 @@ from .features import ATTRIBUTE_NAMES, extract_features
 from .fileio import parse_json, read_input, write_atomic
 from .forest import (
     TrainConfig,
-    check_vote_threshold,
-    classify,
     count_threshold,
     forest_score,
     format_report,
@@ -80,6 +78,7 @@ _TRAIN_FIELDS = {
     "min_leaf_weight": "min_leaf_weight",
     "max_depth": "max_depth",
     "seed": "rng_seed",
+    "vote_threshold": "vote_threshold",
 }
 
 
@@ -151,25 +150,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     _require(cfg, "lexicons", "corpus", "model")
     if "min_votes" in cfg and "vote_threshold" in cfg:
         raise ConfigError("give vote_threshold or min_votes, not both")
-    # TrainConfig, count_threshold and check_vote_threshold reject
-    # out-of-range values with ValueError; here those values are the
-    # user's options, so they are checked before any file is read.
+    # TrainConfig and count_threshold reject out-of-range values with
+    # ValueError; here those values are the user's options, so they are
+    # checked before any file is read.
     try:
         config = TrainConfig(**{f: cfg[k] for k, f in _TRAIN_FIELDS.items() if k in cfg})
         if "min_votes" in cfg:
-            cfg["vote_threshold"] = count_threshold(config.n_trees, cfg["min_votes"])
-        elif "vote_threshold" in cfg:
-            check_vote_threshold(cfg["vote_threshold"])
+            threshold = count_threshold(config.n_trees, cfg["min_votes"])
+            config = replace(config, vote_threshold=threshold)
     except ValueError as exc:
         raise ConfigError(f"bad training option: {exc}") from exc
     lexicons = load_lexicon_set(cfg["lexicons"])
     rows = [(extract_features(p, lexicons), p.label) for p in _labeled_pages(cfg, StageReport())]
     vectors, labels = zip(*rows)
     forest, report = train_forest(vectors, labels, config)
-    forest = replace(forest, vote_threshold=cfg.get("vote_threshold", forest.vote_threshold))
-    # the report's global error is the saved model's, at its threshold
-    wrong = sum(classify(forest, fv) != label for fv, label in zip(vectors, labels))
-    report = replace(report, global_training_error=wrong / len(vectors))
     save_forest(forest, cfg["model"])
     print(format_report(report))
     print(f"model written to {cfg['model']}")

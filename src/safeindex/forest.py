@@ -86,9 +86,10 @@ TreeNode = Union[Leaf, Split]
 
 
 def check_vote_threshold(value: float) -> float:
-    """The value itself if it is a valid vote threshold, else ValueError."""
-    if not 0.0 < value <= 1.0:
-        raise ValueError("vote_threshold must be in (0, 1]")
+    """The value itself if it is a valid vote threshold, else ValueError;
+    a bool is no number here, as in the model JSON."""
+    if type(value) not in (int, float) or not 0.0 < value <= 1.0:
+        raise ValueError(f"vote_threshold must be a number in (0, 1], got {value!r}")
     return value
 
 
@@ -114,14 +115,20 @@ class TrainConfig:
     min_leaf_weight: float = 2.0
     max_depth: int = 12
     rng_seed: int = 0
+    vote_threshold: float = 0.5  # the returned forest's
 
     def __post_init__(self):
+        for name in ("n_trees", "max_depth"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if not (0 < self.fn_cost < math.inf and 0 < self.min_leaf_weight < math.inf):
             raise ValueError("fn_cost and min_leaf_weight must be positive and finite")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")  # depth 0 is one constant leaf
+        check_vote_threshold(self.vote_threshold)
 
 
 @dataclass(frozen=True)
@@ -390,7 +397,8 @@ def train_forest(
     tree again: that tree, its stats and its votes fill the remaining
     rounds, and no further tree is grown.  Weights are kept normalized to
     the row count so min_leaf_weight speaks in "cases".  Every label must
-    be ADULT or SAFE.
+    be ADULT or SAFE.  The forest votes at config.vote_threshold, and the
+    report's global error is its error at that threshold.
     """
     import numpy as np
 
@@ -442,7 +450,7 @@ def train_forest(
             w *= n / w.sum()
         # eps == 0: the copies above filled the forest
 
-    forest = Forest(tuple(trees))
+    forest = Forest(tuple(trees), config.vote_threshold)
     scores = (votes / config.n_trees).tolist()
     ensemble_adult = np.array([forest.label(s) == ADULT for s in scores])
     global_error = float((ensemble_adult != y).mean())

@@ -621,6 +621,16 @@ class TestStreaming:
         else:
             assert len(calls) == 40
 
+    def test_train_walks_no_tree(self, workspace, tmp_path, monkeypatch):
+        """train_forest's votes give the saved model's global error, at the
+        threshold --min-votes sets, without a walk over the training pages."""
+        calls = count_forest_votes(monkeypatch)
+        model = tmp_path / "model.json"
+        assert main(["train", "--min-votes", "3", "--lexicons", LEXICON_MANIFEST, "--corpus",
+                     str(workspace["train_manifest"]), "--model", str(model)]) == 0
+        assert load_forest(model).vote_threshold == 0.25
+        assert calls == []
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize(

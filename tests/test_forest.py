@@ -542,6 +542,9 @@ class TestVoting:
             Forest(())
         with pytest.raises(ValueError):
             Forest((Leaf(SAFE),), vote_threshold=0.0)
+        # 0 < True <= 1, yet the model JSON refuses a bool threshold
+        with pytest.raises(ValueError, match="got True"):
+            Forest((Leaf(SAFE),), vote_threshold=True)
 
 
 class TestTrainForest:
@@ -631,21 +634,26 @@ class TestTrainForest:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_report_errors_match_the_oracle_walk(self, lexicons, seed):
+        """The global error is the returned model's, at the threshold the
+        config sets and the model saves: the default, --min-votes 3's, 0.75."""
         pages = generate_corpus(lexicons, 200, 100, seed=seed, overlap=0.3)
         vectors = [extract_features(p, lexicons) for p in pages]
         labels = [p.label for p in pages]
-        forest, report = train_forest(vectors, labels, TrainConfig(fn_cost=20.0))
         n = len(vectors)
-        for tree, stats in zip(forest.trees, report.per_tree):
-            wrong = sum(oracle_tree_classify(tree, fv)[0] != label
-                        for fv, label in zip(vectors, labels))
-            assert stats.training_error == wrong / n
-        wrong = 0
-        for fv, label in zip(vectors, labels):
-            votes = sum(oracle_tree_classify(t, fv)[0] == ADULT for t in forest.trees)
-            oracle = ADULT if votes / len(forest.trees) > forest.vote_threshold else SAFE
-            wrong += oracle != label
-        assert report.global_training_error == wrong / n
+        for threshold in (0.5, count_threshold(10, 3), 0.75):
+            config = TrainConfig(fn_cost=20.0, vote_threshold=threshold)
+            forest, report = train_forest(vectors, labels, config)
+            assert forest.vote_threshold == threshold
+            for tree, stats in zip(forest.trees, report.per_tree):
+                wrong = sum(oracle_tree_classify(tree, fv)[0] != label
+                            for fv, label in zip(vectors, labels))
+                assert stats.training_error == wrong / n
+            wrong = 0
+            for fv, label in zip(vectors, labels):
+                votes = sum(oracle_tree_classify(t, fv)[0] == ADULT for t in forest.trees)
+                oracle = ADULT if votes / len(forest.trees) > threshold else SAFE
+                wrong += oracle != label
+            assert report.global_training_error == wrong / n
 
     def test_equals_the_loop_that_grows_every_round(self):
         rnd = random.Random(17)
@@ -718,6 +726,15 @@ class TestTrainForest:
             TrainConfig(fn_cost=0.0)
         with pytest.raises(ValueError):
             TrainConfig(max_depth=0)
+        # neither a fraction nor a bool counts trees or levels; NaN passes >= 1
+        for field, value in [("n_trees", 2.5), ("n_trees", 3.0), ("n_trees", True),
+                             ("max_depth", math.nan), ("max_depth", 4.0), ("max_depth", True)]:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                TrainConfig(**{field: value})
+        for value in (0.0, 1.5, math.nan, True, "0.5"):
+            with pytest.raises(ValueError, match="vote_threshold"):
+                TrainConfig(vote_threshold=value)
+        assert TrainConfig(vote_threshold=1).vote_threshold == 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["fn_cost", "min_leaf_weight"])
