@@ -204,7 +204,10 @@ def best_split(
     with the same operations in the same order as entropy() applied to one
     boundary at a time, so the choice is bit-identical to that loop.  The
     split entropy of the gain ratio is taken only for the candidates that
-    pass the positive-gain filter and the mean-gain guard.
+    pass the positive-gain filter and the mean-gain guard.  The winner is
+    the argmax of the gain ratio; only when several candidates share the
+    maximum are those few sorted by the tie-breaks, and only then are
+    their attribute names looked up.
     """
     import numpy as np
 
@@ -231,7 +234,9 @@ def best_split(
     ls = np.maximum(wl - la, 0.0)
     ra = np.maximum(total_adult - la, 0.0)
     rs = np.maximum(total_safe - ls, 0.0)
-    h_left, h_right = _entropies(np.stack([la, ra]), np.stack([ls, rs]))
+    # both sides' entropies in one call: lefts first, then rights
+    h = _entropies(np.concatenate([la, ra]), np.concatenate([ls, rs]))
+    h_left, h_right = h[: len(la)], h[len(la) :]
     gain = parent - (wl * h_left + wr * h_right) / total
     positive = gain > 0
     if not positive.any():
@@ -246,30 +251,40 @@ def best_split(
     eligible = gain >= mean_gain - 1e-12
     col, row, gain = col[eligible], row[eligible], gain[eligible]
     gain_ratio = gain / _entropies(wl[eligible], wr[eligible])
+    best_ratio = gain_ratio.max()
+    top = np.flatnonzero(gain_ratio == best_ratio)
+    col, row, gain = col[top], row[top], gain[top]
     threshold = (xs[col, row] + xs[col, row + 1]) / 2.0
-    names = np.asarray(attr_names)[col]
-    best = np.lexsort((threshold, names, -gain, -gain_ratio))[0]
+    best = 0
+    if len(top) > 1:  # a tied ratio: higher gain, then name, then threshold
+        names = np.asarray(attr_names)[col]
+        best = np.lexsort((threshold, names, -gain))[0]
     return SplitChoice(
-        attr_names[col[best]], float(threshold[best]), float(gain_ratio[best])
+        attr_names[col[best]], float(threshold[best]), float(best_ratio)
     )
 
 
 def _entropies(adult: np.ndarray, safe: np.ndarray) -> np.ndarray:
-    """entropy() of every weight pair, elementwise and bit for bit.
+    """entropy() of every weight pair of two 1-D arrays, elementwise and
+    bit for bit.
 
-    Each present probability (weight > 0) gets its log from math.log2:
-    np.log2 may use vector code that differs from it in the last bit,
-    which can change a chosen split.  Pairs must have a positive total.
+    Each present probability (weight > 0) other than 1.0 gets its log from
+    math.log2: np.log2 may use vector code that differs from it in the last
+    bit, which can change a chosen split.  A probability of 1.0 gives the
+    term 1.0 * 0.0 == 0.0, which the zero fill already holds, so it takes
+    no log.  One that underflows to 0.0 is still present and raises
+    ValueError, as entropy() does.  Pairs must have a positive total.
     """
     import numpy as np
 
+    n = len(adult)
     total = adult + safe
-    p = np.stack([adult / total, safe / total])
-    present = np.stack([adult, safe]) > 0
-    kept = p[present]
+    p = np.concatenate([adult / total, safe / total])
+    logged = (np.concatenate([adult, safe]) > 0) & (p != 1.0)
+    kept = p[logged]
     terms = np.zeros_like(p)
-    terms[present] = kept * np.fromiter(map(math.log2, kept.tolist()), float, len(kept))
-    return (0.0 - terms[0]) - terms[1]
+    terms[logged] = kept * np.fromiter(map(math.log2, kept.tolist()), float, len(kept))
+    return (0.0 - terms[:n]) - terms[n:]
 
 
 def _filter_order(order: np.ndarray, keep: np.ndarray) -> np.ndarray:

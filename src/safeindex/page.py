@@ -37,7 +37,11 @@ _LABELS = {ADULT: ADULT, SAFE: SAFE, "unlabeled": None}
 # Word = run of alphanumerics, with apostrophes/hyphens kept when they sit
 # between alphanumerics ("l'amour", "coming-of-age").  `tokenize` turns '_'
 # into a space first, so `\w` here means alphanumeric; the possessive forms
-# never give back what they took, which no match needs.
+# never give back what they took, which no match needs.  No whitespace
+# character is `\w`, an apostrophe or a hyphen, so a word never spans a
+# whitespace run: `tokenize` splits on whitespace first, takes a chunk
+# that is all alphanumeric (`str.isalnum`, which is `\w` less '_') as one
+# word, and runs this regex over the other chunks only.
 _WORD_RE = re.compile(r"\w++(?:['’-]\w++)*+")
 
 # Any markup, matched from its '<'.  Tag names end where html.parser ends
@@ -119,8 +123,15 @@ class PageLoadFailure:
 
 
 def tokenize(text: str) -> tuple[str, ...]:
-    """Lowercase and split on non-alphanumeric boundaries."""
-    return tuple(_WORD_RE.findall(text.lower().replace("_", " ")))
+    """Lowercase and split on non-alphanumeric boundaries: the words
+    `_WORD_RE` finds in the lowercased text with '_' made a space."""
+    tokens = []
+    for chunk in text.lower().replace("_", " ").split():
+        if chunk.isalnum():
+            tokens.append(chunk)
+        else:
+            tokens += _WORD_RE.findall(chunk)
+    return tuple(tokens)
 
 
 def extract_text(html: str) -> tuple[tuple[str, ...], int]:

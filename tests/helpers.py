@@ -310,11 +310,24 @@ def loop_best_split(X, y, w, attr_names, min_leaf_weight):
     Same arithmetic in the same order as the array version, so the two
     must return equal SplitChoice values, not merely close ones.
     """
+    eligible = loop_split_candidates(X, y, w, attr_names, min_leaf_weight)
+    if not eligible:
+        return None
+    gr, gain, name, threshold = min(
+        eligible, key=lambda c: (-c[0], -c[1], c[2], c[3])
+    )
+    return SplitChoice(name, threshold, gr)
+
+
+def loop_split_candidates(X, y, w, attr_names, min_leaf_weight):
+    """The (gain ratio, gain, attribute, threshold) of every candidate that
+    passes the positive-gain filter and the mean-gain guard, in
+    loop_best_split's arithmetic; empty when the node has no candidate."""
     total = float(w.sum())
     total_adult = float(w[y].sum())
     total_safe = total - total_adult
     if total_adult <= 0 or total_safe <= 0:
-        return None
+        return []
     parent = entropy(total_adult, total_safe)
 
     candidates = []
@@ -343,13 +356,9 @@ def loop_best_split(X, y, w, attr_names, min_leaf_weight):
             candidates.append((gain_ratio, gain, name, threshold))
 
     if not candidates:
-        return None
+        return []
     mean_gain = sum(c[1] for c in candidates) / len(candidates)
-    eligible = [c for c in candidates if c[1] >= mean_gain - 1e-12]
-    gr, gain, name, threshold = min(
-        eligible, key=lambda c: (-c[0], -c[1], c[2], c[3])
-    )
-    return SplitChoice(name, threshold, gr)
+    return [c for c in candidates if c[1] >= mean_gain - 1e-12]
 
 
 # ---------------------------------------------------------------------------

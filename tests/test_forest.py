@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import json
@@ -52,6 +53,7 @@ from helpers import (
     bad_number_model,
     count_forest_votes,
     loop_best_split,
+    loop_split_candidates,
     loop_train_forest,
     make_vector,
     oracle_best_split,
@@ -106,6 +108,29 @@ class TestEntropy:
                 entropy(a, b)
             with pytest.raises(ValueError):
                 _entropies(np.array([a]), np.array([b]))
+
+    def test_array_form_takes_no_log_of_one(self, monkeypatch):
+        logs = []
+        log2 = math.log2
+
+        def counting(x):
+            logs.append(x)
+            return log2(x)
+
+        monkeypatch.setattr(safeindex.forest.math, "log2", counting)
+        for adult, safe, calls in [
+            (3.0, 0.0, 0),  # a pure pair: its one probability is 1.0
+            (0.0, 0.5, 0),
+            (1.0, 3.0, 2),  # a mixed pair: one log per side
+        ]:
+            want = entropy(adult, safe)  # which logs 1.0 too
+            logs.clear()
+            got = _entropies(np.array([adult]), np.array([safe]))
+            assert len(logs) == calls
+            assert got.tolist()[0].hex() == want.hex()
+        # a probability that underflows to 0 is still logged, and raises
+        with pytest.raises(ValueError):
+            _entropies(np.array([5e-324]), np.array([1e300]))
 
 
 class TestLeafLabel:
@@ -195,11 +220,11 @@ class TestBestSplit:
                 assert got is not None
                 assert got.gain_ratio == pytest.approx(want[0], abs=1e-9)
 
-    def test_equals_loop_on_tie_heavy_tables(self):
+    @staticmethod
+    def _tie_heavy_tables(rnd):
+        """(X, y, w, names, min_leaf) of tables with many tied candidates."""
         # small integer values and weights from {0.5, 1, 20} make many
         # equal gains, ratios and mean-gain guard edges
-        rnd = random.Random(11)
-        light = 0  # mixed nodes lighter than 2 * min_leaf: None before sorting
         for _ in range(2000):
             names = rnd.sample("abcdefgh", rnd.randint(1, 8))
             n = rnd.randint(2, 40)
@@ -208,12 +233,48 @@ class TestBestSplit:
             )
             y = np.array([rnd.random() < 0.5 for _ in range(n)])
             w = np.array([rnd.choice([0.5, 1.0, 20.0]) for _ in range(n)])
-            min_leaf = rnd.choice([0.5, 1.0, 2.0])
+            yield X, y, w, names, rnd.choice([0.5, 1.0, 2.0])
+        # column b mirrors column a, so each split has a twin with the same
+        # ratio; weights that binary floats cannot hold round the twins'
+        # sums apart, and now and then only their gains differ
+        for _ in range(500):
+            a = [float(rnd.randint(0, 3)) for _ in range(rnd.randint(4, 12))]
+            X = np.array([[v, 3.0 - v] for v in a])
+            y = np.array([rnd.random() < 0.5 for _ in a])
+            w = np.array([rnd.choice([0.1, 0.2, 0.3, 0.7]) for _ in a])
+            yield X, y, w, ["a", "b"], 0.1
+
+    def test_equals_loop_on_tie_heavy_tables(self, monkeypatch):
+        light = 0  # mixed nodes lighter than 2 * min_leaf: None before sorting
+        tied = []  # per table whose best gain ratio is shared: the sharers
+        decided_by = collections.Counter()  # the tie-break that picked the winner
+        lexsorts = []
+        lexsort = np.lexsort
+
+        def counting(keys, *args, **kwargs):
+            lexsorts.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counting)
+        for X, y, w, names, min_leaf in self._tie_heavy_tables(random.Random(11)):
             light += y.any() and not y.all() and w.sum() < 2 * min_leaf
             assert best_split(X, y, w, names, min_leaf) == loop_best_split(
                 X, y, w, names, min_leaf
             )
+            eligible = loop_split_candidates(X, y, w, names, min_leaf)
+            top = [c for c in eligible if c[0] == max(e[0] for e in eligible)]
+            if len(top) > 1:
+                tied.append(len(top))
+                top = [c for c in top if c[1] == max(t[1] for t in top)]
+                if len(top) == 1:
+                    decided_by["gain"] += 1
+                else:
+                    top = [c for c in top if c[2] == min(t[2] for t in top)]
+                    decided_by["name" if len(top) == 1 else "threshold"] += 1
         assert light > 0
+        # only a tied table sorts, and it sorts only the candidates that tie
+        assert tied and lexsorts == tied
+        assert set(decided_by) == {"gain", "name", "threshold"}
 
 
 class TestGrowTree:

@@ -17,7 +17,7 @@ from safeindex import (
     page_from_html,
     parse_url,
 )
-from safeindex.page import PageLoadFailure, tokenize
+from safeindex.page import _WORD_RE, PageLoadFailure, tokenize
 from safeindex.errors import ConfigError
 
 from fixture_docs import DOCS, EDGE_DOCS, oracle_extract
@@ -140,6 +140,17 @@ _URLS = st.builds(
 )
 
 
+# Characters at the edges of the word rule: Unicode spaces (U+0085 and
+# U+001C are whitespace to str.split), '_', apostrophes and hyphens, letters
+# whose lowercase changes length (İ, ß), a ligature, combining marks,
+# non-ASCII digits and numbers, and lone surrogates.
+_TOKEN_CHARS = st.sampled_from(
+    list(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2003\u2028\u3000")
+    + list("_'’-.!aZ9İßﬁ\u0301\u0308٣²½ǅ")
+    + ["\ud800", "\udfff"]
+) | st.characters()
+
+
 class TestTokenize:
     def test_lowercases_and_splits(self):
         assert tokenize("Hello, World!") == ("hello", "world")
@@ -162,6 +173,13 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("") == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(_TOKEN_CHARS, max_size=40))
+    def test_equals_the_one_regex_form(self, text):
+        # the whitespace split and the isalnum shortcut give what one
+        # findall over the whole text gives
+        assert tokenize(text) == tuple(_WORD_RE.findall(text.lower().replace("_", " ")))
 
 
 class TestExtractText:
