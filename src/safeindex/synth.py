@@ -5,9 +5,10 @@ module fabricates pseudo-word lexicons with the reference cardinalities
 and labeled page corpora whose adult pages are sampled from those
 lexicons.  Everything is deterministic given a seed.
 
-numpy is imported inside the three functions that draw from a generator
-(`generate_lexicon_materials`, `_term_units`, `generate_corpus`), not at
-module load, so importing this module, or the package, does not load it.
+numpy is imported inside the functions that make a generator or an array
+(`generate_lexicon_materials`, `generate_corpus`, `_unique_words`,
+`_vocabulary`, `_term_owners`), not at module load, so importing this
+module, or the package, does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import csv
 import json
 from functools import lru_cache
 from pathlib import Path
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .lexicon import (
     CONTENT_LEXICON_NAMES,
@@ -63,20 +63,66 @@ _LEXICON_WEIGHTS = {
 }
 
 
-def _word(rng: np.random.Generator, min_syl: int = 2, max_syl: int = 4) -> str:
-    n = int(rng.integers(min_syl, max_syl + 1))
-    # n scalar draws yield the values of one sized draw, and skip the
-    # sized call's overhead, which costs more than the draws here
+def _word(rng: np.random.Generator) -> str:
+    # the draw order that _unique_words reproduces in bulk, and its
+    # fallback: one length in 2..4, then one syllable draw per syllable
+    n = int(rng.integers(2, 5))
     return "".join(_SYLLABLES[rng.integers(0, len(_SYLLABLES))] for _ in range(n))
 
 
 def _unique_words(rng: np.random.Generator, n: int, taken: set[str]) -> list[str]:
+    """`n` new words, each added to `taken`: the words of a `_word` loop
+    that skips taken words, with the generator left where that loop
+    leaves it.
+
+    The loop's draws are guessed in bulk. From one saved state a block of
+    lengths and a block of syllable indices are drawn, so each position
+    holds both readings of the same random value, and the blocks are
+    walked as the loop would read them. One draw with each position's
+    bound, again from the saved state, then replays the loop's draws
+    exactly; where it agrees with the guess, the walk's words are the
+    loop's. It disagrees only when numpy's bounded draw rejects a value
+    (about once in 10^9 draws), and then one word is taken by `_word`."""
+    import numpy as np
+
     words: list[str] = []
     while len(words) < n:
-        w = _word(rng)
-        if w not in taken:
-            taken.add(w)
-            words.append(w)
+        need = n - len(words)
+        # a word takes at most five draws; the cap bounds the blocks'
+        # memory (a whole 900-word pool at once held about 320 KB)
+        k = min(5 * need, 1000)
+        state = rng.bit_generator.state
+        length_block = rng.integers(2, 5, size=k)
+        rng.bit_generator.state = state
+        syllables = rng.integers(0, len(_SYLLABLES), size=k)
+        lengths = length_block.tolist()
+        parts = [_SYLLABLES[i] for i in syllables.tolist()]
+        fresh: dict[str, None] = {}
+        starts: list[int] = []
+        pos = 0
+        while len(fresh) < need and pos < k:
+            end = pos + 1 + lengths[pos]
+            if end > k:
+                break
+            starts.append(pos)
+            w = "".join(parts[pos + 1:end])
+            if w not in taken and w not in fresh:
+                fresh[w] = None
+            pos = end
+        guess = syllables[:pos]
+        guess[starts] = length_block[starts] - 2
+        highs = np.full(pos, len(_SYLLABLES))
+        highs[starts] = 3
+        rng.bit_generator.state = state
+        if np.array_equal(rng.integers(0, highs), guess):
+            taken.update(fresh)
+            words.extend(fresh)
+        else:
+            rng.bit_generator.state = state
+            w = _word(rng)
+            if w not in taken:
+                taken.add(w)
+                words.append(w)
     return words
 
 
@@ -140,7 +186,10 @@ def write_lexicon_files(dest_dir: str | Path, seed: int = DEFAULT_LEXICON_SEED) 
 
 
 class _Vocabulary(NamedTuple):
-    terms: Mapping[str, tuple[str, ...]]  # content list name -> sorted terms
+    # per content list, in _LEXICON_WEIGHTS order: the sorted terms and
+    # (read-only) the list sizes
+    pools: tuple[tuple[str, ...], ...]
+    pool_sizes: np.ndarray
     forbidden: frozenset[str]  # every word of every content and URL term
     url_terms: tuple[str, ...]  # sorted
 
@@ -152,40 +201,47 @@ def _vocabulary(
     """The seed-independent part of a corpus, built once per lexicon
     content: keyed on the term sets (a LexiconSet holds a dict and cannot
     key a cache), so equal lists loaded twice share one entry."""
+    import numpy as np
+
     forbidden = set(url_terms)
     for terms in content_term_sets:
         for term in terms:
             forbidden.update(term.split(" "))
-    return _Vocabulary(
-        MappingProxyType({
-            name: tuple(sorted(terms))
-            for name, terms in zip(CONTENT_LEXICON_NAMES, content_term_sets)
-        }),
-        frozenset(forbidden),
-        tuple(sorted(url_terms)),
-    )
+    by_name = dict(zip(CONTENT_LEXICON_NAMES, content_term_sets))
+    pools = tuple(tuple(sorted(by_name[name])) for name in _LEXICON_WEIGHTS)
+    pool_sizes = np.array([len(pool) for pool in pools])
+    pool_sizes.setflags(write=False)
+    return _Vocabulary(pools, pool_sizes, frozenset(forbidden), tuple(sorted(url_terms)))
 
 
-def _term_units(
-    rng: np.random.Generator,
-    terms: Mapping[str, tuple[str, ...]],
-    count: int,
-) -> list[list[str]]:
-    """`count` lexicon terms apportioned across lists by weight (largest
-    remainder), so term mass spreads over every list deterministically."""
+@lru_cache(maxsize=512)
+def _term_owners(count: int) -> np.ndarray:
+    """The list of each of `count` terms (an index into _LEXICON_WEIGHTS):
+    `count` apportioned across lists by weight (largest remainder), so
+    term mass spreads over every list deterministically.  Read-only, as
+    every page with `count` terms shares it."""
     import numpy as np
 
-    names = list(_LEXICON_WEIGHTS)
-    weights = np.array([_LEXICON_WEIGHTS[n] for n in names])
+    weights = np.array(list(_LEXICON_WEIGHTS.values()))
     ideal = count * weights / weights.sum()
     alloc = np.floor(ideal).astype(int)
     for j in np.argsort(ideal - alloc)[::-1][: count - int(alloc.sum())]:
         alloc[j] += 1
-    pools = [terms[name] for name in names]
-    owners = np.repeat(np.arange(len(names)), alloc)
+    owners = np.repeat(np.arange(len(weights), dtype=np.int8), alloc)
+    owners.setflags(write=False)
+    return owners
+
+
+def _term_units(
+    rng: np.random.Generator, vocabulary: _Vocabulary, count: int
+) -> list[list[str]]:
+    """The words of `count` lexicon terms drawn from the lists
+    `_term_owners` apportions them to."""
+    owners = _term_owners(count)
     # one draw with an upper bound per term gives the values of one sized
     # draw per list (tests compare against the per-list loop)
-    picks = rng.integers(0, np.array([len(pool) for pool in pools])[owners])
+    picks = rng.integers(0, vocabulary.pool_sizes[owners])
+    pools = vocabulary.pools
     return [pools[j][i].split(" ") for j, i in zip(owners.tolist(), picks.tolist())]
 
 
@@ -204,18 +260,23 @@ def generate_corpus(
     Adult pages mix 18-45% lexicon terms into neutral text; safe pages
     carry an `overlap` fraction of lexicon noise.  URLs are unique;
     `url_prefix` namespaces them so corpora from separate calls do not
-    collide.
+    collide.  Raises ValueError unless 0 <= n_adult <= n_pages.
     """
+    if not 0 <= n_adult <= n_pages:
+        raise ValueError(
+            f"n_adult must lie in 0..n_pages, got n_adult={n_adult}, n_pages={n_pages}"
+        )
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    terms, forbidden, url_terms = _vocabulary(
+    vocabulary = _vocabulary(
         tuple(lexicons.content[name] for name in CONTENT_LEXICON_NAMES),
         lexicons.url_terms,
     )
+    url_terms = vocabulary.url_terms
     # the pool depends on the seed, so only its forbidden words are cached;
     # the copy keeps the cached set intact
-    neutral = _unique_words(rng, 900, set(forbidden))
+    neutral = _unique_words(rng, 900, set(vocabulary.forbidden))
 
     def safe_domain() -> str:
         while True:
@@ -230,7 +291,7 @@ def generate_corpus(
         length = int(rng.integers(150, 400))
         frac = rng.uniform(0.18, 0.45) if is_adult else overlap
         n_terms = max(1, int(length * frac))
-        units = _term_units(rng, terms, n_terms)
+        units = _term_units(rng, vocabulary, n_terms)
         n_tokens = sum(len(u) for u in units)
         # one batched draw yields the values of one scalar draw per token,
         # so the pages equal those of a per-token loop (tests check this)

@@ -2,13 +2,16 @@ from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helpers import loop_generate_corpus
+from helpers import _loop_unique_words, loop_generate_corpus
 from safeindex import ADULT, SAFE, Page, extract_features, iter_corpus, load_lexicon_set, parse_url
 from safeindex.lexicon import CONTENT_LEXICON_NAMES, REFERENCE_SIZES
 from safeindex.pipeline import has_disclaimer
 from safeindex.synth import (
+    _SYLLABLES,
+    _unique_words,
     _vocabulary,
     generate_corpus,
     generate_lexicon_materials,
@@ -17,6 +20,8 @@ from safeindex.synth import (
 )
 
 BUNDLED_LEXICONS = Path(str(files("safeindex").joinpath("data/lexicons")))
+# taken beforehand, these reject a third of the words _unique_words builds
+TWO_SYLLABLE_WORDS = frozenset(a + b for a in _SYLLABLES for b in _SYLLABLES)
 
 
 class TestLexiconGeneration:
@@ -95,6 +100,120 @@ class TestCorpusGeneration:
         loaded = list(iter_corpus(manifest))
         assert [p.url for p in loaded] == [p.url for p in pages]
         assert [p.label for p in loaded] == [p.label for p in pages]
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("n_pages, n_adult", [(5, 6), (5, -1), (-1, 0)])
+    def test_impossible_counts_raise(self, lexicons, n_pages, n_adult):
+        with pytest.raises(ValueError, match=f"n_adult={n_adult}, n_pages={n_pages}"):
+            generate_corpus(lexicons, n_pages, n_adult, seed=0)
+
+    @pytest.mark.parametrize("n_pages, n_adult", [(0, 0), (3, 0), (3, 3)])
+    def test_edge_counts_are_kept(self, lexicons, n_pages, n_adult):
+        pages = generate_corpus(lexicons, n_pages, n_adult, seed=0)
+        assert [p.label for p in pages] == [ADULT] * n_adult + [SAFE] * (n_pages - n_adult)
+
+
+class CountingGenerator:
+    """A numpy Generator that counts its method calls.  With `corrupt` =
+    (k, i) it also changes element i of the k-th sized `integers` draw to
+    another value in its range, as a rejection inside numpy's bounded
+    draw would change a guessed value."""
+
+    def __init__(self, rng, corrupt=None):
+        self._rng = rng
+        self._corrupt = corrupt
+        self.calls = 0
+        self.sized = 0
+        self.scalar_integers = 0
+
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
+    def integers(self, low, high=None, size=None):
+        out = self._rng.integers(low, high, size=size)
+        if size is None:
+            self.scalar_integers += np.ndim(high) == 0
+        else:
+            if self._corrupt and self._corrupt[0] == self.sized:
+                i = self._corrupt[1]
+                out[i] = low + (out[i] - low + 1) % (high - low)
+            self.sized += 1
+        self.calls += 1
+        return out
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counting
+
+
+class TestUniqueWordsEqualLoop:
+    """_unique_words draws the loop's words in bulk; the words, the taken
+    set and the generator afterwards must equal the loop's."""
+
+    @staticmethod
+    def assert_same(rng, ref, got, want, taken, ref_taken):
+        assert got == want
+        assert taken == ref_taken
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fresh_taken(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        taken, ref_taken = {"baba", "kokoko"}, {"baba", "kokoko"}
+        got = _unique_words(rng, 900, taken)
+        self.assert_same(rng, ref, got, _loop_unique_words(ref, 900, ref_taken), taken, ref_taken)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_successive_calls_share_taken(self, seed):
+        # as generate_lexicon_materials draws its lists; with the
+        # two-syllable words taken, blocks run out before the words still
+        # needed are built
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for start in (set(), TWO_SYLLABLE_WORDS):
+            taken, ref_taken = set(start), set(start)
+            for n in (1, 60, 0, 5, 300, 2, 150):
+                got = _unique_words(rng, n, taken)
+                want = _loop_unique_words(ref, n, ref_taken)
+                self.assert_same(rng, ref, got, want, taken, ref_taken)
+
+    @pytest.mark.parametrize("corrupt", [(0, 0), (1, 1), (1, 57), (2, 0)], ids=[
+        "first length", "first syllable", "later syllable", "second round length",
+    ])
+    def test_a_wrong_guess_falls_back_to_one_scalar_word(self, corrupt):
+        rng, ref = CountingGenerator(np.random.default_rng(3), corrupt), np.random.default_rng(3)
+        taken, ref_taken = set(TWO_SYLLABLE_WORDS), set(TWO_SYLLABLE_WORDS)
+        got = _unique_words(rng, 40, taken)
+        assert rng.sized > corrupt[0] and rng.scalar_integers > 0
+        want = _loop_unique_words(ref, 40, ref_taken)
+        self.assert_same(rng, ref, got, want, taken, ref_taken)
+
+
+class TestCorpusCost:
+    @pytest.mark.parametrize("seed, overlap", [(8, 0.3), (9, 0.3), (12, 0.1), (15, 0.1)])
+    def test_generator_calls_per_corpus(self, monkeypatch, lexicons, seed, overlap):
+        # about ten calls per adult page, six per safe page and three per
+        # block of the neutral pool (177-180 in all on these calls); a pool
+        # drawn one word at a time costs about 3800 more
+        made, default_rng = [], np.random.default_rng
+
+        def counting_rng(seed):
+            made.append(CountingGenerator(default_rng(seed)))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        pages = generate_corpus(lexicons, 20, 10, seed=seed, overlap=overlap)
+        monkeypatch.undo()
+        assert pages == loop_generate_corpus(lexicons, 20, 10, seed=seed, overlap=overlap)
+        assert len(made) == 1
+        assert made[0].calls <= 200
 
 
 class TestCorpusEqualsLoopReference:
