@@ -44,14 +44,14 @@ from .pipeline import (
     save_blacklist,
 )
 
-# name -> (type, help); every str option names a file, bool is an on/off flag
+# name -> (type, help); every str option names a file
 OPTIONS: dict[str, tuple[type, str | None]] = {
     "lexicons": (str, "lexicon manifest (JSON)"),
     "model": (str, "model file (JSON)"),
     "corpus": (str, "corpus manifest (CSV)"),
     "index": (str, "output: one safe URL per line"),
     "blacklist": (str, "blacklist file, read and updated"),
-    "report": (str, "output: stage counts (filter) or metrics (eval) as JSON"),
+    "report": (str, "output: stage counts (filter), or metrics and stage counts (eval), as JSON"),
     "trees": (int, None),
     "fn_cost": (float, None),
     "min_leaf_weight": (float, None),
@@ -60,7 +60,6 @@ OPTIONS: dict[str, tuple[type, str | None]] = {
     "vote_threshold": (float, None),
     "min_votes": (int, None),
     "blacklist_trigger": (int, None),
-    "full_pipeline": (bool, "include blacklist/disclaimer/TLD stages (default: forest only)"),
 }
 
 # type -> (what a value must be, its JSON types); exact, as true is no int
@@ -68,7 +67,6 @@ _KINDS = {
     str: ("a path string", (str,)),
     int: ("an integer", (int,)),
     float: ("a number", (int, float)),
-    bool: ("a boolean", (bool,)),
 }
 
 # train's options, by the TrainConfig field each one sets
@@ -192,6 +190,17 @@ def cmd_filter(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_scores(pairs: Counter[tuple[str, str]]) -> dict:
+    """Print the confusion matrix of (gold, predicted) `pairs` and its four
+    metrics; return both as `eval --report` records them."""
+    cm = score_run(pairs.elements())
+    scores = metrics(cm)
+    print(format_confusion(cm))
+    for name, value in scores.items():
+        print(f"{name}: {'n/a' if value is None else f'{value:.4%}'}")
+    return {"confusion": {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn}, "metrics": scores}
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "lexicons", "corpus", "model")
@@ -200,45 +209,34 @@ def cmd_eval(args: argparse.Namespace) -> int:
     lexicons = load_lexicon_set(cfg["lexicons"])
     forest = load_forest(cfg["model"])
     stage_report = StageReport()
-    pairs: Counter[tuple[str, str]] = Counter()  # (gold, predicted) -> pages
+    # (gold, predicted) -> pages, as the forest alone and the staged filter decide
+    by_forest: Counter[tuple[str, str]] = Counter()
+    by_pipeline: Counter[tuple[str, str]] = Counter()
     visits: Counter[str] = Counter()  # attribute -> pages whose walk tested it
     for page in _labeled_pages(cfg, stage_report):
         fv = extract_features(page, lexicons)
         visited: set[str] = set()
         score = forest_score(forest, fv, visited)
-        # the forest stage alone decides, unless --full-pipeline's stages run
-        if cfg.get("full_pipeline"):
-            verdict, state = filter_page(page, forest, lexicons, state, fv, score)
-            stage_report.tally(verdict)
-            predicted = verdict.label
-        else:
-            predicted = forest.label(score)
-        pairs[page.label, predicted] += 1
+        verdict, state = filter_page(page, forest, lexicons, state, fv, score)
+        stage_report.tally(verdict)
+        by_forest[page.label, forest.label(score)] += 1
+        by_pipeline[page.label, verdict.label] += 1
         visits.update(visited)
 
-    cm = score_run(pairs.elements())
-    scores = metrics(cm)
-    usage = {name: visits[name] / cm.total for name in ATTRIBUTE_NAMES}
-
-    print(format_confusion(cm))
-    for name, value in scores.items():
-        print(f"{name}: {'n/a' if value is None else f'{value:.4%}'}")
+    doc = _print_scores(by_forest)
+    n_pages = sum(by_forest.values())
+    usage = {name: visits[name] / n_pages for name in ATTRIBUTE_NAMES}
     print("attribute usage (nonzero):")
     for name, freq in sorted(usage.items(), key=lambda kv: -kv[1]):
         if freq > 0:
             print(f"  {freq:6.1%}  {name}")
-    if cfg.get("full_pipeline"):
-        print("stage report:")
-        print(json.dumps(stage_report.as_dict(), indent=2))
+    print("full pipeline:")
+    pipeline = _print_scores(by_pipeline)
+    print("stage report:")
+    print(json.dumps(stage_report.as_dict(), indent=2))
     if cfg.get("report"):
-        doc = {
-            "confusion": {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn},
-            "metrics": scores,
-            "attribute_usage": usage,
-            "skipped": stage_report.skipped,
-        }
-        if cfg.get("full_pipeline"):
-            doc["stages"] = stage_report.as_dict()
+        doc.update(attribute_usage=usage, skipped=stage_report.skipped,
+                   pipeline=pipeline, stages=stage_report.as_dict())
         write_atomic(cfg["report"], json.dumps(doc, indent=2) + "\n")
     return 0
 
@@ -263,19 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
          " vote_threshold min_votes"),
         ("filter", cmd_filter, "build a safe index from a corpus",
          "lexicons model corpus index blacklist blacklist_trigger report"),
-        ("eval", cmd_eval, "score the forest on a labeled corpus",
-         "lexicons model corpus full_pipeline report"),
+        ("eval", cmd_eval, "score the forest and the staged filter on a labeled corpus",
+         "lexicons model corpus report"),
         ("inspect-model", cmd_inspect_model, "pretty-print a model's trees", "model"),
     ):
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON config file; flags override it")
         for name in options.split():
             kind, text = OPTIONS[name]
-            flag = "--" + name.replace("_", "-")
-            if kind is bool:
-                p.add_argument(flag, dest=name, action="store_const", const=True, help=text)
-            else:
-                p.add_argument(flag, dest=name, type=kind, help=text)
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
         p.set_defaults(func=func)
     return parser
 

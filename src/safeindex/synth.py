@@ -258,14 +258,24 @@ def generate_corpus(
     """Labeled pages: n_adult adult pages first, then safe pages.
 
     Adult pages mix 18-45% lexicon terms into neutral text; safe pages
-    carry an `overlap` fraction of lexicon noise.  URLs are unique;
-    `url_prefix` namespaces them so corpora from separate calls do not
-    collide.  Raises ValueError unless 0 <= n_adult <= n_pages.
+    carry an `overlap` fraction of lexicon noise, and at least one term,
+    so `overlap=0` still puts one lexicon term on each safe page.  URLs
+    are unique; `url_prefix` namespaces them so corpora from separate
+    calls do not collide.  Raises ValueError unless 0 <= n_adult <=
+    n_pages and each of overlap, xxx_fraction and disclaimer_fraction
+    lies in [0, 1] (NaN does not).
     """
     if not 0 <= n_adult <= n_pages:
         raise ValueError(
             f"n_adult must lie in 0..n_pages, got n_adult={n_adult}, n_pages={n_pages}"
         )
+    for name, value in (
+        ("overlap", overlap),
+        ("xxx_fraction", xxx_fraction),
+        ("disclaimer_fraction", disclaimer_fraction),
+    ):
+        if not 0 <= value <= 1:  # False for NaN too
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
     import numpy as np
 
     rng = np.random.default_rng(seed)

@@ -27,6 +27,8 @@ from helpers import (
 )
 
 LEXICON_MANIFEST = str(files("safeindex").joinpath("data/lexicons/manifest.json"))
+# a config under which the first adult verdict on a domain blacklists it
+TRIGGER_1 = str(Path(__file__).resolve().parent / "golden" / "cli" / "corpus" / "trigger-1.json")
 
 
 def must_not_run(*args, **kwargs):
@@ -81,16 +83,13 @@ def noisy_manifest(tmp_path_factory, lexicons):
 
 PATH_KEYS = ("lexicons", "corpus", "model", "index", "blacklist", "report")
 # option -> (subcommand that reads it, its output flag); train otherwise
-COMMAND_OF = {"blacklist_trigger": ("filter", "index"), "full_pipeline": ("eval", "report")}
+COMMAND_OF = {"blacklist_trigger": ("filter", "index")}
 INTEGER_KEYS = ("trees", "max_depth", "seed", "min_votes", "blacklist_trigger")
 NUMBER_KEYS = ("fn_cost", "min_leaf_weight", "vote_threshold")
-NON_PATH_KEYS = (*INTEGER_KEYS, *NUMBER_KEYS, "full_pipeline")
+NON_PATH_KEYS = (*INTEGER_KEYS, *NUMBER_KEYS)
 WRONG_TYPES = [
-    *((key, value) for key in NON_PATH_KEYS for value in (None, [1])),
-    *((key, value) for key in (*INTEGER_KEYS, *NUMBER_KEYS) for value in (True, "3")),
+    *((key, value) for key in NON_PATH_KEYS for value in (None, [1], True, "3")),
     *((key, 2.7) for key in INTEGER_KEYS),
-    ("full_pipeline", "no"),
-    ("full_pipeline", 1),
 ]
 
 
@@ -449,6 +448,25 @@ class TestEval:
         assert "miss_rate:" in out
         assert "attribute usage" in out
 
+    def test_full_pipeline_adds_stage_report(self, workspace, capsys):
+        """The staged filter's matrix and stage counts follow the forest's,
+        under `full pipeline:`."""
+        code = main(
+            [
+                "eval",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(workspace["eval_manifest"]),
+                "--model", str(workspace["model"]),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        forest, pipeline = out.split("full pipeline:\n")
+        assert "stage report:" not in forest
+        assert "<- classified as" in pipeline
+        assert "miss_rate:" in pipeline
+        assert "stage report:" in pipeline
+
     def test_report_json(self, workspace):
         report = workspace["root"] / "eval_report.json"
         code = main(
@@ -462,25 +480,13 @@ class TestEval:
         )
         assert code == 0
         doc = json.loads(report.read_text(encoding="utf-8"))
-        assert set(doc) == {"confusion", "metrics", "attribute_usage", "skipped"}
-        assert sum(doc["confusion"].values()) == 40
+        forest_keys = {"confusion", "metrics", "attribute_usage", "skipped"}
+        assert set(doc) == forest_keys | {"pipeline", "stages"}
+        assert set(doc["pipeline"]) == {"confusion", "metrics"}
+        assert sum(doc["confusion"].values()) == sum(doc["pipeline"]["confusion"].values()) == 40
         assert doc["skipped"] == 0
 
-    def test_full_pipeline_adds_stage_report(self, workspace, capsys):
-        code = main(
-            [
-                "eval",
-                "--lexicons", LEXICON_MANIFEST,
-                "--corpus", str(workspace["eval_manifest"]),
-                "--model", str(workspace["model"]),
-                "--full-pipeline",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "stage report:" in out
-
-    def test_full_pipeline_report_counts_skipped_rows(self, workspace, tmp_path):
+    def test_report_counts_skipped_rows(self, workspace, tmp_path):
         """The stage report's skipped count is the report's own."""
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(
@@ -498,7 +504,6 @@ class TestEval:
                 "--lexicons", LEXICON_MANIFEST,
                 "--corpus", str(manifest),
                 "--model", str(workspace["model"]),
-                "--full-pipeline",
                 "--report", str(report),
             ]
         )
@@ -506,7 +511,7 @@ class TestEval:
         doc = json.loads(report.read_text(encoding="utf-8"))
         assert doc["skipped"] == doc["stages"]["skipped"] == 2
 
-    def test_full_pipeline_extracts_each_page_once(self, workspace, lexicons, monkeypatch):
+    def test_extracts_each_page_once(self, workspace, lexicons, monkeypatch):
         root = workspace["root"]
         pages = generate_corpus(
             lexicons, 30, 15, seed=5, url_prefix="once",
@@ -528,25 +533,29 @@ class TestEval:
                 "--lexicons", LEXICON_MANIFEST,
                 "--corpus", str(manifest),
                 "--model", str(workspace["model"]),
-                "--full-pipeline",
                 "--report", str(report),
             ]
         )
         assert code == 0
         assert len(calls) == 30
         monkeypatch.undo()
-        # the stages are those of the filter that extracts on its own
+        # the stages and safe pages are those of the filter that extracts on its own
         labeled = [p for p in iter_corpus(manifest) if isinstance(p, Page) and p.label is not None]
-        _, expected, _ = build_safe_index(labeled, load_forest(workspace["model"]), lexicons)
-        assert json.loads(report.read_text(encoding="utf-8"))["stages"] == expected.as_dict()
+        index, expected, _ = build_safe_index(labeled, load_forest(workspace["model"]), lexicons)
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        assert doc["stages"] == expected.as_dict()
+        cm = doc["pipeline"]["confusion"]
+        assert cm["tn"] + cm["fn"] == len(index)
 
-    def test_full_pipeline_stages_follow_blacklist_trigger(self, workspace):
-        root = workspace["root"]
-        corpus = root / "trigger"
-        corpus.mkdir()
-        (corpus / "gate.html").write_text("<p>you must be 18 to enter</p>", encoding="utf-8")
-        (corpus / "plain.html").write_text("<p>garden notes for march</p>", encoding="utf-8")
-        manifest = corpus / "manifest.csv"
+    @staticmethod
+    def _eval_gated(workspace, root, capsys, trigger):
+        """eval at blacklist_trigger `trigger` on three adult pages of
+        gated.com, the first behind an age gate, and one safe page; return
+        its stdout and its report."""
+        root.mkdir()
+        (root / "gate.html").write_text("<p>you must be 18 to enter</p>", encoding="utf-8")
+        (root / "plain.html").write_text("<p>garden notes for march</p>", encoding="utf-8")
+        manifest = root / "manifest.csv"
         manifest.write_text(
             "path,url,label\n"
             "gate.html,http://gated.com/1,adult\n"
@@ -555,9 +564,9 @@ class TestEval:
             "plain.html,http://garden.org/1,safe\n",
             encoding="utf-8",
         )
-        config = root / "trigger.json"
-        config.write_text(json.dumps({"blacklist_trigger": 1}), encoding="utf-8")
-        report = root / "trigger_report.json"
+        config = root / "config.json"
+        config.write_text(json.dumps({"blacklist_trigger": trigger}), encoding="utf-8")
+        report = root / "report.json"
         code = main(
             [
                 "eval",
@@ -565,13 +574,15 @@ class TestEval:
                 "--lexicons", LEXICON_MANIFEST,
                 "--corpus", str(manifest),
                 "--model", str(workspace["model"]),
-                "--full-pipeline",
                 "--report", str(report),
             ]
         )
         assert code == 0
-        doc = json.loads(report.read_text(encoding="utf-8"))
-        stages, cm = doc["stages"], doc["confusion"]
+        return capsys.readouterr().out, json.loads(report.read_text(encoding="utf-8"))
+
+    def test_stages_follow_blacklist_trigger(self, workspace, tmp_path, capsys):
+        _, doc = self._eval_gated(workspace, tmp_path / "gated", capsys, 1)
+        stages, cm = doc["stages"], doc["pipeline"]["confusion"]
         # one strike blacklists gated.com, so its later pages stop there
         assert stages["disclaimer"] == 1
         assert stages["blacklist"] == 2
@@ -579,14 +590,27 @@ class TestEval:
         assert sum(stages[s] for s in adult_stages) == cm["tp"] + cm["fp"]
         assert stages["forest_safe"] == cm["tn"] + cm["fn"]
 
+    def test_forest_section_ignores_blacklist_trigger(self, workspace, tmp_path, capsys):
+        """The trigger moves the staged filter's verdicts only: the
+        forest's confusion, metrics and attribute usage stay."""
+        (out_1, doc_1), (out_3, doc_3) = (
+            self._eval_gated(workspace, tmp_path / f"trigger{t}", capsys, t) for t in (1, 3)
+        )
+        forest_keys = ("confusion", "metrics", "attribute_usage")
+        assert {k: doc_1[k] for k in forest_keys} == {k: doc_3[k] for k in forest_keys}
+        assert out_1.split("full pipeline:")[0] == out_3.split("full pipeline:")[0]
+        assert doc_1["stages"] != doc_3["stages"]
+
 
 class TestStreaming:
     """train and eval read the corpus one row at a time."""
 
+    # "eval --full-pipeline" runs eval with every adult verdict
+    # blacklisting its domain, so the staged filter's state grows
     @pytest.mark.parametrize("command, corpus", [
         (["train", "--seed", "0"], "train_manifest"),
         (["eval"], "eval_manifest"),
-        (["eval", "--full-pipeline"], "eval_manifest"),
+        (["eval", "--config", TRIGGER_1], "eval_manifest"),
     ], ids=["train", "eval", "eval --full-pipeline"])
     def test_no_page_outlives_its_row(self, workspace, tmp_path, monkeypatch, command, corpus):
         earlier = []
@@ -603,12 +627,13 @@ class TestStreaming:
                      "--corpus", str(workspace[corpus]), "--model", str(model)]) == 0
         assert alive == [0] * (60 if command[0] == "train" else 40)
 
-    @pytest.mark.parametrize("command", [["eval"], ["eval", "--full-pipeline"], ["filter"]],
-                             ids=["eval", "eval --full-pipeline", "filter"])
+    @pytest.mark.parametrize("command", [
+        ["eval"], ["eval", "--config", TRIGGER_1], ["filter"],
+    ], ids=["eval", "eval --full-pipeline", "filter"])
     def test_walks_each_scored_page_once(self, workspace, tmp_path, monkeypatch, command):
         """eval walks every labeled page once, for its verdict and its
-        attribute usage alike; filter walks only the pages that reach the
-        forest stage."""
+        attribute usage alike, whichever stage of its staged filter decides
+        the page; filter walks only the pages that reach the forest stage."""
         calls = count_forest_votes(monkeypatch)
         report = tmp_path / "report.json"
         index = ["--index", str(tmp_path / "index.txt")] if command[0] == "filter" else []
@@ -639,10 +664,10 @@ class TestMalformedInputs:
             (["filter", "--blacklist-trigger", "0"], {}, "must be >= 1"),
             (["filter", "--blacklist-trigger", "-2"], {}, "must be >= 1"),
             (["filter"], {"blacklist_trigger": 0}, "must be >= 1"),
-            (["eval", "--full-pipeline"], {"blacklist_trigger": 0}, "must be >= 1"),
+            (["eval"], {"blacklist_trigger": 0}, "must be >= 1"),
             *(
                 (args, {"blacklist_trigger": trigger}, "must be an integer")
-                for args in (["filter"], ["eval", "--full-pipeline"])
+                for args in (["filter"], ["eval"])
                 for trigger in ("three", 2.7, True)
             ),
         ],
@@ -732,6 +757,23 @@ class TestMalformedInputs:
         assert "unknown option 'tree'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_retired_switch_key_exits_1(self, workspace, tmp_path, capsys):
+        """eval always runs the staged filter; the key that once switched
+        it on is no option."""
+        config = {"full_pipeline": True}
+        code = self._run_with_config(workspace, tmp_path, "eval", "report", config)
+        assert code == 1
+        assert "unknown option 'full_pipeline'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_retired_switch_flag_exits_2(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--lexicons", LEXICON_MANIFEST, "--corpus",
+                  str(workspace["eval_manifest"]), "--model", str(workspace["model"]),
+                  "--full-pipeline"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --full-pipeline" in capsys.readouterr().err
+
     def test_flag_overrides_bad_config_value(self, workspace, tmp_path):
         code = self._run_with_config(
             workspace, tmp_path, "train", "model", {"trees": None}, "--trees", "3"
@@ -806,7 +848,7 @@ class TestParser:
                    "--min-votes"]),
         ("filter", ["--lexicons", "--model", "--corpus", "--index", "--blacklist",
                     "--blacklist-trigger", "--report"]),
-        ("eval", ["--lexicons", "--model", "--corpus", "--full-pipeline", "--report"]),
+        ("eval", ["--lexicons", "--model", "--corpus", "--report"]),
         ("inspect-model", ["--model"]),
     ])
     def test_help_lists_the_flags(self, capsys, command, flags):
@@ -859,12 +901,12 @@ class TestCorpusLoader:
             doc = json.loads(report.read_text(encoding="utf-8"))
             runs[name] = model.read_bytes(), doc, capsys.readouterr().out
         (clean_model, clean_doc, clean_out), (dirty_model, dirty_doc, dirty_out) = runs.values()
-        assert "skipped" not in clean_out
+        assert "manifest rows" not in clean_out
         assert dirty_out.count("skipped 3 of 15 manifest rows\n") == 2
         assert dirty_model == clean_model
         assert sum(dirty_doc["confusion"].values()) == 12
-        assert clean_doc.pop("skipped") == 0
-        assert dirty_doc.pop("skipped") == 3
+        assert clean_doc.pop("skipped") == clean_doc["stages"].pop("skipped") == 0
+        assert dirty_doc.pop("skipped") == dirty_doc["stages"].pop("skipped") == 3
         assert dirty_doc == clean_doc
 
 
@@ -896,7 +938,7 @@ class TestCorpusLoader:
                 ["train", *common],
                 ["filter", *common, "--index", str(out / "index.txt"),
                  "--report", str(out / "filter.json")],
-                ["eval", *common, "--full-pipeline", "--report", str(out / "eval.json")],
+                ["eval", *common, "--report", str(out / "eval.json")],
             ):
                 assert main(args) == 0
                 captured = capsys.readouterr()
@@ -942,6 +984,9 @@ class TestCorpusLoader:
             clean_doc = json.loads(reports["clean"][name])
             dirty_doc = json.loads(reports["dirty"][name])
             assert (clean_doc.pop("skipped"), dirty_doc.pop("skipped")) == (0, 1)
+            if name == "eval.json":  # its stage counts hold the count too
+                skipped = clean_doc["stages"].pop("skipped"), dirty_doc["stages"].pop("skipped")
+                assert skipped == (0, 1)
             assert dirty_doc == clean_doc
 
     @pytest.mark.parametrize("quoted", [False, True], ids=["one line", "spans lines"])
@@ -1233,7 +1278,7 @@ class TestLexiconLists:
 def _run_on_written_inputs(workspace, root, encode):
     """Write every input (config file, lexicon manifest and lists, corpus
     manifest and pages, model, blacklist) under root as encode(text), run
-    filter, eval and eval --full-pipeline on them, and return the outputs."""
+    filter and eval on them, and return the outputs."""
     def write(dest, text):
         dest.write_bytes(encode(text))
 
@@ -1260,10 +1305,9 @@ def _run_on_written_inputs(workspace, root, encode):
     assert main(["filter", *common, "--index", str(root / "index.txt"),
                  "--blacklist", str(blacklist), "--report", str(root / "filter.json")]) == 0
     assert main(["eval", *common, "--report", str(root / "eval.json")]) == 0
-    assert main(["eval", *common, "--full-pipeline", "--report", str(root / "full.json")]) == 0
     return [
         (root / out).read_bytes()
-        for out in ("index.txt", "blacklist.txt", "filter.json", "eval.json", "full.json")
+        for out in ("index.txt", "blacklist.txt", "filter.json", "eval.json")
     ]
 
 

@@ -1,7 +1,10 @@
 """`train`, `eval` and `filter` print, write and report byte for byte what
 their golden files under tests/golden/cli/ hold.  The corpus there is 30
 fixed pages with one bad-label row and one unlabeled row; six adult pages
-share a domain, so `eval --full-pipeline` and `filter` blacklist it.
+share a domain, so the staged filter of `eval` and `filter` blacklists it.
+`eval-full-pipeline` runs `eval` with the config corpus/trigger-1.json,
+where the first adult verdict on a domain blacklists it: its forest section
+is `eval`'s, and its full-pipeline section and stage report differ.
 
 Run this file as a script to rewrite the golden files from the current
 code:  PYTHONPATH=src python tests/test_cli_golden.py
@@ -31,7 +34,9 @@ RUNS = {
     "eval": (["eval", "--corpus", CORPUS, "--model", MODEL, "--report", "report.json"],
              ("report.json",)),
     "eval-full-pipeline": (["eval", "--corpus", CORPUS, "--model", MODEL,
-                            "--report", "report.json", "--full-pipeline"], ("report.json",)),
+                            "--report", "report.json",
+                            "--config", str(GOLDEN / "corpus" / "trigger-1.json")],
+                           ("report.json",)),
     "filter": (["filter", "--corpus", CORPUS, "--model", MODEL, "--index", "index.txt",
                 "--report", "report.json", "--blacklist", "blacklist.txt"],
                ("index.txt", "report.json", "blacklist.txt")),
@@ -53,6 +58,17 @@ def run(name: str) -> dict[str, str]:
 def test_cli_output_matches_golden(name):
     for filename, text in run(name).items():
         assert text == (GOLDEN / filename).read_text(encoding="utf-8"), filename
+
+
+def test_every_golden_file_belongs_to_a_run():
+    """A run taken out of RUNS must take its files along: rewriting the
+    golden files only writes them."""
+    written = {
+        f"{name}.{what}"
+        for name, (_, outputs) in RUNS.items()
+        for what in ("stdout", "stderr", *outputs)
+    }
+    assert {p.name for p in GOLDEN.iterdir() if p.name != "corpus"} == written
 
 
 if __name__ == "__main__":

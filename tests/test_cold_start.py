@@ -39,8 +39,7 @@ index, report, state = build_safe_index(pages, forest, lexicons)
 common = ["--lexicons", lexicons_path, "--corpus", corpus, "--model", model]
 for args in (
     ["filter", *common, "--index", out + "/index.txt", "--blacklist", out + "/bl.txt"],
-    ["eval", *common],
-    ["eval", *common, "--full-pipeline", "--report", out + "/eval.json"],
+    ["eval", *common, "--report", out + "/eval.json"],
     ["inspect-model", "--model", model],
 ):
     assert safeindex.cli.main(args) == 0, args
@@ -100,8 +99,8 @@ def tiny_corpus(tmp_path_factory, lexicons):
 
 def test_filter_path_never_loads_numpy(tiny_corpus):
     """Importing the package, the CLI and synth, loading lexicons and a
-    model, build_safe_index, and the filter, eval (forest-only and full
-    pipeline) and inspect-model commands all leave numpy unloaded."""
+    model, build_safe_index, and the filter, eval and inspect-model
+    commands all leave numpy unloaded."""
     root, manifest, model = tiny_corpus
     out = root / "out"
     out.mkdir()

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -112,6 +113,22 @@ class TestCountArguments:
     def test_edge_counts_are_kept(self, lexicons, n_pages, n_adult):
         pages = generate_corpus(lexicons, n_pages, n_adult, seed=0)
         assert [p.label for p in pages] == [ADULT] * n_adult + [SAFE] * (n_pages - n_adult)
+
+    @pytest.mark.parametrize("value", [-1, -0.01, 1.01, 3.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["overlap", "xxx_fraction", "disclaimer_fraction"])
+    def test_fraction_outside_0_1_raises(self, lexicons, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            generate_corpus(lexicons, 4, 2, seed=0, **{name: value})
+
+    @pytest.mark.parametrize("name", ["overlap", "xxx_fraction", "disclaimer_fraction"])
+    def test_fraction_bounds_are_kept(self, lexicons, name):
+        for value in (0, 1):
+            assert len(generate_corpus(lexicons, 4, 2, seed=0, **{name: value})) == 4
+
+    def test_overlap_0_puts_one_term_on_each_safe_page(self, lexicons):
+        terms = set().union(*lexicons.content.values())
+        pages = generate_corpus(lexicons, 6, 0, seed=3, overlap=0)
+        assert all(sum(t in terms for t in p.tokens) >= 1 for p in pages)
 
 
 class CountingGenerator:
