@@ -2,9 +2,12 @@
 
 A command that reads a corpus streams it, a row at a time: `train` keeps
 one feature vector and label per page, `eval` and `filter` keep no page.
-Every option is one row of `OPTIONS`.  A JSON config file (--config) may
-give any option under its name; the value must have the flag's JSON type,
-an unknown key is an error, and explicit flags override file values.
+Every option is one row of `OPTIONS`, and every command one row of the
+table in `build_parser`, its required options first.  A JSON config file
+(--config) may give any option under its name; the value must have the
+flag's JSON type, an unknown key is an error, and explicit flags override
+file values.  `main` merges the file and checks the required options
+before the command runs.
 Defaults live in TrainConfig, FilterState and Forest.  Exit codes:
 0 success, 1 data/config error, 2 internal invariant violation.
 """
@@ -24,6 +27,7 @@ from .evaluation import format_confusion, metrics, score_run
 from .features import ATTRIBUTE_NAMES, extract_features
 from .fileio import parse_json, read_input, write_atomic
 from .forest import (
+    Forest,
     TrainConfig,
     count_threshold,
     forest_score,
@@ -33,7 +37,7 @@ from .forest import (
     save_forest,
     train_forest,
 )
-from .lexicon import load_lexicon_set
+from .lexicon import LexiconSet, load_lexicon_set
 from .page import Page, PageLoadFailure, iter_corpus
 from .pipeline import (
     FilterState,
@@ -104,12 +108,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _require(cfg: dict, *keys: str) -> None:
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ConfigError(f"missing required options: {', '.join(missing)}")
-
-
 def _printable(text: str) -> str:
     """text with each non-printable character escaped as repr() escapes it,
     so a line break or NUL in a manifest field cannot split a stderr line."""
@@ -143,9 +141,14 @@ def _labeled_pages(cfg: dict, report: StageReport) -> Iterator[Page]:
         print(f"skipped {report.skipped} of {rows} manifest rows")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    _require(cfg, "lexicons", "corpus", "model")
+def _staged_filter(cfg: dict) -> tuple[FilterState, LexiconSet, Forest]:
+    """The staged filter's start state, lexicons and model.  The state is
+    built first, so a bad blacklist_trigger fails before any file is read."""
+    state = FilterState(**{k: v for k, v in cfg.items() if k == "blacklist_trigger"})
+    return state, load_lexicon_set(cfg["lexicons"]), load_forest(cfg["model"])
+
+
+def cmd_train(cfg: dict) -> int:
     if "min_votes" in cfg and "vote_threshold" in cfg:
         raise ConfigError("give vote_threshold or min_votes, not both")
     # TrainConfig and count_threshold reject out-of-range values with
@@ -168,12 +171,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    _require(cfg, "lexicons", "corpus", "model", "index")
-    state = FilterState(**{k: v for k, v in cfg.items() if k == "blacklist_trigger"})
-    lexicons = load_lexicon_set(cfg["lexicons"])
-    forest = load_forest(cfg["model"])
+def cmd_filter(cfg: dict) -> int:
+    state, lexicons, forest = _staged_filter(cfg)
     blacklist_path = cfg.get("blacklist")
     if blacklist_path and Path(blacklist_path).exists():
         state.blacklist = load_blacklist(blacklist_path)
@@ -201,13 +200,8 @@ def _print_scores(pairs: Counter[tuple[str, str]]) -> dict:
     return {"confusion": {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn}, "metrics": scores}
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    _require(cfg, "lexicons", "corpus", "model")
-    # built up front so a bad blacklist_trigger fails before any file is read
-    state = FilterState(**{k: v for k, v in cfg.items() if k == "blacklist_trigger"})
-    lexicons = load_lexicon_set(cfg["lexicons"])
-    forest = load_forest(cfg["model"])
+def cmd_eval(cfg: dict) -> int:
+    state, lexicons, forest = _staged_filter(cfg)
     stage_report = StageReport()
     # (gold, predicted) -> pages, as the forest alone and the staged filter decide
     by_forest: Counter[tuple[str, str]] = Counter()
@@ -241,9 +235,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_inspect_model(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    _require(cfg, "model")
+def cmd_inspect_model(cfg: dict) -> int:
     forest = load_forest(cfg["model"])
     print(f"vote threshold: {forest.vote_threshold}")
     for i, tree in enumerate(forest.trees):
@@ -255,28 +247,32 @@ def cmd_inspect_model(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safeindex")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, func, summary, options in (
-        ("train", cmd_train, "train a forest on a labeled corpus",
-         "lexicons model corpus trees fn_cost min_leaf_weight max_depth seed"
-         " vote_threshold min_votes"),
+    for command, func, summary, required, optional in (
+        ("train", cmd_train, "train a forest on a labeled corpus", "lexicons model corpus",
+         "trees fn_cost min_leaf_weight max_depth seed vote_threshold min_votes"),
         ("filter", cmd_filter, "build a safe index from a corpus",
-         "lexicons model corpus index blacklist blacklist_trigger report"),
+         "lexicons model corpus index", "blacklist blacklist_trigger report"),
         ("eval", cmd_eval, "score the forest and the staged filter on a labeled corpus",
-         "lexicons model corpus report"),
-        ("inspect-model", cmd_inspect_model, "pretty-print a model's trees", "model"),
+         "lexicons model corpus", "report"),
+        ("inspect-model", cmd_inspect_model, "pretty-print a model's trees", "model", ""),
     ):
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON config file; flags override it")
-        for name in options.split():
+        for name in f"{required} {optional}".split():
             kind, text = OPTIONS[name]
             p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, required=required.split())
     return parser
+
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _merge_config(args)
+        missing = [k for k in args.required if k not in cfg]
+        if missing:
+            raise ConfigError(f"missing required options: {', '.join(missing)}")
+        return args.func(cfg)
     except (SafeIndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

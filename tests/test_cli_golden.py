@@ -2,9 +2,9 @@
 their golden files under tests/golden/cli/ hold.  The corpus there is 30
 fixed pages with one bad-label row and one unlabeled row; six adult pages
 share a domain, so the staged filter of `eval` and `filter` blacklists it.
-`eval-full-pipeline` runs `eval` with the config corpus/trigger-1.json,
-where the first adult verdict on a domain blacklists it: its forest section
-is `eval`'s, and its full-pipeline section and stage report differ.
+`eval-trigger-1` runs `eval` with the config corpus/trigger-1.json, where
+the first adult verdict on a domain blacklists it: its forest section is
+`eval`'s, and its full-pipeline section and stage report differ.
 
 Run this file as a script to rewrite the golden files from the current
 code:  PYTHONPATH=src python tests/test_cli_golden.py
@@ -33,10 +33,10 @@ RUNS = {
               ("model.json",)),
     "eval": (["eval", "--corpus", CORPUS, "--model", MODEL, "--report", "report.json"],
              ("report.json",)),
-    "eval-full-pipeline": (["eval", "--corpus", CORPUS, "--model", MODEL,
-                            "--report", "report.json",
-                            "--config", str(GOLDEN / "corpus" / "trigger-1.json")],
-                           ("report.json",)),
+    "eval-trigger-1": (["eval", "--corpus", CORPUS, "--model", MODEL,
+                        "--report", "report.json",
+                        "--config", str(GOLDEN / "corpus" / "trigger-1.json")],
+                       ("report.json",)),
     "filter": (["filter", "--corpus", CORPUS, "--model", MODEL, "--index", "index.txt",
                 "--report", "report.json", "--blacklist", "blacklist.txt"],
                ("index.txt", "report.json", "blacklist.txt")),

@@ -773,6 +773,16 @@ class TestTrainForest:
         with pytest.raises(ValueError):
             train_forest([make_vector()], [ADULT, SAFE])
 
+    def test_overflowing_fn_cost_raises(self):
+        """Adult rows weighed at fn_cost must sum to a finite total; the
+        check itself warns of nothing, as every warning fails a test here."""
+        vectors, labels = self._separable()
+        with pytest.raises(TrainingError, match=r"fn_cost 1e\+308 is too large"):
+            train_forest(vectors, labels, TrainConfig(fn_cost=1e308))
+        # ten adult rows at 1e307 weigh 1e308 in all, which is finite
+        forest, _ = train_forest(vectors, labels, TrainConfig(fn_cost=1e307))
+        assert len(forest.trees) == 10
+
     def test_report_shape(self):
         vectors, labels = self._separable()
         _, report = train_forest(vectors, labels, TrainConfig(n_trees=3, min_leaf_weight=0.5))
@@ -789,9 +799,17 @@ class TestTrainForest:
             TrainConfig(max_depth=0)
         # neither a fraction nor a bool counts trees or levels; NaN passes >= 1
         for field, value in [("n_trees", 2.5), ("n_trees", 3.0), ("n_trees", True),
-                             ("max_depth", math.nan), ("max_depth", 4.0), ("max_depth", True)]:
+                             ("max_depth", math.nan), ("max_depth", 4.0), ("max_depth", True),
+                             ("rng_seed", "x"), ("rng_seed", 1.5), ("rng_seed", True)]:
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            TrainConfig(rng_seed=-1)
+        for field in ("fn_cost", "min_leaf_weight"):
+            for value in (True, "2"):
+                with pytest.raises(ValueError, match=f"{field} must be a number"):
+                    TrainConfig(**{field: value})
+        assert TrainConfig(rng_seed=0, fn_cost=20, min_leaf_weight=2).fn_cost == 20
         for value in (0.0, 1.5, math.nan, True, "0.5"):
             with pytest.raises(ValueError, match="vote_threshold"):
                 TrainConfig(vote_threshold=value)
