@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -29,7 +28,6 @@ from .fileio import parse_json, read_input, write_atomic
 from .forest import (
     Forest,
     TrainConfig,
-    count_threshold,
     forest_score,
     format_report,
     format_tree,
@@ -49,21 +47,21 @@ from .pipeline import (
 )
 
 # name -> (type, help); every str option names a file
-OPTIONS: dict[str, tuple[type, str | None]] = {
+OPTIONS: dict[str, tuple[type, str]] = {
     "lexicons": (str, "lexicon manifest (JSON)"),
     "model": (str, "model file (JSON)"),
     "corpus": (str, "corpus manifest (CSV)"),
     "index": (str, "output: one safe URL per line"),
     "blacklist": (str, "blacklist file, read and updated"),
     "report": (str, "output: stage counts (filter), or metrics and stage counts (eval), as JSON"),
-    "trees": (int, None),
-    "fn_cost": (float, None),
-    "min_leaf_weight": (float, None),
-    "max_depth": (int, None),
-    "seed": (int, None),
-    "vote_threshold": (float, None),
-    "min_votes": (int, None),
-    "blacklist_trigger": (int, None),
+    "trees": (int, "number of boosted trees, >= 1"),
+    "fn_cost": (float, "an adult row's start weight, in safe rows (a miss's cost); > 0, finite"),
+    "min_leaf_weight": (float, "least weight, in cases, on each side of a split; > 0, finite"),
+    "max_depth": (int, "depth a tree may grow to, >= 1"),
+    "seed": (int, "seed of the weights' perturbation after a boosting round fails, >= 0"),
+    "vote_threshold": (float, "a page is adult when more than this share of the trees vote "
+                       "adult; in (0, 1]; 'at least k of n trees' is (k-0.5)/n"),
+    "blacklist_trigger": (int, "adult pages of one domain that blacklist it, >= 1"),
 }
 
 # type -> (what a value must be, its JSON types); exact, as true is no int
@@ -149,16 +147,11 @@ def _staged_filter(cfg: dict) -> tuple[FilterState, LexiconSet, Forest]:
 
 
 def cmd_train(cfg: dict) -> int:
-    if "min_votes" in cfg and "vote_threshold" in cfg:
-        raise ConfigError("give vote_threshold or min_votes, not both")
-    # TrainConfig and count_threshold reject out-of-range values with
-    # ValueError; here those values are the user's options, so they are
-    # checked before any file is read.
+    # TrainConfig rejects out-of-range values with ValueError; here those
+    # values are the user's options, so they are checked before any file
+    # is read.
     try:
         config = TrainConfig(**{f: cfg[k] for k, f in _TRAIN_FIELDS.items() if k in cfg})
-        if "min_votes" in cfg:
-            threshold = count_threshold(config.n_trees, cfg["min_votes"])
-            config = replace(config, vote_threshold=threshold)
     except ValueError as exc:
         raise ConfigError(f"bad training option: {exc}") from exc
     lexicons = load_lexicon_set(cfg["lexicons"])
@@ -249,14 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, func, summary, required, optional in (
         ("train", cmd_train, "train a forest on a labeled corpus", "lexicons model corpus",
-         "trees fn_cost min_leaf_weight max_depth seed vote_threshold min_votes"),
+         "trees fn_cost min_leaf_weight max_depth seed vote_threshold"),
         ("filter", cmd_filter, "build a safe index from a corpus",
          "lexicons model corpus index", "blacklist blacklist_trigger report"),
         ("eval", cmd_eval, "score the forest and the staged filter on a labeled corpus",
-         "lexicons model corpus", "report"),
+         "lexicons model corpus", "blacklist_trigger report"),
         ("inspect-model", cmd_inspect_model, "pretty-print a model's trees", "model", ""),
     ):
-        p = sub.add_parser(command, help=summary)
+        # flags are exact, as config keys are: a prefix of a flag is no flag
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override it")
         for name in f"{required} {optional}".split():
             kind, text = OPTIONS[name]

@@ -398,6 +398,9 @@ def classify(forest: Forest, fv: FeatureVector) -> str:
 
 def count_threshold(n_trees: int, min_votes: int) -> float:
     """Vote threshold such that >= min_votes adult votes classify adult."""
+    for name, value in (("n_trees", n_trees), ("min_votes", min_votes)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= min_votes <= n_trees:
         raise ValueError("min_votes must be in [1, n_trees]")
     return (min_votes - 0.5) / n_trees

@@ -84,7 +84,7 @@ def noisy_manifest(tmp_path_factory, lexicons):
 PATH_KEYS = ("lexicons", "corpus", "model", "index", "blacklist", "report")
 # option -> (subcommand that reads it, its output flag); train otherwise
 COMMAND_OF = {"blacklist_trigger": ("filter", "index")}
-INTEGER_KEYS = ("trees", "max_depth", "seed", "min_votes", "blacklist_trigger")
+INTEGER_KEYS = ("trees", "max_depth", "seed", "blacklist_trigger")
 NUMBER_KEYS = ("fn_cost", "min_leaf_weight", "vote_threshold")
 NON_PATH_KEYS = (*INTEGER_KEYS, *NUMBER_KEYS)
 WRONG_TYPES = [
@@ -113,21 +113,7 @@ class TestTrain:
         # same corpus and seed as the fixture model: bytes must match
         assert model.read_bytes() == workspace["model"].read_bytes()
 
-    def test_min_votes_sets_vote_threshold(self, workspace):
-        model = workspace["root"] / "minvotes.json"
-        code = main(
-            [
-                "train",
-                "--lexicons", LEXICON_MANIFEST,
-                "--corpus", str(workspace["train_manifest"]),
-                "--model", str(model),
-                "--min-votes", "3",
-            ]
-        )
-        assert code == 0
-        assert load_forest(model).vote_threshold == pytest.approx(0.25)
-
-    @pytest.mark.parametrize("flag", [["--min-votes", "1"], ["--vote-threshold", "0.25"]])
+    @pytest.mark.parametrize("flag", [["--vote-threshold", "0.05"], ["--vote-threshold", "0.25"]])
     def test_reported_error_is_the_saved_models(self, noisy_manifest, tmp_path, capsys, flag):
         model, report = tmp_path / "model.json", tmp_path / "eval.json"
         common = ["--lexicons", LEXICON_MANIFEST, "--corpus", str(noisy_manifest), "--model", str(model)]
@@ -196,8 +182,6 @@ class TestTrain:
             ["--min-leaf-weight", "-1"],
             ["--max-depth", "0"],
             ["--vote-threshold", "1.5"],
-            ["--min-votes", "0"],
-            ["--min-votes", "11", "--trees", "10"],
             ["--seed", "-1"],
             *([flag, value] for flag in ("--fn-cost", "--min-leaf-weight") for value in ("nan", "inf")),
         ],
@@ -237,37 +221,6 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 1
         assert "error: fn_cost 1e+307 is too large" in err
-        assert not model.exists()
-
-    @pytest.mark.parametrize(
-        "config, flags",
-        [
-            ({}, ["--vote-threshold", "0.9", "--min-votes", "2"]),
-            ({"min_votes": 2}, ["--vote-threshold", "0.9"]),
-            ({"vote_threshold": 0.9}, ["--min-votes", "2"]),
-        ],
-        ids=["flag and flag", "file and flag", "flag and file"],
-    )
-    def test_both_threshold_options_exit_1(
-        self, workspace, tmp_path, monkeypatch, capsys, config, flags
-    ):
-        """vote_threshold and min_votes set one value: neither may win silently."""
-        monkeypatch.setattr(safeindex.cli, "load_lexicon_set", must_not_run)
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        model = tmp_path / "model.json"
-        code = main(
-            [
-                "train",
-                "--config", str(config_path),
-                "--lexicons", LEXICON_MANIFEST,
-                "--corpus", str(workspace["train_manifest"]),
-                "--model", str(model),
-                *flags,
-            ]
-        )
-        assert code == 1
-        assert "give vote_threshold or min_votes, not both" in capsys.readouterr().err
         assert not model.exists()
 
 
@@ -661,11 +614,11 @@ class TestStreaming:
 
     def test_train_walks_no_tree(self, workspace, tmp_path, monkeypatch):
         """train_forest's votes give the saved model's global error, at the
-        threshold --min-votes sets, without a walk over the training pages."""
+        threshold --vote-threshold sets, without a walk over the training pages."""
         calls = count_forest_votes(monkeypatch)
         model = tmp_path / "model.json"
-        assert main(["train", "--min-votes", "3", "--lexicons", LEXICON_MANIFEST, "--corpus",
-                     str(workspace["train_manifest"]), "--model", str(model)]) == 0
+        assert main(["train", "--vote-threshold", "0.25", "--lexicons", LEXICON_MANIFEST,
+                     "--corpus", str(workspace["train_manifest"]), "--model", str(model)]) == 0
         assert load_forest(model).vote_threshold == 0.25
         assert calls == []
 
@@ -676,6 +629,7 @@ class TestMalformedInputs:
         [
             (["filter", "--blacklist-trigger", "0"], {}, "must be >= 1"),
             (["filter", "--blacklist-trigger", "-2"], {}, "must be >= 1"),
+            (["eval", "--blacklist-trigger", "0"], {}, "must be >= 1"),
             (["filter"], {"blacklist_trigger": 0}, "must be >= 1"),
             (["eval"], {"blacklist_trigger": 0}, "must be >= 1"),
             *(
@@ -685,7 +639,7 @@ class TestMalformedInputs:
             ),
         ],
         ids=[
-            "filter flag 0", "filter flag -2", "filter config 0", "eval config 0",
+            "filter flag 0", "filter flag -2", "eval flag 0", "filter config 0", "eval config 0",
             *(f"{cmd} config {t}" for cmd in ("filter", "eval") for t in ("three", 2.7, True)),
         ],
     )
@@ -787,6 +741,27 @@ class TestMalformedInputs:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --full-pipeline" in capsys.readouterr().err
 
+    # a count of trees is --vote-threshold (k-0.5)/n: no value of the
+    # retired key is read, whatever its type
+    @pytest.mark.parametrize("value", [3, None, [1], True, "3", 2.7], ids=json.dumps)
+    def test_retired_count_key_exits_1(self, workspace, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setattr(safeindex.cli, "load_lexicon_set", must_not_run)
+        code = self._run_with_config(workspace, tmp_path, "train", "model", {"min_votes": value})
+        assert code == 1
+        assert "unknown option 'min_votes'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # "--min" was a prefix of two flags and is of --min-leaf-weight alone now
+    @pytest.mark.parametrize("flag", ["--min-votes", "--min"])
+    def test_retired_count_flag_exits_2(self, workspace, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--lexicons", LEXICON_MANIFEST, "--corpus",
+                  str(workspace["train_manifest"]), "--model", str(tmp_path / "model.json"),
+                  flag, "3"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_flag_overrides_bad_config_value(self, workspace, tmp_path):
         code = self._run_with_config(
             workspace, tmp_path, "train", "model", {"trees": None}, "--trees", "3"
@@ -857,11 +832,10 @@ class TestParser:
     # less inspect-model's --lexicons, which it never read
     @pytest.mark.parametrize("command, flags", [
         ("train", ["--lexicons", "--model", "--corpus", "--trees", "--fn-cost",
-                   "--min-leaf-weight", "--max-depth", "--seed", "--vote-threshold",
-                   "--min-votes"]),
+                   "--min-leaf-weight", "--max-depth", "--seed", "--vote-threshold"]),
         ("filter", ["--lexicons", "--model", "--corpus", "--index", "--blacklist",
                     "--blacklist-trigger", "--report"]),
-        ("eval", ["--lexicons", "--model", "--corpus", "--report"]),
+        ("eval", ["--lexicons", "--model", "--corpus", "--blacklist-trigger", "--report"]),
         ("inspect-model", ["--model"]),
     ])
     def test_help_lists_the_flags(self, capsys, command, flags):
@@ -892,6 +866,25 @@ class TestParser:
         for command in ("train", "filter", "eval", "inspect-model"):
             dests.update(vars(parser.parse_args([command])))
         assert set(safeindex.cli.OPTIONS) <= dests
+
+    @pytest.mark.parametrize("name", safeindex.cli.OPTIONS)
+    def test_every_option_explains_itself(self, name):
+        """Each option's --help line says what it sets; a number's, its range."""
+        kind, text = safeindex.cli.OPTIONS[name]
+        assert isinstance(text, str) and text.strip()
+        if kind is not str:
+            assert re.search(r">=? \d|in \(", text), text
+
+    def test_readme_names_only_real_flags(self, capsys):
+        """Every flag README's "Command line" section names is some command's."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+        flags = set()
+        for command in ("train", "filter", "eval", "inspect-model"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            flags.update(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert set(re.findall(r"--[a-z][a-z-]*", section)) <= flags
 
     def test_config_file_may_name_lexicons_for_inspect_model(self, workspace, tmp_path):
         config = tmp_path / "config.json"

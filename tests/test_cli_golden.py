@@ -43,13 +43,14 @@ RUNS = {
 }
 
 
-def run(name: str) -> dict[str, str]:
-    """Golden file name -> text, for one run in a fresh directory."""
+def run(name: str, *flags: str) -> dict[str, str]:
+    """Golden file name -> text, for one run, given `flags` besides its
+    own, in a fresh directory."""
     argv, written = RUNS[name]
     out, err = io.StringIO(), io.StringIO()
     with TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert main([*argv, "--lexicons", LEXICONS]) == 0
+            assert main([*argv, *flags, "--lexicons", LEXICONS]) == 0
         outputs = {f"{name}.{f}": Path(f).read_text(encoding="utf-8") for f in written}
     return {f"{name}.stdout": out.getvalue(), f"{name}.stderr": err.getvalue(), **outputs}
 
@@ -58,6 +59,14 @@ def run(name: str) -> dict[str, str]:
 def test_cli_output_matches_golden(name):
     for filename, text in run(name).items():
         assert text == (GOLDEN / filename).read_text(encoding="utf-8"), filename
+
+
+def test_blacklist_trigger_flag_is_the_config_run():
+    """`eval --blacklist-trigger 1` prints and reports what `eval-trigger-1`,
+    which sets the trigger in its config file, does."""
+    for filename, text in run("eval", "--blacklist-trigger", "1").items():
+        golden = filename.replace("eval.", "eval-trigger-1.", 1)
+        assert text == (GOLDEN / golden).read_text(encoding="utf-8"), golden
 
 
 def test_every_golden_file_belongs_to_a_run():

@@ -588,6 +588,14 @@ class TestVoting:
         with pytest.raises(ValueError):
             count_threshold(10, 11)
 
+    @pytest.mark.parametrize("n_trees, min_votes", [
+        (10, True), (10, 2.5), (10, 3.0), (10.0, 3), (True, 1),
+    ])
+    def test_count_threshold_wants_integers(self, n_trees, min_votes):
+        """A bool is no count, and 2.5 votes would give 0.2 unseen."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            count_threshold(n_trees, min_votes)
+
     def test_raising_threshold_never_flips_safe_to_adult(self):
         rnd = random.Random(23)
         for _ in range(100):
@@ -696,7 +704,7 @@ class TestTrainForest:
     @pytest.mark.parametrize("seed", range(4))
     def test_report_errors_match_the_oracle_walk(self, lexicons, seed):
         """The global error is the returned model's, at the threshold the
-        config sets and the model saves: the default, --min-votes 3's, 0.75."""
+        config sets and the model saves: the default, at least 3 of 10 trees, 0.75."""
         pages = generate_corpus(lexicons, 200, 100, seed=seed, overlap=0.3)
         vectors = [extract_features(p, lexicons) for p in pages]
         labels = [p.label for p in pages]
