@@ -60,7 +60,7 @@ OPTIONS: dict[str, tuple[type, str]] = {
     "max_depth": (int, "depth a tree may grow to, >= 1"),
     "seed": (int, "seed of the weights' perturbation after a boosting round fails, >= 0"),
     "vote_threshold": (float, "a page is adult when more than this share of the trees vote "
-                       "adult; in (0, 1]; 'at least k of n trees' is (k-0.5)/n"),
+                       "adult; in (0, 1); 'at least k of n trees' is (k-0.5)/n"),
     "blacklist_trigger": (int, "adult pages of one domain that blacklist it, >= 1"),
 }
 

@@ -88,8 +88,8 @@ TreeNode = Union[Leaf, Split]
 def check_vote_threshold(value: float) -> float:
     """The value itself if it is a valid vote threshold, else ValueError;
     a bool is no number here, as in the model JSON."""
-    if type(value) not in (int, float) or not 0.0 < value <= 1.0:
-        raise ValueError(f"vote_threshold must be a number in (0, 1], got {value!r}")
+    if type(value) not in (int, float) or not 0.0 < value < 1.0:
+        raise ValueError(f"vote_threshold must be a number in (0, 1), got {value!r}")
     return value
 
 

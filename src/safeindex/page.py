@@ -151,26 +151,25 @@ def parse_url(url: str) -> UrlParts:
     ("[::1]", "192.168.0.1") is its own registrable domain and has the
     empty TLD.  Raises MalformedUrlError when no host can be found.
     """
-    if not url or not url.strip():
-        raise MalformedUrlError("empty URL")
     lowered = url.strip().lower()
+    if not lowered:
+        raise MalformedUrlError("empty URL")
 
-    rest = lowered.split("://", 1)[1] if "://" in lowered else lowered
-    authority = rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0]
+    rest = lowered.partition("://")[2] if "://" in lowered else lowered
+    authority = rest.partition("/")[0].partition("?")[0].partition("#")[0]
     # strip userinfo, then the port; an IPv6 literal keeps its colons
-    authority = authority.rsplit("@", 1)[-1]
+    authority = authority.rpartition("@")[2]
     if authority.startswith("["):
         host = authority[1:authority.find("]")] if "]" in authority else ""
     else:
-        host = authority.split(":", 1)[0]
-    if not host:
-        raise MalformedUrlError(f"no recognizable host in {url!r}")
-    labels = host.strip(".").split(".")
-    if not labels or any(not lbl for lbl in labels):
+        host = authority.partition(":")[0]
+    host = host.strip(".")
+    labels = host.split(".")
+    if "" in labels:  # also an empty host: "".split(".") is [""]
         raise MalformedUrlError(f"no recognizable host in {url!r}")
 
     if ":" in host or labels[-1].isdigit():  # an IP literal; no TLD is numeric
-        return UrlParts(lowered, host.strip("."), "")
+        return UrlParts(lowered, host, "")
     tail = ".".join(labels[-2:])
     if len(labels) >= 3 and tail in TWO_LEVEL_SUFFIXES:
         registrable = ".".join(labels[-3:])

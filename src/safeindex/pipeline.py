@@ -3,13 +3,13 @@
 Stage order, first hit wins: blacklist, disclaimer, .xxx TLD, decision
 forest.  Every adult verdict counts toward the per-domain trigger (3 by
 default); once a domain hits the trigger it enters the blacklist and its
-later pages short-circuit on the URL alone.  Past the blacklist, a page's
-tokens are scanned once: `extract_features` gives the 36 values the
-forest scores and the disclaimer flag the disclaimer stage reads.  A page
-from `page_from_html` strips its HTML at that scan, so a blacklisted page
-is never stripped.
-Verdicts are counted once per distinct URL, and only until the domain is
-blacklisted: a blacklisted domain's pages add no strike and no URL.
+later pages short-circuit on the URL alone: such a page costs one URL
+parse and one set lookup, and adds no strike and no URL.  Verdicts are
+counted once per distinct URL.  The blacklist, disclaimer and .xxx
+verdicts are shared instances.  Past the blacklist, a page's tokens are
+scanned once: `extract_features` gives the 36 values the forest scores
+and the disclaimer flag the disclaimer stage reads; a page from
+`page_from_html` strips its HTML at that scan, never before.
 """
 
 from __future__ import annotations
@@ -33,9 +33,16 @@ REASON_FOREST = "forest"
 
 @dataclass(frozen=True)
 class Verdict:
+    """A page's label and the stage that gave it; instances may be shared."""
+
     label: str
     reason: str
     score: float | None = None  # present iff reason == forest
+
+
+_BLACKLIST_VERDICT = Verdict(ADULT, REASON_BLACKLIST)
+_DISCLAIMER_VERDICT = Verdict(ADULT, REASON_DISCLAIMER)
+_TLD_XXX_VERDICT = Verdict(ADULT, REASON_TLD_XXX)
 
 
 @dataclass
@@ -98,25 +105,19 @@ def filter_page(
     """
     domain = page.url.registrable_domain
     if domain in state.blacklist:
-        verdict = Verdict(ADULT, REASON_BLACKLIST)
+        # a blacklisted domain's pages are decided already: they count nothing
+        return _BLACKLIST_VERDICT, state
+    if features is None:
+        features = extract_features(page, lexicons)
+    if has_disclaimer(features):
+        verdict = _DISCLAIMER_VERDICT
+    elif page.url.tld == "xxx":
+        verdict = _TLD_XXX_VERDICT
     else:
-        if features is None:
-            features = extract_features(page, lexicons)
-        if has_disclaimer(features):
-            verdict = Verdict(ADULT, REASON_DISCLAIMER)
-        elif page.url.tld == "xxx":
-            verdict = Verdict(ADULT, REASON_TLD_XXX)
-        else:
-            if score is None:
-                score = forest_score(forest, features)
-            verdict = Verdict(forest.label(score), REASON_FOREST, score)
+        score = forest_score(forest, features) if score is None else score
+        verdict = Verdict(forest.label(score), REASON_FOREST, score)
 
-    # a blacklisted domain's pages are decided already: they count nothing
-    if (
-        verdict.label == ADULT
-        and verdict.reason != REASON_BLACKLIST
-        and page.url.full_url not in state.counted_urls
-    ):
+    if verdict.label == ADULT and page.url.full_url not in state.counted_urls:
         state.counted_urls.add(page.url.full_url)
         state.unsafe_counts[domain] = state.unsafe_counts.get(domain, 0) + 1
         if state.unsafe_counts[domain] >= state.blacklist_trigger:

@@ -30,7 +30,8 @@ from safeindex.forest import (
     tree_size,
 )
 from safeindex.lexicon import CONTENT_LEXICON_NAMES
-from safeindex.page import Page, parse_url
+from safeindex.errors import MalformedUrlError
+from safeindex.page import TWO_LEVEL_SUFFIXES, Page, UrlParts, parse_url
 from safeindex.synth import _LEXICON_WEIGHTS, _SYLLABLES, DISCLAIMER_PHRASES
 
 
@@ -209,6 +210,42 @@ def oracle_features(page, lexicons) -> list[float]:
         values.append(oracle_ratio(page.tokens, terms))
         values.append(oracle_prop(page.tokens, terms))
     return values
+
+
+# ---------------------------------------------------------------------------
+# reference: URL parsing with split() chains
+
+
+def oracle_parse_url(url: str) -> UrlParts:
+    """page.parse_url with two strips, split(..., 1) chains and a generator
+    over the labels.  Must return equal parts, or raise MalformedUrlError
+    with the same message, on every string."""
+    if not url or not url.strip():
+        raise MalformedUrlError("empty URL")
+    lowered = url.strip().lower()
+
+    rest = lowered.split("://", 1)[1] if "://" in lowered else lowered
+    authority = rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0]
+    # strip userinfo, then the port; an IPv6 literal keeps its colons
+    authority = authority.rsplit("@", 1)[-1]
+    if authority.startswith("["):
+        host = authority[1:authority.find("]")] if "]" in authority else ""
+    else:
+        host = authority.split(":", 1)[0]
+    if not host:
+        raise MalformedUrlError(f"no recognizable host in {url!r}")
+    labels = host.strip(".").split(".")
+    if not labels or any(not lbl for lbl in labels):
+        raise MalformedUrlError(f"no recognizable host in {url!r}")
+
+    if ":" in host or labels[-1].isdigit():  # an IP literal; no TLD is numeric
+        return UrlParts(lowered, host.strip("."), "")
+    tail = ".".join(labels[-2:])
+    if len(labels) >= 3 and tail in TWO_LEVEL_SUFFIXES:
+        registrable = ".".join(labels[-3:])
+    else:
+        registrable = tail
+    return UrlParts(lowered, registrable, labels[-1])
 
 
 # ---------------------------------------------------------------------------

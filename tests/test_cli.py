@@ -206,6 +206,27 @@ class TestTrain:
         assert "internal error" not in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("value", ["1", "1.0"])
+    def test_vote_threshold_of_one_exits_1(self, workspace, monkeypatch, capsys, value):
+        """No share of votes exceeds 1, so such a model would call no page
+        adult: the option is refused before any file is read."""
+        monkeypatch.setattr(safeindex.cli, "load_lexicon_set", must_not_run)
+        monkeypatch.setattr(safeindex.cli, "train_forest", must_not_run)
+        model = workspace["root"] / "never_adult.json"
+        code = main(
+            [
+                "train",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(workspace["train_manifest"]),
+                "--model", str(model),
+                "--vote-threshold", value,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "vote_threshold must be a number in (0, 1), got 1.0" in err
+        assert not model.exists()
+
     def test_overflowing_fn_cost_exits_1(self, workspace, capsys):
         """30 adult rows at 1e307 weigh more than a float holds."""
         model = workspace["root"] / "overflow.json"
@@ -893,14 +914,15 @@ class TestParser:
         assert main(args) == 0
 
     def test_config_numbers_match_flags(self, workspace, tmp_path):
-        """An integer is a valid number: the file's 20 and 1 give the model
-        that --fn-cost 20 --vote-threshold 1 gives."""
+        """An integer is a valid number: the file's fn_cost 20 and
+        vote_threshold 0.75 give the model that --fn-cost 20
+        --vote-threshold 0.75 gives."""
         common = ["--lexicons", LEXICON_MANIFEST, "--corpus", str(workspace["train_manifest"])]
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"fn_cost": 20, "vote_threshold": 1}), encoding="utf-8")
+        config.write_text(json.dumps({"fn_cost": 20, "vote_threshold": 0.75}), encoding="utf-8")
         from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
         assert main(["train", *common, "--config", str(config), "--model", str(from_file)]) == 0
-        flags = ["--fn-cost", "20", "--vote-threshold", "1", "--model", str(from_flags)]
+        flags = ["--fn-cost", "20", "--vote-threshold", "0.75", "--model", str(from_flags)]
         assert main(["train", *common, *flags]) == 0
         assert from_file.read_bytes() == from_flags.read_bytes()
 
@@ -1155,6 +1177,19 @@ class TestInspectModel:
                      "--corpus", str(workspace["eval_manifest"]), "--index", str(index)]) == 1
         err = capsys.readouterr().err
         assert err.count("malformed model") == 2 and BAD_NUMBER_MODELS[name][2] in err
+        assert not index.exists()
+
+    def test_vote_threshold_of_one_exits_1(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "never_adult.json"
+        bad.write_text('{"version": 1, "vote_threshold": 1.0, "trees": [{"label": "adult"}]}',
+                       encoding="utf-8")
+        index = tmp_path / "index.txt"
+        assert main(["inspect-model", "--model", str(bad)]) == 1
+        assert main(["filter", "--lexicons", LEXICON_MANIFEST, "--model", str(bad),
+                     "--corpus", str(workspace["eval_manifest"]), "--index", str(index)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("malformed model") == 2
+        assert err.count("vote_threshold must be a number in (0, 1), got 1.0") == 2
         assert not index.exists()
 
     @pytest.mark.parametrize("version", ["true", "1.0"])

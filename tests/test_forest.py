@@ -818,10 +818,9 @@ class TestTrainForest:
                 with pytest.raises(ValueError, match=f"{field} must be a number"):
                     TrainConfig(**{field: value})
         assert TrainConfig(rng_seed=0, fn_cost=20, min_leaf_weight=2).fn_cost == 20
-        for value in (0.0, 1.5, math.nan, True, "0.5"):
+        for value in (0.0, 1, 1.0, 1.5, math.nan, True, "0.5"):
             with pytest.raises(ValueError, match="vote_threshold"):
                 TrainConfig(vote_threshold=value)
-        assert TrainConfig(vote_threshold=1).vote_threshold == 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["fn_cost", "min_leaf_weight"])
@@ -906,11 +905,12 @@ class TestSerialization:
         assert BAD_NUMBER_MODELS[name][2] in str(info.value)
 
     def test_integer_numbers_load(self):
-        doc = ('{"version": 1, "vote_threshold": 1, "trees": [{"attr": "nbr_img",'
+        # no integer is a vote threshold, which lies in (0, 1)
+        doc = ('{"version": 1, "vote_threshold": 0.5, "trees": [{"attr": "nbr_img",'
                ' "thr": 5, "left": {"label": "safe", "weights": [0, 1]},'
                ' "right": {"label": "adult", "weights": [2, 0]}}]}')
         assert forest_from_json(doc) == Forest(
-            (Split("nbr_img", 5.0, Leaf(SAFE, (0.0, 1.0)), Leaf(ADULT, (2.0, 0.0))),), 1.0
+            (Split("nbr_img", 5.0, Leaf(SAFE, (0.0, 1.0)), Leaf(ADULT, (2.0, 0.0))),), 0.5
         )
 
     def test_deeply_nested_model_raises(self):

@@ -21,7 +21,7 @@ from safeindex.page import _WORD_RE, PageLoadFailure, tokenize
 from safeindex.errors import ConfigError
 
 from fixture_docs import DOCS, EDGE_DOCS, oracle_extract
-from helpers import BAD_ROWS, count_extract_text, parent_extract_text
+from helpers import BAD_ROWS, count_extract_text, oracle_parse_url, parent_extract_text
 
 # Fragments of closed markup for the differential test against the
 # html.parser oracle.  Every fragment is complete, so a document built from
@@ -89,6 +89,16 @@ _CLOSED_MARKUP_DOCS = st.lists(
         _TEXT, _ENTITY, _start_tag(_TAG_NAMES), _END_TAG, _raw_block(), _COMMENT, _DECL,
     ),
     max_size=12,
+).map("".join)
+
+# URL-like text: the characters parse_url splits on, among letters of
+# both cases, digits, blanks and pieces of hosts
+_URL_TEXT = st.lists(
+    st.one_of(
+        st.text("abzABZ019.:/?#@[]- \t", max_size=6),
+        st.sampled_from(["http://", "co.uk", "xxx", ".co.uk", "www.", "[::1]", ":8080"]),
+    ),
+    max_size=8,
 ).map("".join)
 
 # Any text at all: arbitrary characters, lone surrogates, and fragments of
@@ -314,6 +324,18 @@ class TestParseUrl:
     def test_malformed_raises(self, bad):
         with pytest.raises(MalformedUrlError):
             parse_url(bad)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_URL_TEXT)
+    def test_equals_the_split_chain_form(self, url):
+        try:
+            expected = oracle_parse_url(url)
+        except MalformedUrlError as exc:
+            with pytest.raises(MalformedUrlError) as raised:
+                parse_url(url)
+            assert str(raised.value) == str(exc)
+        else:
+            assert parse_url(url) == expected
 
 
 class TestPageFromHtml:

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 
 import pytest
+
+import safeindex.pipeline
 
 from safeindex import (
     ADULT,
@@ -265,6 +268,42 @@ class TestBuildSafeIndex:
         assert run1[0] == run2[0]
         assert run1[1].as_dict() == run2[1].as_dict()
         assert run1[2].blacklist == run2[2].blacklist
+
+
+class TestShortCircuitCost:
+    """A short-circuit verdict is a shared instance: the blacklist,
+    disclaimer and .xxx stages build no Verdict, the forest one per page."""
+
+    def test_only_forest_pages_build_a_verdict(self, tiny_lexicons, monkeypatch):
+        made = []
+
+        class CountingVerdict(Verdict):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(safeindex.pipeline, "Verdict", CountingVerdict)
+        pages = [
+            *(page(f"http://banned.com/{i}", ("harmless",)) for i in range(4)),
+            *(page(f"http://gate{i}.com/1", ("adults", "only")) for i in range(3)),
+            *(page(f"http://site{i}.xxx/1", ("harmless",)) for i in range(3)),
+            page("http://fine.com/1", ("harmless",)),
+            page("http://fine.com/2", ("harmless",)),
+        ]
+        state = FilterState(blacklist={"banned.com"})
+        _, report, _ = build_safe_index(pages, SAFE_FOREST, tiny_lexicons, state)
+        assert (report.blacklist, report.disclaimer, report.tld_xxx, report.forest_safe) == (4, 3, 3, 2)
+        assert made == [(SAFE, REASON_FOREST, 0.0)] * 2
+
+    def test_blacklisted_page_shares_its_verdict_and_changes_no_state(self, tiny_lexicons):
+        state = FilterState(blacklist={"banned.com"}, unsafe_counts={"other.com": 1},
+                            counted_urls={"http://other.com/1"})
+        before = copy.deepcopy(state)
+        first, state = filter_page(page("http://banned.com/1"), ADULT_FOREST, tiny_lexicons, state)
+        second, state = filter_page(page("http://www.banned.com/2"), ADULT_FOREST, tiny_lexicons, state)
+        assert first is second
+        assert first == Verdict(ADULT, REASON_BLACKLIST)
+        assert state == before
 
 
 class TestStrippingOnDemand:
