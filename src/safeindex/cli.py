@@ -26,6 +26,7 @@ from .evaluation import format_confusion, metrics, score_run
 from .features import ATTRIBUTE_NAMES, extract_features
 from .fileio import parse_json, read_input, write_atomic
 from .forest import (
+    MAX_DEPTH,
     Forest,
     TrainConfig,
     forest_score,
@@ -57,7 +58,7 @@ OPTIONS: dict[str, tuple[type, str]] = {
     "trees": (int, "number of boosted trees, >= 1"),
     "fn_cost": (float, "an adult row's start weight, in safe rows (a miss's cost); > 0, finite"),
     "min_leaf_weight": (float, "least weight, in cases, on each side of a split; > 0, finite"),
-    "max_depth": (int, "depth a tree may grow to, >= 1"),
+    "max_depth": (int, f"depth a tree may grow to, >= 1 and <= {MAX_DEPTH}"),
     "seed": (int, "seed of the weights' perturbation after a boosting round fails, >= 0"),
     "vote_threshold": (float, "a page is adult when more than this share of the trees vote "
                        "adult; in (0, 1); 'at least k of n trees' is (k-0.5)/n"),

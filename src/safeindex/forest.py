@@ -15,12 +15,14 @@ a name lookup or a label compare.
 Training sorts its rows once.  The rows never change across boosting
 rounds, only their weights, so `train_forest` takes one stable argsort per
 attribute, and each node hands its children that order filtered by the
-split mask (the presorted attribute lists of SLIQ and SPRINT).  Each leaf
+split mask (the presorted attribute lists of SLIQ and SPRINT).  No node
+copies a row: the split search reads the training's own X, y and w
+through the node's order, as SLIQ reads its lists in place.  Each leaf
 writes its vote for the rows that reach it, so a round gets its tree's
 predictions on the training rows without walking the tree.
 
 numpy is imported inside the training functions that use it (`best_split`,
-`_entropies`, `grow_tree`, `train_forest`), not at module load: loading,
+`_entropies`, `train_forest`), not at module load: loading,
 scoring and printing a model never touch it, and importing numpy would be
 most of the start-up time of a process that only filters.
 """
@@ -42,6 +44,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 MODEL_VERSION = 1
+
+# The deepest tree TrainConfig allows.  Trees are walked by recursion:
+# growing, hashing and comparing them in training, and saving, loading and
+# printing them.  Comparing two equal trees, the deepest of these, takes
+# three interpreter levels per tree level, so at Python's default
+# recursion limit of 1000 this bound leaves room for the caller's stack.
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -132,8 +141,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not (0 < self.fn_cost < math.inf and 0 < self.min_leaf_weight < math.inf):
             raise ValueError("fn_cost and min_leaf_weight must be positive and finite")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")  # depth 0 is one constant leaf
+        if not 1 <= self.max_depth <= MAX_DEPTH:  # depth 0 is one constant leaf
+            raise ValueError(f"max_depth must be in [1, {MAX_DEPTH}], got {self.max_depth}")
         check_vote_threshold(self.vote_threshold)
 
 
@@ -189,6 +198,7 @@ def best_split(
     attr_names: Sequence[str],
     min_leaf_weight: float,
     order: np.ndarray | None = None,
+    totals: tuple[float, float] | None = None,
 ) -> SplitChoice | None:
     """Highest gain-ratio midpoint split passing the C4.5 mean-gain guard.
 
@@ -200,25 +210,30 @@ def best_split(
     before anything is read in sorted order: a side of at least
     min_leaf_weight leaves the other, computed exactly (Sterbenz), below it.
 
-    `order` holds, one row per attribute, the indices of X's rows in
-    stable ascending order of that attribute's values:
-    `np.argsort(X.T, axis=1, kind="stable")`.  `grow_tree` passes the
-    order it filtered down from the root, so a trained node sorts
-    nothing; a call without one sorts X here.
+    The node's rows are those in `order`, which holds, one row per
+    attribute, their indices into X in stable ascending order of that
+    attribute's values; `totals` is their (total, adult) weight, each
+    summed in ascending row order.  `grow_tree` passes the order it
+    filtered down from the root and the sums it has already taken, so a
+    trained node sorts nothing and copies no row.  A call without them
+    searches every row of X: it sorts X here and sums w.
 
     Every candidate of every attribute is scored in one pass over arrays,
     with the same operations in the same order as entropy() applied to one
-    boundary at a time, so the choice is bit-identical to that loop.  The
-    split entropy of the gain ratio is taken only for the candidates that
-    pass the positive-gain filter and the mean-gain guard.  The winner is
-    the argmax of the gain ratio; only when several candidates share the
-    maximum are those few sorted by the tie-breaks, and only then are
-    their attribute names looked up.
+    boundary at a time, so the choice is bit-identical to that loop.  A
+    candidate is one flat index into the (attribute, position) arrays, so
+    each filter selects one index array.  The split entropy of the gain
+    ratio is taken only for the candidates that pass the positive-gain
+    filter and the mean-gain guard.  The winner is the argmax of the gain
+    ratio; only when several candidates share the maximum are those few
+    sorted by the tie-breaks, and only then are their attribute names
+    looked up.
     """
     import numpy as np
 
-    total = float(w.sum())
-    total_adult = float(w[y].sum())
+    if totals is None:
+        totals = float(w.sum()), float(w[y].sum())
+    total, total_adult = totals
     total_safe = total - total_adult
     if total_adult <= 0 or total_safe <= 0 or total < 2 * min_leaf_weight:
         return None
@@ -226,17 +241,22 @@ def best_split(
 
     if order is None:
         order = np.argsort(X.T, axis=1, kind="stable")
-    xs = np.take_along_axis(X.T, order, axis=1)
+    n_attr, n = order.shape  # n: the node's rows, positions per attribute
+    # xs[a, k] = X[order[a, k], a], read through the flat index of X
+    xs = X.take(order * n_attr + np.arange(n_attr)[:, None])
     ws = w[order]
-    cw = np.cumsum(ws, axis=1)
-    ca = np.cumsum(np.where(y[order], ws, 0.0), axis=1)
-    # boundaries attribute by attribute, each attribute's in sorted order
-    col, row = np.nonzero(xs[:, :-1] < xs[:, 1:])
-    wl = cw[col, row]
+    cw = np.cumsum(ws, axis=1).ravel()
+    ca = np.cumsum(np.where(y[order], ws, 0.0), axis=1).ravel()
+    # boundaries attribute by attribute, each attribute's in sorted order,
+    # as flat indices into the (n_attr, n) arrays: the comparison's flat
+    # index i, over n - 1 columns, is i + i // (n - 1) over n
+    at = np.flatnonzero(xs[:, :-1] < xs[:, 1:])
+    at += at // (n - 1)
+    wl = cw[at]
     wr = total - wl
     keep = (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
-    col, row, wl, wr = col[keep], row[keep], wl[keep], wr[keep]
-    la = ca[col, row]
+    at, wl, wr = at[keep], wl[keep], wr[keep]
+    la = ca[at]
     ls = np.maximum(wl - la, 0.0)
     ra = np.maximum(total_adult - la, 0.0)
     rs = np.maximum(total_safe - ls, 0.0)
@@ -247,26 +267,27 @@ def best_split(
     positive = gain > 0
     if not positive.any():
         return None
-    col, row, gain = col[positive], row[positive], gain[positive]
-    wl, wr = wl[positive], wr[positive]
+    at, gain = at[positive], gain[positive]
 
     # gains added left to right in candidate order (np.sum adds pairwise,
     # which can move the mean in the last bit); epsilon keeps the guard
     # from starving on all-equal gains (float noise)
     mean_gain = sum(gain.tolist()) / len(gain)
     eligible = gain >= mean_gain - 1e-12
-    col, row, gain = col[eligible], row[eligible], gain[eligible]
-    gain_ratio = gain / _entropies(wl[eligible], wr[eligible])
+    at, gain = at[eligible], gain[eligible]
+    wl = cw[at]
+    gain_ratio = gain / _entropies(wl, total - wl)
     best_ratio = gain_ratio.max()
     top = np.flatnonzero(gain_ratio == best_ratio)
-    col, row, gain = col[top], row[top], gain[top]
-    threshold = (xs[col, row] + xs[col, row + 1]) / 2.0
+    at, gain = at[top], gain[top]
+    xs = xs.ravel()
+    threshold = (xs[at] + xs[at + 1]) / 2.0
     best = 0
     if len(top) > 1:  # a tied ratio: higher gain, then name, then threshold
-        names = np.asarray(attr_names)[col]
+        names = np.asarray(attr_names)[at // n]
         best = np.lexsort((threshold, names, -gain))[0]
     return SplitChoice(
-        attr_names[col[best]], float(threshold[best]), float(best_ratio)
+        attr_names[at[best] // n], float(threshold[best]), float(best_ratio)
     )
 
 
@@ -317,38 +338,32 @@ def grow_tree(
 ) -> TreeNode:
     """Recursive induction; stops on purity, no useful split, or max depth.
 
-    X, y and w hold every training row.  The node's rows are `rows`, their
-    indices in ascending order, and `order` holds the same indices once per
-    attribute, in stable ascending order of that attribute's values.  A
-    child's order is the parent's filtered by the split mask, so no node
-    sorts.  Each leaf writes its vote (True for adult) into `pred` at its
-    rows, so the tree's predictions on the training rows come without a
-    walk.
+    X, y and w hold every training row, and no node copies them.  The
+    node's rows are `rows`, their indices in ascending order, and `order`
+    holds the same indices once per attribute, in stable ascending order
+    of that attribute's values.  best_split reads the arrays through that
+    order, with the weight sums taken here.  A child's order is the
+    parent's filtered by the split mask, so no node sorts.  Each leaf
+    writes its vote (True for adult) into `pred` at its rows, so the
+    tree's predictions on the training rows come without a walk.
     """
-    import numpy as np
-
     yn, wn = y[rows], w[rows]
+    total = float(wn.sum())
     adult_w = float(wn[yn].sum())
-    safe_w = float(wn.sum()) - adult_w
+    safe_w = total - adult_w
     choice = None
     if adult_w > 0 and safe_w > 0 and depth < config.max_depth:
-        # best_split takes the order in the node's own row numbers; `order`
-        # holds only the node's rows, so no other entry of `number` is read
-        number = np.empty(len(X), dtype=np.intp)
-        number[rows] = np.arange(len(rows))
-        node_order = number[order]
         choice = best_split(
-            X[rows], yn, wn, ATTRIBUTE_NAMES, config.min_leaf_weight, order=node_order
+            X, y, w, ATTRIBUTE_NAMES, config.min_leaf_weight,
+            order=order, totals=(total, adult_w),
         )
     if choice is None:
         leaf = Leaf(leaf_label(adult_w, safe_w, config.fn_cost), (adult_w, safe_w))
         pred[rows] = leaf.adult
         return leaf
-    mask = X[rows, _ATTRIBUTE_INDEX[choice.attribute]] <= choice.threshold
-    left = mask[node_order]
-    # only `order` and `left` stay alive while the subtrees grow, and the
-    # right child's order is made once the left subtree is done
-    del node_order
+    values = X[:, _ATTRIBUTE_INDEX[choice.attribute]]
+    mask = values[rows] <= choice.threshold
+    left = values[order] <= choice.threshold
     return Split(
         choice.attribute,
         choice.threshold,

@@ -14,6 +14,7 @@ import safeindex.pipeline
 from safeindex import ADULT, build_safe_index, load_forest
 from safeindex.cli import main
 from safeindex.features import extract_features
+from safeindex.forest import MAX_DEPTH
 from safeindex.page import Page, PageLoadFailure, iter_corpus
 from safeindex.synth import generate_corpus, write_corpus
 
@@ -123,6 +124,34 @@ class TestTrain:
         accuracy = json.loads(report.read_text(encoding="utf-8"))["metrics"]["accuracy"]
         assert f"global error: {1 - accuracy:.1%}\n" in out
 
+    def test_trains_and_prints_a_tree_at_the_depth_bound(self, tmp_path, capsys):
+        """Page i holds i images and is adult when i is odd, so the tree
+        peels off a page or two per level, down to --max-depth."""
+        rows = ["path,url,label"]
+        for i in range(2 * MAX_DEPTH + 20):
+            (tmp_path / f"p{i}.html").write_text("<img src=x.png>" * i, encoding="utf-8")
+            rows.append(f"p{i}.html,http://site{i}.example.com/,{'adult' if i % 2 else 'safe'}")
+        manifest, model = tmp_path / "manifest.csv", tmp_path / "deep.json"
+        manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "train",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(manifest),
+                "--model", str(model),
+                "--max-depth", str(MAX_DEPTH),
+                "--min-leaf-weight", "0.000001",
+                "--fn-cost", "1",
+                "--trees", "1",
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert main(["inspect-model", "--model", str(model)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # each level indents four more spaces past the tree's two
+        assert max(len(line) - len(line.lstrip(" ")) for line in lines) == 2 + 4 * MAX_DEPTH
+
     def test_config_file_supplies_options(self, workspace):
         model = workspace["root"] / "fromconfig.json"
         config = workspace["root"] / "train.json"
@@ -181,6 +210,7 @@ class TestTrain:
             ["--fn-cost", "0"],
             ["--min-leaf-weight", "-1"],
             ["--max-depth", "0"],
+            ["--max-depth", str(MAX_DEPTH + 1)],
             ["--vote-threshold", "1.5"],
             ["--seed", "-1"],
             *([flag, value] for flag in ("--fn-cost", "--min-leaf-weight") for value in ("nan", "inf")),

@@ -33,6 +33,7 @@ from safeindex.errors import TrainingError
 from safeindex.evaluation import attribute_usage
 from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import (
+    MAX_DEPTH,
     _entropies,
     _filter_order,
     best_split,
@@ -314,13 +315,7 @@ class TestGrowTree:
         ]
         config = TrainConfig(fn_cost=1.0, min_leaf_weight=1.0, max_depth=2)
         tree = grow_tree(*self._data(rows), config)
-
-        def depth(node):
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(tree) <= 2
+        assert _depth(tree) <= 2
 
     def test_tree_size(self):
         leaf = Leaf(SAFE)
@@ -372,6 +367,33 @@ class TestPresort:
                 grandchild = _filter_order(child, side2[child])
                 assert np.array_equal(grandchild, argsorted(np.flatnonzero(side & side2)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(_masked_tables(), st.data())
+    def test_search_through_the_order_equals_the_search_on_a_copy(self, table, data):
+        """best_split on the whole table, through a child's filtered order
+        and its weight sums, chooses what it chooses on the child's rows
+        copied out."""
+        X, mask, mask2 = table
+        n = len(X)
+        y = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        w = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
+        min_leaf = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+        names = ["a", "b", "c", "d", "e"][: X.shape[1]]
+
+        def same_choice(order, side):
+            rows = np.flatnonzero(side)
+            yn, wn = y[rows], w[rows]  # summed as grow_tree sums them
+            got = best_split(X, y, w, names, min_leaf, order=order,
+                             totals=(float(wn.sum()), float(wn[yn].sum())))
+            assert got == best_split(X[rows], yn, wn, names, min_leaf)
+
+        order = np.argsort(X.T, axis=1, kind="stable")
+        for side in (mask, ~mask):
+            child = _filter_order(order, side[order])
+            same_choice(child, side)
+            for side2 in (mask2, ~mask2):
+                same_choice(_filter_order(child, side2[child]), side & side2)
+
     def test_training_sorts_once_and_walks_no_tree(self, lexicons, monkeypatch):
         pages = generate_corpus(lexicons, 200, 100, seed=0, overlap=0.3)
         vectors = [extract_features(p, lexicons) for p in pages]
@@ -391,6 +413,22 @@ class TestPresort:
         # many nodes in several distinct trees were grown from that one sort
         assert report.distinct_trees > 1
         assert sum(ts.size for ts in report.per_tree) > 50
+
+
+def _depth(node):
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + max(_depth(node.left), _depth(node.right))
+
+
+@pytest.fixture(scope="module")
+def noisy_300(lexicons):
+    """Two noisy 300-page corpora as (vectors, labels), made once."""
+    corpora = []
+    for seed in (0, 1):
+        pages = generate_corpus(lexicons, 300, 150, seed=seed, overlap=0.3)
+        corpora.append(([extract_features(p, lexicons) for p in pages], [p.label for p in pages]))
+    return corpora
 
 
 class TestTreeClassify:
@@ -645,10 +683,17 @@ class TestTrainForest:
         labels = [p.label for p in pages]
         config = TrainConfig(fn_cost=20.0, rng_seed=4)
         arrays, _ = train_forest(vectors, labels, config)
-        monkeypatch.setattr(
-            safeindex.forest, "best_split",
-            lambda X, y, w, names, min_leaf, order: loop_best_split(X, y, w, names, min_leaf),
-        )
+
+        def loop_on_the_node(X, y, w, names, min_leaf, order, totals):
+            # every attribute's order holds exactly the node's rows, and the
+            # totals are their weights summed in ascending row order
+            rows = np.sort(order[0])
+            assert (np.sort(order, axis=1) == rows).all()
+            yn, wn = y[rows], w[rows]
+            assert totals == (float(wn.sum()), float(wn[yn].sum()))
+            return loop_best_split(X[rows], yn, wn, names, min_leaf)
+
+        monkeypatch.setattr(safeindex.forest, "best_split", loop_on_the_node)
         loop, _ = train_forest(vectors, labels, config)
         assert forest_to_json(arrays) == forest_to_json(loop)
 
@@ -761,6 +806,42 @@ class TestTrainForest:
             perfect_rounds += any(t.training_error == 0 for t in report.per_tree[:-1])
             restarts += report.restarts > 0
         assert perfect_rounds > 10 and restarts > 10
+
+    def test_equals_the_loop_on_deep_trees(self, noisy_300):
+        """Trees of about 20 to 40 nodes: most nodes are searched through an order
+        filtered down several levels from the root."""
+        deepest = 0
+        for vectors, labels in noisy_300:
+            for fn_cost in (1.0, 20.0):
+                config = TrainConfig(n_trees=6, fn_cost=fn_cost)
+                forest, report = train_forest(vectors, labels, config)
+                loop_forest, loop_report = loop_train_forest(vectors, labels, config)
+                assert forest_to_json(forest) == forest_to_json(loop_forest)
+                assert report == loop_report
+                deepest = max(deepest, *map(_depth, forest.trees))
+        assert deepest >= 6
+
+    def test_trains_saves_loads_and_prints_at_the_depth_bound(self, tmp_path):
+        """Labels that alternate along one attribute grow a chain that peels
+        off a row or two per level, down to MAX_DEPTH.  Growing, hashing,
+        comparing, saving, loading and printing such a tree all recurse once
+        per level, within the default recursion limit."""
+        n = 2 * MAX_DEPTH + 20
+        vectors = [make_vector(nbr_img=i) for i in range(n)]
+        labels = [ADULT if i % 2 else SAFE for i in range(n)]
+        config = TrainConfig(n_trees=2, fn_cost=1.0, min_leaf_weight=1e-6, max_depth=MAX_DEPTH)
+        forest, report = train_forest(vectors, labels, config)
+        assert _depth(forest.trees[0]) == MAX_DEPTH
+        path = tmp_path / "deep.json"
+        save_forest(forest, path)
+        loaded = load_forest(path)
+        assert loaded == forest
+        assert len(set(forest.trees + loaded.trees)) == report.distinct_trees
+        # a split prints three lines and a leaf one
+        text = format_tree(loaded.trees[0])
+        assert text.count("\n") == 2 * tree_size(loaded.trees[0]) - 1
+        with pytest.raises(ValueError, match=rf"max_depth must be in \[1, {MAX_DEPTH}\]"):
+            TrainConfig(max_depth=MAX_DEPTH + 1)
 
     def test_bad_labels_raise(self):
         vectors = [make_vector(nbr_img=i) for i in range(6)]
