@@ -8,6 +8,14 @@ the text "<a b" and the tag "<c>"; end tags, "<!...>" and "<?...>" end at
 the next '>' and stop at '<'; an unterminated comment, script or style
 block runs to the end of the document.
 
+Character references are decoded one at a time by `html.unescape`, but a
+decoded character that is blank becomes a space: neither it nor its
+lowercase holds a word character, an apostrophe or a hyphen, and it is
+neither cased nor case-ignorable, so it acts exactly as a space for
+`tokenize`.  The tokens are those of the unescaped text, and a page that
+is ASCII but for `&nbsp;`, `&copy;` or `&mdash;` stays ASCII, which keeps
+`str.lower` and `str.split` on their ASCII paths.
+
 `page_from_html` parses the URL at once but strips the markup only when a
 page's tokens or image count are first read, so the pipeline never strips
 a page whose domain is already blacklisted.  `extract_text` is total over
@@ -22,6 +30,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from html import unescape
 from pathlib import Path
 from typing import Iterator
@@ -64,6 +73,36 @@ _MARKUP_RE = re.compile(
     )""",
     re.DOTALL | re.VERBOSE,
 )
+
+# A character reference, as `html.unescape` finds it (the standard
+# library's private `html._charref`; a test checks the two are equal).
+_CHARREF_RE = re.compile(r"&(#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;]{1,32};?)")
+# How many distinct references keep their decoded form
+_DECODED_MEMO_SIZE = 4096
+_WORDISH_RE = re.compile(r"[\w'’-]")
+
+
+def _is_blank(char: str) -> bool:
+    """Whether `tokenize` treats `char` exactly as a space: no word holds
+    it or any of its lowercase, and it is neither cased nor case-ignorable,
+    so it cannot change how a neighbouring 'Σ' lowers (Final_Sigma, the
+    one context rule of `str.lower`).  `str.lower` itself is the test."""
+    return (
+        _WORDISH_RE.search(char + char.lower()) is None
+        and ("A" + char + "Σ").lower()[-1] == "σ"
+        and ("AΣ" + char + "B").lower()[1] == "ς"
+    )
+
+
+@lru_cache(maxsize=_DECODED_MEMO_SIZE)
+def _decode_reference(ref: str) -> str:
+    """`html.unescape` of one reference, its blank characters made spaces."""
+    return "".join(" " if _is_blank(c) else c for c in unescape(ref))
+
+
+def _decode_match(match: re.Match) -> str:
+    return _decode_reference(match[0])
+
 
 # Two-level public suffixes for which the registrable domain keeps three
 # labels instead of two.  Deliberately small.
@@ -135,12 +174,16 @@ def tokenize(text: str) -> tuple[str, ...]:
 
 
 def extract_text(html: str) -> tuple[tuple[str, ...], int]:
-    """(tokens, image_count) for an HTML or plain-text document."""
+    """(tokens, image_count) for an HTML or plain-text document.
+
+    The tokens are `tokenize(html.unescape(text))` of the text between the
+    markup, but a decoded character `tokenize` treats exactly as a space
+    (the no-break space, '©', '—', '&', ...) is decoded as one."""
     # split() puts the capture group, None unless the markup is an <img>
     # tag, between the text runs.
     parts = _MARKUP_RE.split(html)
     images = parts[1::2]
-    text = unescape(" ".join(parts[::2]))
+    text = _CHARREF_RE.sub(_decode_match, " ".join(parts[::2]))
     return tokenize(text), len(images) - images.count(None)
 
 

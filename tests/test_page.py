@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import html
 import pickle
 import time
+from html.entities import html5
+from string import ascii_letters
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +20,26 @@ from safeindex import (
     page_from_html,
     parse_url,
 )
-from safeindex.page import _WORD_RE, PageLoadFailure, tokenize
+import safeindex.page
+from safeindex.page import (
+    _CHARREF_RE,
+    _DECODED_MEMO_SIZE,
+    _WORD_RE,
+    PageLoadFailure,
+    _decode_reference,
+    _is_blank,
+    tokenize,
+)
 from safeindex.errors import ConfigError
 
 from fixture_docs import DOCS, EDGE_DOCS, oracle_extract
-from helpers import BAD_ROWS, count_extract_text, oracle_parse_url, parent_extract_text
+from helpers import (
+    _PARENT_WORD_RE,
+    BAD_ROWS,
+    count_extract_text,
+    oracle_parse_url,
+    parent_extract_text,
+)
 
 # Fragments of closed markup for the differential test against the
 # html.parser oracle.  Every fragment is complete, so a document built from
@@ -141,6 +159,36 @@ _REFERENCE_DOCS = st.lists(
     max_size=12,
 ).map("".join)
 
+# Character references the way pages and hostile pages write them: every
+# html5 name with and without its ';', and numeric references in decimal
+# and hex to any code point, the 0x80-0x9F block html.unescape remaps,
+# surrogates, noncharacters and values past U+10FFFF; among the characters
+# at the edges of the blank rule: 'Σ' (whose lowercase depends on its
+# neighbours), the cased symbols Ⓐ and ⓐ, combining marks (U+0345 is
+# cased too), the soft hyphen, U+200B, '·', apostrophes, '-' and '_'.
+_NAMED_REFERENCES = st.tuples(st.sampled_from(sorted(html5)), st.sampled_from(["", ";"])).map(
+    lambda t: "&" + t[0].rstrip(";") + t[1]
+)
+_CODE_POINTS = st.one_of(
+    st.integers(0, 0x10FFFF),
+    st.integers(0x80, 0x9F),
+    st.integers(0xD800, 0xDFFF),
+    st.integers(0x110000, 10**12),
+    st.sampled_from([0, 0x0B, 0x0D, 0x7F, 0xAD, 0x3A3, 0x345, 0x200B, 0x24B6, 0x24D0, 0xFDD0, 0xFFFE,
+                     0x1FFFF, 0x10FFFF]),
+)
+_NUMERIC_REFERENCES = st.tuples(
+    _CODE_POINTS, st.sampled_from(["&#{}", "&#{};", "&#000{};", "&#x{:x};", "&#X{:X}", "&#x{:X}"])
+).map(lambda t: t[1].format(t[0]))
+_DECODE_EDGES = st.sampled_from(
+    list("ΣσςⒶⓐ\u0301\u0308\u0345\u00ad\u200b·’'-_&#;xX AaBz9ß")
+    + ["İ", "ǅ", "\u00a0", "\u2014", "<b>", "<!-- -->", "&#", "&#x", "&amp", "Σ&", "AΣ"]
+)
+_DECODE_DOCS = st.lists(
+    st.one_of(_NAMED_REFERENCES, _NUMERIC_REFERENCES, _DECODE_EDGES, _DECODE_EDGES),
+    max_size=16,
+).map("".join)
+
 _URLS = st.builds(
     "{}{}.{}{}".format,
     st.sampled_from(["http://", "https://", "", "HTTP://user@"]),
@@ -248,7 +296,10 @@ class TestExtractText:
         assert images >= 0
 
     # pages of repeated unclosed markup, on which html.parser is quadratic
-    @pytest.mark.parametrize("unit", ['<a title="x ', "<a b ", "<!-- x ", "<!x ", "</x "])
+    @pytest.mark.parametrize(
+        "unit",
+        ['<a title="x ', "<a b ", "<!-- x ", "<!x ", "</x ", "&amp", "&#1", "&" + ascii_letters[:31]],
+    )
     def test_hostile_markup_is_linear(self, unit):
         doc = unit * (48_000 // len(unit))
         start = time.perf_counter()
@@ -269,6 +320,43 @@ class TestBacktrackingReference:
     @given(_REFERENCE_DOCS)
     def test_generated_documents(self, doc):
         assert extract_text(doc) == parent_extract_text(doc)
+
+
+class TestReferenceDecoding:
+    """A reference decodes as html.unescape decodes it, except that a
+    character tokenize treats exactly as a space becomes one."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_DECODE_DOCS)
+    def test_equals_the_unescape_reference(self, doc):
+        assert extract_text(doc) == parent_extract_text(doc)
+
+    def test_every_blank_code_point_acts_as_a_space(self):
+        # next to a final sigma and between a word and a hyphen, a blank
+        # character splits words exactly as a space does
+        blank = [c for c in map(chr, range(0x110000)) if _is_blank(c)]
+        text = "".join(f"AΣ{c}B-{c}y " for c in blank)
+        assert _PARENT_WORD_RE.findall(text.lower()) == ["aς", "b", "y"] * len(blank)
+
+    def test_typographic_references_keep_ascii_text_ascii(self, monkeypatch):
+        texts = []  # what extract_text hands to tokenize
+        monkeypatch.setattr(safeindex.page, "tokenize", lambda t: texts.append(t) or tokenize(t))
+        doc = "<p>a&nbsp;b &copy; c &mdash; d &#8211; e &#169; R&amp;D &lt;&gt; &quot;q&quot;</p>"
+        assert extract_text(doc) == parent_extract_text(doc)
+        assert texts[0].isascii()
+        assert extract_text("caf&eacute;") == (("café",), 0)
+
+    def test_distinct_references_leave_the_memo_at_its_bound(self):
+        doc = " ".join(f"&#{n};" for n in range(50_000))
+        assert extract_text(doc) == parent_extract_text(doc)
+        info = _decode_reference.cache_info()
+        assert info.currsize == info.maxsize == _DECODED_MEMO_SIZE
+
+    def test_reference_pattern_is_the_standard_librarys(self):
+        # html.unescape finds references with this private pattern; a
+        # Python that changes it fails here rather than drifting silently
+        assert _CHARREF_RE.pattern == html._charref.pattern
+        assert _CHARREF_RE.flags == html._charref.flags
 
 
 class TestParseUrl:
