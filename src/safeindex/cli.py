@@ -87,7 +87,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     """File values first, then every flag the user actually set.  Raises
     ConfigError for a file key that names no option, or for a value of
     the wrong type, a path with a NUL byte included; numbers come back
-    as floats."""
+    as floats, and an option left holding "" is dropped as not given."""
     merged: dict = {}
     if args.config:
         text = read_input(args.config, "config file")
@@ -104,7 +104,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if type(value) not in json_types or (kind is str and "\0" in value):
             raise ConfigError(f"option {key} must be {what}, got {value!r}")
         merged[key] = kind(value)
-    return merged
+    return {k: v for k, v in merged.items() if v != ""}  # an empty path is not given
 
 
 def _printable(text: str) -> str:

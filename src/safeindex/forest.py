@@ -129,7 +129,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("n_trees", "max_depth", "rng_seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
@@ -137,7 +137,7 @@ class TrainConfig:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("fn_cost", "min_leaf_weight"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if type(value) not in (int, float):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not (0 < self.fn_cost < math.inf and 0 < self.min_leaf_weight < math.inf):
             raise ValueError("fn_cost and min_leaf_weight must be positive and finite")
@@ -414,7 +414,7 @@ def classify(forest: Forest, fv: FeatureVector) -> str:
 def count_threshold(n_trees: int, min_votes: int) -> float:
     """Vote threshold such that >= min_votes adult votes classify adult."""
     for name, value in (("n_trees", n_trees), ("min_votes", min_votes)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= min_votes <= n_trees:
         raise ValueError("min_votes must be in [1, n_trees]")

@@ -192,11 +192,15 @@ def parse_url(url: str) -> UrlParts:
 
     The scheme is optional; "host/path" is accepted.  An IP-literal host
     ("[::1]", "192.168.0.1") is its own registrable domain and has the
-    empty TLD.  Raises MalformedUrlError when no host can be found.
+    empty TLD.  Raises MalformedUrlError when no host can be found, or
+    when a line break is left inside the stripped URL: one URL per line
+    is what the index and the blacklist hold.
     """
     lowered = url.strip().lower()
     if not lowered:
         raise MalformedUrlError("empty URL")
+    if lowered.splitlines() != [lowered]:
+        raise MalformedUrlError(f"line break in URL {url!r}")
 
     rest = lowered.partition("://")[2] if "://" in lowered else lowered
     authority = rest.partition("/")[0].partition("?")[0].partition("#")[0]

@@ -55,7 +55,7 @@ class FilterState:
     def __post_init__(self):
         # the CLI checks its options, a library caller may not; int() would truncate 2.7
         trigger = self.blacklist_trigger
-        if not isinstance(trigger, int) or isinstance(trigger, bool):
+        if type(trigger) is not int:
             raise ConfigError(f"blacklist_trigger must be an integer, got {trigger!r}")
         if trigger < 1:
             raise ConfigError(f"blacklist_trigger must be >= 1, got {trigger}")

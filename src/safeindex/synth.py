@@ -261,10 +261,13 @@ def generate_corpus(
     carry an `overlap` fraction of lexicon noise, and at least one term,
     so `overlap=0` still puts one lexicon term on each safe page.  URLs
     are unique; `url_prefix` namespaces them so corpora from separate
-    calls do not collide.  Raises ValueError unless 0 <= n_adult <=
-    n_pages and each of overlap, xxx_fraction and disclaimer_fraction
-    lies in [0, 1] (NaN does not).
+    calls do not collide.  Raises ValueError unless n_pages and n_adult
+    are ints with 0 <= n_adult <= n_pages and each of overlap,
+    xxx_fraction and disclaimer_fraction lies in [0, 1] (NaN does not).
     """
+    for name, value in (("n_pages", n_pages), ("n_adult", n_adult)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 <= n_adult <= n_pages:
         raise ValueError(
             f"n_adult must lie in 0..n_pages, got n_adult={n_adult}, n_pages={n_pages}"

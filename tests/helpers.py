@@ -223,6 +223,8 @@ def oracle_parse_url(url: str) -> UrlParts:
     if not url or not url.strip():
         raise MalformedUrlError("empty URL")
     lowered = url.strip().lower()
+    if "".join(lowered.splitlines()) != lowered:
+        raise MalformedUrlError(f"line break in URL {url!r}")
 
     rest = lowered.split("://", 1)[1] if "://" in lowered else lowered
     authority = rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0]

@@ -89,7 +89,7 @@ INTEGER_KEYS = ("trees", "max_depth", "seed", "blacklist_trigger")
 NUMBER_KEYS = ("fn_cost", "min_leaf_weight", "vote_threshold")
 NON_PATH_KEYS = (*INTEGER_KEYS, *NUMBER_KEYS)
 WRONG_TYPES = [
-    *((key, value) for key in NON_PATH_KEYS for value in (None, [1], True, "3")),
+    *((key, value) for key in NON_PATH_KEYS for value in (None, [1], True, "3", "")),
     *((key, 2.7) for key in INTEGER_KEYS),
 ]
 
@@ -394,6 +394,44 @@ class TestFilter:
         others = {p.url.full_url for p in pages} - {bad_url}
         assert set(indexed) <= others
         assert len(indexed) == stages["forest_safe"]
+
+    def test_url_with_a_line_break_is_one_skipped_row(self, workspace, lexicons, capsys):
+        """Such a URL would be two index lines, and its domain two
+        blacklist lines, the second of which names a domain no page
+        struck: each row holding one is skipped instead."""
+        root = workspace["root"]
+        pages = generate_corpus(lexicons, 6, 3, seed=4, url_prefix="nl")
+        manifest = write_corpus(pages, root / "linebreak")
+        bad = ['"p0003.html","http://ok.com/a\nb",safe\n',
+               *(f'"p0000.html","http://evil\nbar.xxx/{i}",adult\n' for i in range(3))]
+        with open(manifest, "a", encoding="utf-8", newline="") as fh:
+            fh.write("".join(bad))
+        index, blacklist, report = (
+            root / f"linebreak_{name}" for name in ("index.txt", "blacklist.txt", "report.json")
+        )
+        code = main(
+            [
+                "filter",
+                "--lexicons", LEXICON_MANIFEST,
+                "--corpus", str(manifest),
+                "--model", str(workspace["model"]),
+                "--index", str(index),
+                "--blacklist", str(blacklist),
+                "--report", str(report),
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("line break in URL") == len(bad)
+        stages = json.loads(report.read_text(encoding="utf-8"))
+        assert stages["skipped"] == len(bad)
+        assert stages["tld_xxx"] == 0
+        indexed = index.read_text(encoding="utf-8").splitlines()
+        assert f"{len(indexed)} pages indexed" in captured.out
+        assert len(indexed) == stages["forest_safe"]
+        assert set(indexed) <= {p.url.full_url for p in pages}
+        listed = blacklist.read_text(encoding="utf-8").splitlines()
+        assert set(listed) <= {p.url.registrable_domain for p in pages}
 
     def test_non_utf8_disclaimer_exits_1(self, workspace, capsys):
         root = workspace["root"]
@@ -750,7 +788,8 @@ class TestMalformedInputs:
     )
     def test_wrong_json_type_exits_1(self, workspace, tmp_path, capsys, key, value):
         """A file value must have the flag's type: no null, list, true for a
-        count or a number, 2.7 for a count, or string for a switch."""
+        count or a number, 2.7 for a count, or string for a switch.  An
+        empty string is no count or number either, not an option left out."""
         command, output = COMMAND_OF.get(key, ("train", "model"))
         code = self._run_with_config(workspace, tmp_path, command, output, {key: value})
         err = capsys.readouterr().err
@@ -901,12 +940,16 @@ class TestParser:
         ("filter", ["--report", "r.json"], "lexicons, model, corpus, index"),
         ("eval", ["--corpus", "c.csv"], "lexicons, model"),
         ("inspect-model", [], "model"),
-    ], ids=["train", "filter", "eval", "inspect-model"])
+        ("train", ["--lexicons", "l.json", "--corpus", "c.csv", "--model", ""], "model"),
+        ("filter", ["--lexicons", "l.json", "--model", "m.json", "--corpus", "c.csv",
+                    "--index", ""], "index"),
+    ], ids=["train", "filter", "eval", "inspect-model", "train model ''", "filter index ''"])
     def test_missing_options_exit_1(self, monkeypatch, capsys, command, given, missing):
         """Every missing required option is named, in flag order, before
-        any file is read."""
+        any file is read; an empty path is no path given."""
         monkeypatch.setattr(safeindex.cli, "load_lexicon_set", must_not_run)
         monkeypatch.setattr(safeindex.cli, "load_forest", must_not_run)
+        monkeypatch.setattr(safeindex.cli, "iter_corpus", must_not_run)
         assert main([command, *given]) == 1
         assert capsys.readouterr().err == f"error: missing required options: {missing}\n"
 
@@ -1096,13 +1139,15 @@ class TestCorpusLoader:
 
     def test_one_stderr_line_per_skipped_row(self, workspace, lexicons, tmp_path, capsys):
         """A line break, carriage return or NUL in a path or URL is shown
-        escaped, so each skipped row prints exactly one stderr line."""
+        escaped, so each skipped row prints exactly one stderr line.  A
+        URL holding a line break is malformed; one holding a NUL is not."""
         pages = generate_corpus(lexicons, 12, 6, seed=8, url_prefix="esc")
         manifest = write_corpus(pages, tmp_path / "corpus")
         bad = '"gone\nx.html",http://a.com/1,safe\n' \
               '"gone\rx.html",http://a.com/2,adult\n' \
               'gone\0x.html,http://a.com/3,safe\n' \
-              '"p0000.html","http://a.com/4\n\0",unlabeled\n'
+              '"p0000.html","http://a.com/4\n\0",unlabeled\n' \
+              '"p0000.html","http://a.com/5\0",unlabeled\n'
         with open(manifest, "a", encoding="utf-8", newline="") as fh:
             fh.write(bad)
         base = manifest.parent
@@ -1110,8 +1155,9 @@ class TestCorpusLoader:
             rf"skipped gone\nx.html: cannot read page file {base}/gone\nx.html: ",
             rf"skipped gone\rx.html: cannot read page file {base}/gone\rx.html: ",
             rf"skipped gone\x00x.html: cannot read page file {base}/gone\x00x.html: ",
+            r"skipped p0000.html: line break in URL 'http://a.com/4\n\x00'",
         ]
-        unlabeled = [r"skipped http://a.com/4\n\x00: unlabeled"]
+        unlabeled = [r"skipped http://a.com/5\x00: unlabeled"]
         common = ["--lexicons", LEXICON_MANIFEST, "--corpus", str(manifest)]
         model = str(tmp_path / "model.json")
         for args, want in (

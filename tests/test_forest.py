@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from safeindex import (
     train_forest,
 )
 import safeindex.forest
-from safeindex.errors import TrainingError
+from safeindex.errors import ConfigError, TrainingError
 from safeindex.evaluation import attribute_usage
 from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import (
@@ -47,6 +48,7 @@ from safeindex.forest import (
     tree_size,
 )
 
+from safeindex.pipeline import FilterState
 from safeindex.synth import generate_corpus
 
 from helpers import (
@@ -908,6 +910,61 @@ class TestTrainForest:
     def test_non_finite_cost_raises(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(**{field: value})
+
+
+# every count setting and every number setting, each called with one value
+COUNT_SETTINGS = {
+    "TrainConfig.n_trees": lambda v, lex: TrainConfig(n_trees=v),
+    "TrainConfig.max_depth": lambda v, lex: TrainConfig(max_depth=v),
+    "TrainConfig.rng_seed": lambda v, lex: TrainConfig(rng_seed=v),
+    "count_threshold n_trees": lambda v, lex: count_threshold(v, 1),
+    "count_threshold min_votes": lambda v, lex: count_threshold(10, v),
+    "FilterState.blacklist_trigger": lambda v, lex: FilterState(blacklist_trigger=v),
+    "generate_corpus n_pages": lambda v, lex: generate_corpus(lex, v, 0, seed=0),
+    "generate_corpus n_adult": lambda v, lex: generate_corpus(lex, 3, v, seed=0),
+}
+NUMBER_SETTINGS = {
+    "TrainConfig.fn_cost": lambda v, lex: TrainConfig(fn_cost=v),
+    "TrainConfig.min_leaf_weight": lambda v, lex: TrainConfig(min_leaf_weight=v),
+    "TrainConfig.vote_threshold": lambda v, lex: TrainConfig(vote_threshold=v),
+    "Forest.vote_threshold": lambda v, lex: Forest((Leaf(SAFE),), v),
+}
+# type -> an in-range value of it, as a count and as a number; no int lies
+# in a vote threshold's (0, 1), so its int case is the range's to refuse
+TYPED_VALUES = {
+    "int": (3, 2),
+    "float": (3.0, 0.5),
+    "bool": (True, True),
+    "np.float64": (np.float64(3), np.float64(0.5)),
+    "np.int64": (np.int64(3), np.int64(2)),
+    "str": ("3", "0.5"),
+    "None": (None, None),
+}
+
+
+class TestSettingTypes:
+    """One rule for every setting: a count is exactly an int, a number
+    exactly an int or a float; a subclass (bool, np.float64) or a numpy
+    scalar is refused, so a caller casts it."""
+
+    @pytest.mark.parametrize("type_name", TYPED_VALUES)
+    @pytest.mark.parametrize("setting", COUNT_SETTINGS)
+    def test_count(self, lexicons, setting, type_name):
+        self._check(COUNT_SETTINGS[setting], TYPED_VALUES[type_name][0], type_name == "int", lexicons)
+
+    @pytest.mark.parametrize("type_name", TYPED_VALUES)
+    @pytest.mark.parametrize("setting", NUMBER_SETTINGS)
+    def test_number(self, lexicons, setting, type_name):
+        accepted = type_name == "float" or (type_name == "int" and "vote" not in setting)
+        self._check(NUMBER_SETTINGS[setting], TYPED_VALUES[type_name][1], accepted, lexicons)
+
+    @staticmethod
+    def _check(call, value, accepted, lexicons):
+        if accepted:
+            call(value, lexicons)
+        else:
+            with pytest.raises((ValueError, ConfigError), match=f"got {re.escape(repr(value))}"):
+                call(value, lexicons)
 
 
 class TestSerialization:

@@ -110,10 +110,10 @@ _CLOSED_MARKUP_DOCS = st.lists(
 ).map("".join)
 
 # URL-like text: the characters parse_url splits on, among letters of
-# both cases, digits, blanks and pieces of hosts
+# both cases, digits, blanks, line breaks and pieces of hosts
 _URL_TEXT = st.lists(
     st.one_of(
-        st.text("abzABZ019.:/?#@[]- \t", max_size=6),
+        st.text("abzABZ019.:/?#@[]- \t\n\r\x85\u2028", max_size=6),
         st.sampled_from(["http://", "co.uk", "xxx", ".co.uk", "www.", "[::1]", ":8080"]),
     ),
     max_size=8,
@@ -194,7 +194,9 @@ _URLS = st.builds(
     st.sampled_from(["http://", "https://", "", "HTTP://user@"]),
     st.from_regex(r"[a-z0-9][a-z0-9-]{0,8}(\.[a-z0-9]{1,6}){0,2}", fullmatch=True),
     st.sampled_from(["com", "xxx", "co.uk", "fr", "org"]),
-    st.one_of(st.just(""), st.text(max_size=10).map(lambda t: "/" + t)),
+    # a line break inside a URL makes it malformed, so paths hold none
+    st.one_of(st.just(""), st.text(max_size=10).filter(lambda t: len(t.splitlines()) < 2)
+              .map(lambda t: "/" + t)),
 )
 
 
@@ -406,7 +408,8 @@ class TestParseUrl:
         "bad",
         [
             "", "   ", "http:///path", "http://:80/x", "http://[::1/x", "http://[]:80/",
-            "http://a..com/x", "http://./x",
+            "http://a..com/x", "http://./x", "http://ok.com/a\nb", "http://evil\rbar.xxx/",
+            "a.com/\u2028b",
         ],
     )
     def test_malformed_raises(self, bad):
