@@ -173,6 +173,9 @@ def cmd_filter(cfg: dict) -> int:
     index, report, state = build_safe_index(
         _corpus_rows(cfg), forest, lexicons, state
     )
+    # The index goes first.  If the blacklist is then lost, the next run
+    # only strikes those domains again; if the blacklist were saved and
+    # the index lost, this run's safe pages would be dropped.
     write_atomic(cfg["index"], "".join(f"{url}\n" for url in index))
     if blacklist_path:
         save_blacklist(state.blacklist, blacklist_path)

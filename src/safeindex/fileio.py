@@ -50,15 +50,22 @@ def parse_json(text: str, what: str) -> Any:
 def write_atomic(path: str | Path, text: str) -> None:
     """Write UTF-8 text to path through a temporary file in the same
     directory and os.replace, so readers and a failed write never see a
-    partial file: the path holds the old content or the new."""
+    partial file: the path holds the old content or the new.  A write
+    that fails removes the temporary file and raises a ConfigError that
+    names the path (a missing directory, a directory at the path, a NUL
+    byte, a full disk)."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        try:
+            with open(tmp, "x", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        # strerror leaves out the file names, the temporary one among them
+        raise ConfigError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from exc

@@ -6,15 +6,21 @@ never raises, and the scan stays linear: a start tag's quoted values may
 hold '<' and '>', but an unquoted '<' ends the attempt, so "<a b<c>" is
 the text "<a b" and the tag "<c>"; end tags, "<!...>" and "<?...>" end at
 the next '>' and stop at '<'; an unterminated comment, script or style
-block runs to the end of the document.
+block runs to the end of the document.  Comment, script and style bodies
+are unrolled loops, so the scan takes a body in one forward pass and
+never tries its end mark at every character.
 
 Character references are decoded one at a time by `html.unescape`, but a
 decoded character that is blank becomes a space: neither it nor its
 lowercase holds a word character, an apostrophe or a hyphen, and it is
 neither cased nor case-ignorable, so it acts exactly as a space for
 `tokenize`.  The tokens are those of the unescaped text, and a page that
-is ASCII but for `&nbsp;`, `&copy;` or `&mdash;` stays ASCII, which keeps
-`str.lower` and `str.split` on their ASCII paths.
+is ASCII but for `&nbsp;`, `&copy;` or `&mdash;` stays ASCII.
+
+`tokenize` splits ASCII text without a Python loop: one `str.translate`
+folds case and blanks every character no word holds, two substitutions
+blank each apostrophe or hyphen that is not between two alphanumerics,
+and `str.split` gives the words.  Other text takes a per-chunk loop.
 
 `page_from_html` parses the URL at once but strips the markup only when a
 page's tokens or image count are first read, so the pipeline never strips
@@ -48,30 +54,59 @@ _LABELS = {ADULT: ADULT, SAFE: SAFE, "unlabeled": None}
 # into a space first, so `\w` here means alphanumeric; the possessive forms
 # never give back what they took, which no match needs.  No whitespace
 # character is `\w`, an apostrophe or a hyphen, so a word never spans a
-# whitespace run: `tokenize` splits on whitespace first, takes a chunk
-# that is all alphanumeric (`str.isalnum`, which is `\w` less '_') as one
-# word, and runs this regex over the other chunks only.
+# whitespace run: for text that is not ASCII, `tokenize` splits on
+# whitespace first, takes a chunk that is all alphanumeric (`str.isalnum`,
+# which is `\w` less '_') as one word, and runs this regex over the other
+# chunks only.
 _WORD_RE = re.compile(r"\w++(?:['’-]\w++)*+")
+
+# The ASCII form of the same rule.  `_ASCII_FOLD`, a `str.translate`
+# table indexed by code point, lowercases an ASCII letter, keeps a digit,
+# an apostrophe or a hyphen, and makes any other ASCII character a space.
+# A separator then stays only with an alphanumeric on both sides: a lone
+# one, and the separators right after it (which are lone too), become one
+# space.  Each pattern starts with its literal, so the regex engine jumps
+# from one separator to the next instead of trying every position.
+_ASCII_FOLD = "".join(
+    c.lower() if c.isalnum() or c in "'-" else " " for c in map(chr, range(128))
+)
+_LONE_HYPHEN_RE = re.compile(r"-(?:(?<![a-z0-9]-)|(?![a-z0-9]))[-']*+")
+_LONE_APOSTROPHE_RE = re.compile(r"'(?:(?<![a-z0-9]')|(?![a-z0-9]))[-']*+")
 
 # Any markup, matched from its '<'.  Tag names end where html.parser ends
 # them, and only ASCII letters fold case in them.  A script or style start
 # tag not closed by "/>" takes its body up to the matching end tag.  The
 # one capture group holds the name of an <img> start tag.  A tag body has
 # one parse only, so its quantifiers are possessive: backtracking into it
-# could never produce a match.
+# could never produce a match.  Comment, script and style bodies are
+# "unrolled loops" (Friedl, Mastering Regular Expressions, ch. 6): a
+# possessive run of characters other than the end mark's first ('-' or
+# '<'), then, each time that character does not begin the end mark, the
+# character and the run after it, then the end mark if the text has one.
+# That is the shortest body up to the first end mark, or the rest of the
+# text, found in one forward pass.
 _TAG_NAME_END = r"(?=[\t\n\r\f />])"
-_TAG_BODY = r"""(?:[^<>"']++|"[^"]*+"|'[^']*+')*+"""
+_TAG_BODY = r"""[^<>"']*+(?:(?:"[^"]*+"|'[^']*+')[^<>"']*+)*+"""
+
+
+def _raw_body(name: str) -> str:
+    """A script or style body and its end tag, '</' NAME '>' with blanks
+    allowed around NAME."""
+    end = rf"/\s*(?ai:{name})\s*>"
+    return rf"[^<]*+(?:<(?!{end})[^<]*+)*+(?:<{end})?"
+
+
 _MARKUP_RE = re.compile(
     rf"""<(?:
-        !--.*?(?:--\s*>|\Z)
-      | (?ai:script){_TAG_NAME_END}{_TAG_BODY}(?<!/)>.*?(?:</\s*(?ai:script)\s*>|\Z)
-      | (?ai:style){_TAG_NAME_END}{_TAG_BODY}(?<!/)>.*?(?:</\s*(?ai:style)\s*>|\Z)
+        !--[^-]*+(?:-(?!-\s*>)[^-]*+)*+(?:--\s*>)?
+      | (?ai:script){_TAG_NAME_END}{_TAG_BODY}(?<!/)>{_raw_body("script")}
+      | (?ai:style){_TAG_NAME_END}{_TAG_BODY}(?<!/)>{_raw_body("style")}
       | (?P<img>(?ai:img)){_TAG_NAME_END}{_TAG_BODY}>
       | [a-zA-Z]{_TAG_BODY}>
       | /[^<>]*+>
       | [!?][^<>]*+>
     )""",
-    re.DOTALL | re.VERBOSE,
+    re.VERBOSE,
 )
 
 # A character reference, as `html.unescape` finds it (the standard
@@ -162,8 +197,21 @@ class PageLoadFailure:
 
 
 def tokenize(text: str) -> tuple[str, ...]:
-    """Lowercase and split on non-alphanumeric boundaries: the words
-    `_WORD_RE` finds in the lowercased text with '_' made a space."""
+    """The words of `text`, lowercased.  A word is a run of alphanumerics,
+    with an apostrophe (ASCII or ’) or a hyphen kept where it sits between
+    two alphanumerics ("l'amour", "coming-of-age"); every other character,
+    '_' among them, separates words.  Both paths below give
+    `_WORD_RE.findall` of the lowercased text with '_' made a space.
+
+    ASCII text never reaches a Python loop: `_ASCII_FOLD` lowercases it
+    and makes every character but a letter, digit, apostrophe or hyphen a
+    space, `_LONE_HYPHEN_RE` and `_LONE_APOSTROPHE_RE` make each separator
+    that is not between two alphanumerics a space, and `str.split` gives
+    the words.  Other text is split on whitespace, and each chunk that is
+    not all alphanumeric goes through `_WORD_RE`."""
+    if text.isascii():
+        text = _LONE_HYPHEN_RE.sub(" ", text.translate(_ASCII_FOLD))
+        return tuple(_LONE_APOSTROPHE_RE.sub(" ", text).split())
     tokens = []
     for chunk in text.lower().replace("_", " ").split():
         if chunk.isalnum():

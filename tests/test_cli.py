@@ -1202,6 +1202,33 @@ class TestAtomicOutputs:
         assert out.read_text(encoding="utf-8") == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
+    @pytest.mark.parametrize(
+        "command, target, written",
+        [
+            ("filter", "blacklist", ["index"]),
+            ("filter", "report", ["blacklist", "index"]),
+            ("train", "model", []),
+        ],
+    )
+    def test_output_under_a_missing_directory_is_named(
+        self, workspace, tmp_path, capsys, command, target, written
+    ):
+        """The error names the output the user gave, never the temporary
+        file; the outputs written before it stay written."""
+        outputs = {"index": "i.txt", "blacklist": "b.txt", "report": "r.json", "model": "m.json"}
+        paths = {name: tmp_path / file for name, file in outputs.items()}
+        paths[target] = tmp_path / "gone" / outputs[target]
+        args = [command, "--lexicons", LEXICON_MANIFEST]
+        if command == "filter":
+            args += ["--corpus", str(workspace["eval_manifest"]), "--model", str(workspace["model"])]
+            args += [f"--{name}={paths[name]}" for name in ("index", "blacklist", "report")]
+        else:
+            args += ["--corpus", str(workspace["train_manifest"]), f"--model={paths['model']}"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {paths[target]}: No such file or directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs[n] for n in written)
+
 
 class TestInspectModel:
     def test_prints_trees(self, workspace, capsys):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import html
 import pickle
+import re
 import time
 from html.entities import html5
 from string import ascii_letters
@@ -84,10 +85,15 @@ _TAG_NAMES = st.sampled_from(["p", "div", "a", "b", "span", "br", "img", "IMG", 
 _END_TAG = st.sampled_from(["</p>", "</div>", "</img>", "</ span >", "</>", "</1x>", "</A\n>"])
 _RAW_BODY = st.lists(
     st.one_of(_WORDS, _WS, st.sampled_from(
-        ["<", "</p>", "<img src=x>", "'<b>'", "<!-- c -->", "&amp;", "a<b", "</scripts>"]
+        ["<", "</p>", "<img src=x>", "'<b>'", "<!-- c -->", "&amp;", "a<b", "</scripts>",
+         "-", "--", "- ->", "--!>", "a-b", "<-"]
     )),
     max_size=5,
 ).map("".join)
+# Near misses of a raw block's end tag.  '</SCRIPT >' ends a script block
+# and '</ STYLE>' a style block, so `_raw_block` puts each only into the
+# other kind; the rest end neither.
+_NEAR_END_TAGS = ["</ script x>", "</scriptx>", "</SCRIPT >", "</style-x>", "</ STYLE>", "< /script>"]
 
 
 @st.composite
@@ -97,10 +103,15 @@ def _raw_block(draw):
     if start.endswith("/>"):
         return start  # self-closing: what follows is ordinary markup
     end = draw(st.sampled_from(["</{}>", "</{} >", "</ {}>", "</{}\n>"]))
-    return start + draw(_RAW_BODY) + end.format(draw(st.sampled_from([name, name.upper()])))
+    near = [t for t in _NEAR_END_TAGS if re.fullmatch(rf"</\s*{name}\s*>", t, re.I) is None]
+    body = draw(st.lists(st.one_of(_RAW_BODY, st.sampled_from(near)), max_size=4).map("".join))
+    return start + body + end.format(draw(st.sampled_from([name, name.upper()])))
 
 
-_COMMENT = st.builds(lambda body: f"<!-- {body} -->", _RAW_BODY.filter(lambda b: "--" not in b))
+# a comment body holds '-', '--', '- ->' and '--!>', but never its end mark
+_COMMENT = st.builds(
+    lambda body: f"<!-- {body} -->", _RAW_BODY.filter(lambda b: re.search(r"--\s*>", b) is None)
+)
 _DECL = st.sampled_from(["<!DOCTYPE html>", "<!doctype html public 'x'>", "<?xml version='1.0'?>"])
 _CLOSED_MARKUP_DOCS = st.lists(
     st.one_of(
@@ -147,6 +158,9 @@ _WORD_EDGES = [
 _OPEN_MARKUP = [
     '<a title="x ', "<a b ", "<!-- x ", "<!x ", "</x ", "<img src='", '<script src="a>',
     "<style", "<a b<c>", "<p/>", "<script/>", "< p>", "<>", "</", "<img", "<a href='>'",
+    # comment, script and style bodies: '<', near-miss end tags, dashes
+    "<script>a < b </ script x>", "<script>x</scriptx><", "<style>a</SCRIPT >b<",
+    "<SCRIPT>a</ script\n>", "<!-- a - b -- c - -> d --!> ", "<!--->", "<!-- --", "<!-- -- >",
 ]
 _HOSTILE_MARKUP = st.tuples(st.sampled_from(_OPEN_MARKUP), st.integers(1, 40)).map(
     lambda u: u[0] * u[1]
@@ -209,6 +223,12 @@ _TOKEN_CHARS = st.sampled_from(
     + list("_'’-.!aZ9İßﬁ\u0301\u0308٣²½ǅ")
     + ["\ud800", "\udfff"]
 ) | st.characters()
+# ASCII text, which takes tokenize's translate-and-split path: every code
+# point below 128, weighted towards separators, both letter cases, digits,
+# and the control characters str.split treats as whitespace or not.
+_ASCII_TOKEN_CHARS = st.sampled_from(
+    list("'-_aAzZ09 \x0b\x0c\x1c\x1d\x1e\x1f\x7f\x00")
+) | st.characters(max_codepoint=127)
 
 
 class TestTokenize:
@@ -234,11 +254,27 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == ()
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.text(_TOKEN_CHARS, max_size=40))
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(st.text(_TOKEN_CHARS, max_size=40), st.text(_ASCII_TOKEN_CHARS, max_size=40)))
     def test_equals_the_one_regex_form(self, text):
-        # the whitespace split and the isalnum shortcut give what one
-        # findall over the whole text gives
+        # the ASCII path, and the whitespace split and isalnum shortcut,
+        # give what one findall over the whole text gives
+        assert tokenize(text) == tuple(_WORD_RE.findall(text.lower().replace("_", " ")))
+
+    @pytest.mark.parametrize("text, words", [
+        ("a-'b", ("a", "b")),
+        ("--a", ("a",)),
+        ("a--", ("a",)),
+        ("'a'", ("a",)),
+        ("a'b-c", ("a'b-c",)),
+        ("x-_y", ("x", "y")),
+        ("A-B", ("a-b",)),
+        ("a - b", ("a", "b")),
+        ("l'amour", ("l'amour",)),
+    ])
+    def test_a_separator_stays_only_between_alphanumerics(self, text, words):
+        assert text.isascii()
+        assert tokenize(text) == words
         assert tokenize(text) == tuple(_WORD_RE.findall(text.lower().replace("_", " ")))
 
 
@@ -297,10 +333,12 @@ class TestExtractText:
         assert all(isinstance(t, str) and t for t in tokens)
         assert images >= 0
 
-    # pages of repeated unclosed markup, on which html.parser is quadratic
+    # pages of repeated unclosed markup, on which html.parser is quadratic,
+    # and of separator runs, which the ASCII tokenizer path blanks
     @pytest.mark.parametrize(
         "unit",
-        ['<a title="x ', "<a b ", "<!-- x ", "<!x ", "</x ", "&amp", "&#1", "&" + ascii_letters[:31]],
+        ['<a title="x ', "<a b ", "<!-- x ", "<!x ", "</x ", "&amp", "&#1", "&" + ascii_letters[:31],
+         "-", "'-", " - ", "a-b "],
     )
     def test_hostile_markup_is_linear(self, unit):
         doc = unit * (48_000 // len(unit))
