@@ -4,10 +4,10 @@ A command that reads a corpus streams it, a row at a time: `train` keeps
 one feature vector and label per page, `eval` and `filter` keep no page.
 Every option is one row of `OPTIONS`, and every command one row of the
 table in `build_parser`, its required options first.  A JSON config file
-(--config) may give any option under its name; the value must have the
-flag's JSON type, an unknown key is an error, and explicit flags override
-file values.  `main` merges the file and checks the required options
-before the command runs.
+(--config) may give any option under its name; the value must pass the
+flag's check (`errors.check_count`, `check_number`, a path string), an
+unknown key is an error, and explicit flags override file values.  `main`
+merges the file and checks the required options before the command runs.
 Defaults live in TrainConfig, FilterState and Forest.  Exit codes:
 0 success, 1 data/config error, 2 internal invariant violation.
 """
@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterator
 
-from .errors import ConfigError, SafeIndexError
+from .errors import ConfigError, SafeIndexError, check_count, check_number
 from .evaluation import format_confusion, metrics, score_run
 from .features import ATTRIBUTE_NAMES, extract_features
 from .fileio import parse_json, read_input, write_atomic
@@ -65,13 +65,6 @@ OPTIONS: dict[str, tuple[type, str]] = {
     "blacklist_trigger": (int, "adult pages of one domain that blacklist it, >= 1"),
 }
 
-# type -> (what a value must be, its JSON types); exact, as true is no int
-_KINDS = {
-    str: ("a path string", (str,)),
-    int: ("an integer", (int,)),
-    float: ("a number", (int, float)),
-}
-
 # train's options, by the TrainConfig field each one sets
 _TRAIN_FIELDS = {
     "trees": "n_trees",
@@ -85,9 +78,9 @@ _TRAIN_FIELDS = {
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """File values first, then every flag the user actually set.  Raises
-    ConfigError for a file key that names no option, or for a value of
-    the wrong type, a path with a NUL byte included; numbers come back
-    as floats, and an option left holding "" is dropped as not given."""
+    ConfigError for a file key that names no option, or with a check's text
+    for a value of the wrong type, a path with a NUL byte included; numbers
+    come back as floats, and an option left holding "" is dropped as not given."""
     merged: dict = {}
     if args.config:
         text = read_input(args.config, "config file")
@@ -99,11 +92,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, value in merged.items():
         if key not in OPTIONS:
             raise ConfigError(f"unknown option {key!r} in config file {args.config}")
-        kind = OPTIONS[key][0]
-        what, json_types = _KINDS[kind]
-        if type(value) not in json_types or (kind is str and "\0" in value):
-            raise ConfigError(f"option {key} must be {what}, got {value!r}")
-        merged[key] = kind(value)
+        kind, name = OPTIONS[key][0], f"option {key}"
+        try:
+            if kind is int:
+                check_count(name, value)
+            elif kind is float:
+                merged[key] = float(check_number(name, value))
+            elif type(value) is not str or "\0" in value:
+                raise ConfigError(f"{name} must be a path string, got {value!r}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return {k: v for k, v in merged.items() if v != ""}  # an empty path is not given
 
 
@@ -142,15 +140,17 @@ def _labeled_pages(cfg: dict, report: StageReport) -> Iterator[Page]:
 
 def _staged_filter(cfg: dict) -> tuple[FilterState, LexiconSet, Forest]:
     """The staged filter's start state, lexicons and model.  The state is
-    built first, so a bad blacklist_trigger fails before any file is read."""
-    state = FilterState(**{k: v for k, v in cfg.items() if k == "blacklist_trigger"})
+    built first, so a bad blacklist_trigger is a ConfigError, with the
+    ValueError's text, before any file is read."""
+    try:
+        state = FilterState(**{k: v for k, v in cfg.items() if k == "blacklist_trigger"})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return state, load_lexicon_set(cfg["lexicons"]), load_forest(cfg["model"])
 
 
 def cmd_train(cfg: dict) -> int:
-    # TrainConfig rejects out-of-range values with ValueError; here those
-    # values are the user's options, so they are checked before any file
-    # is read.
+    # the user's options: TrainConfig's ValueError comes before any file is read
     try:
         config = TrainConfig(**{f: cfg[k] for k, f in _TRAIN_FIELDS.items() if k in cfg})
     except ValueError as exc:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence, Union
 
-from .errors import SafeIndexError, TrainingError
+from .errors import SafeIndexError, TrainingError, check_count, check_number
 from .features import _ATTRIBUTE_INDEX, ATTRIBUTE_NAMES, FeatureVector
 from .fileio import parse_json, read_input, write_atomic
 from .page import ADULT, SAFE
@@ -95,9 +95,8 @@ TreeNode = Union[Leaf, Split]
 
 
 def check_vote_threshold(value: float) -> float:
-    """The value itself if it is a valid vote threshold, else ValueError;
-    a bool is no number here, as in the model JSON."""
-    if type(value) not in (int, float) or not 0.0 < value < 1.0:
+    """The value itself if it is a number in (0, 1), else ValueError."""
+    if not 0.0 < check_number("vote_threshold", value) < 1.0:
         raise ValueError(f"vote_threshold must be a number in (0, 1), got {value!r}")
     return value
 
@@ -127,22 +126,12 @@ class TrainConfig:
     vote_threshold: float = 0.5  # the returned forest's
 
     def __post_init__(self):
-        for name in ("n_trees", "max_depth", "rng_seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        for name in ("fn_cost", "min_leaf_weight"):
-            value = getattr(self, name)
-            if type(value) not in (int, float):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not (0 < self.fn_cost < math.inf and 0 < self.min_leaf_weight < math.inf):
+        check_count("n_trees", self.n_trees, 1)
+        check_count("rng_seed", self.rng_seed, 0)
+        costs = [check_number(name, getattr(self, name)) for name in ("fn_cost", "min_leaf_weight")]
+        if not all(0 < cost < math.inf for cost in costs):
             raise ValueError("fn_cost and min_leaf_weight must be positive and finite")
-        if not 1 <= self.max_depth <= MAX_DEPTH:  # depth 0 is one constant leaf
-            raise ValueError(f"max_depth must be in [1, {MAX_DEPTH}], got {self.max_depth}")
+        check_count("max_depth", self.max_depth, 1, MAX_DEPTH)  # depth 0 is one constant leaf
         check_vote_threshold(self.vote_threshold)
 
 
@@ -413,11 +402,8 @@ def classify(forest: Forest, fv: FeatureVector) -> str:
 
 def count_threshold(n_trees: int, min_votes: int) -> float:
     """Vote threshold such that >= min_votes adult votes classify adult."""
-    for name, value in (("n_trees", n_trees), ("min_votes", min_votes)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not 1 <= min_votes <= n_trees:
-        raise ValueError("min_votes must be in [1, n_trees]")
+    check_count("n_trees", n_trees, 1)
+    check_count("min_votes", min_votes, 1, n_trees)
     return (min_votes - 0.5) / n_trees
 
 
@@ -516,23 +502,16 @@ def _node_to_obj(node: TreeNode) -> dict:
     }
 
 
-def _number(value) -> float:
-    """A JSON number (int or float, never a bool or a string) as a float."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _node_from_obj(obj: dict) -> TreeNode:
     # a string or a list would pass the `in` test below
     if not isinstance(obj, dict):
         raise TypeError(f"a tree node must be a JSON object, got {obj!r}")
     if "label" in obj:
-        adult_weight, safe_weight = obj.get("weights", [0.0, 0.0])
-        return Leaf(obj["label"], (_number(adult_weight), _number(safe_weight)))
+        adult, safe = (float(check_number("weights", w)) for w in obj.get("weights", [0.0, 0.0]))
+        return Leaf(obj["label"], (adult, safe))
     return Split(
         obj["attr"],
-        _number(obj["thr"]),
+        float(check_number("thr", obj["thr"])),
         _node_from_obj(obj["left"]),
         _node_from_obj(obj["right"]),
     )
@@ -553,10 +532,7 @@ def forest_from_json(text: str) -> Forest:
     if type(version) is not int or version != MODEL_VERSION:  # True and 1.0 both equal 1
         raise SafeIndexError(f"unsupported model version {version!r}")
     try:
-        return Forest(
-            tuple(_node_from_obj(t) for t in doc["trees"]),
-            _number(doc["vote_threshold"]),
-        )
+        return Forest(tuple(_node_from_obj(t) for t in doc["trees"]), doc["vote_threshold"])
     except (
         KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError
     ) as exc:

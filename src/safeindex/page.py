@@ -241,8 +241,9 @@ def parse_url(url: str) -> UrlParts:
     The scheme is optional; "host/path" is accepted.  An IP-literal host
     ("[::1]", "192.168.0.1") is its own registrable domain and has the
     empty TLD.  Raises MalformedUrlError when no host can be found, or
-    when a line break is left inside the stripped URL: one URL per line
-    is what the index and the blacklist hold.
+    when a line break is left inside the stripped URL or whitespace or a
+    non-printable character in the host: one URL per line is what the
+    index holds, and one domain per line, as it went in, the blacklist.
     """
     lowered = url.strip().lower()
     if not lowered:
@@ -262,6 +263,8 @@ def parse_url(url: str) -> UrlParts:
     labels = host.split(".")
     if "" in labels:  # also an empty host: "".split(".") is [""]
         raise MalformedUrlError(f"no recognizable host in {url!r}")
+    if not host.isprintable() or " " in host:  # isprintable() passes " " only
+        raise MalformedUrlError(f"whitespace or non-printable character in host of {url!r}")
 
     if ":" in host or labels[-1].isdigit():  # an IP literal; no TLD is numeric
         return UrlParts(lowered, host, "")

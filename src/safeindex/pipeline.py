@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConfigError
+from .errors import check_count
 from .features import FeatureVector, extract_features
 from .fileio import read_input, write_atomic
 from .forest import Forest, forest_score
@@ -54,11 +54,7 @@ class FilterState:
 
     def __post_init__(self):
         # the CLI checks its options, a library caller may not; int() would truncate 2.7
-        trigger = self.blacklist_trigger
-        if type(trigger) is not int:
-            raise ConfigError(f"blacklist_trigger must be an integer, got {trigger!r}")
-        if trigger < 1:
-            raise ConfigError(f"blacklist_trigger must be >= 1, got {trigger}")
+        check_count("blacklist_trigger", self.blacklist_trigger, 1)
 
 
 @dataclass

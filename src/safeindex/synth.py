@@ -3,7 +3,8 @@
 The real term lists and page corpora cannot be distributed, so this
 module fabricates pseudo-word lexicons with the reference cardinalities
 and labeled page corpora whose adult pages are sampled from those
-lexicons.  Everything is deterministic given a seed.
+lexicons.  Everything is deterministic given a seed, and every setting
+passes `errors.check_count` or `check_number` before anything is drawn.
 
 numpy is imported inside the functions that make a generator or an array
 (`generate_lexicon_materials`, `generate_corpus`, `_unique_words`,
@@ -19,6 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
+from .errors import check_count, check_number
 from .lexicon import (
     CONTENT_LEXICON_NAMES,
     DISCLAIMER_LIST_NAME,
@@ -130,6 +132,7 @@ def generate_lexicon_materials(
     seed: int = DEFAULT_LEXICON_SEED,
 ) -> dict[str, list[str]]:
     """Term lists (including in-url and disclaimer) keyed by list name."""
+    check_count("seed", seed, 0)
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -261,24 +264,23 @@ def generate_corpus(
     carry an `overlap` fraction of lexicon noise, and at least one term,
     so `overlap=0` still puts one lexicon term on each safe page.  URLs
     are unique; `url_prefix` namespaces them so corpora from separate
-    calls do not collide.  Raises ValueError unless n_pages and n_adult
-    are ints with 0 <= n_adult <= n_pages and each of overlap,
-    xxx_fraction and disclaimer_fraction lies in [0, 1] (NaN does not).
+    calls do not collide.  Raises ValueError unless n_pages, n_adult and
+    seed are ints with 0 <= n_adult <= n_pages and 0 <= seed, each of
+    overlap, xxx_fraction and disclaimer_fraction a number in [0, 1] (NaN
+    is not), and url_prefix a str with no line break.
     """
-    for name, value in (("n_pages", n_pages), ("n_adult", n_adult)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= n_adult <= n_pages:
+    check_count("n_pages", n_pages)
+    if not 0 <= check_count("n_adult", n_adult) <= n_pages:
         raise ValueError(
             f"n_adult must lie in 0..n_pages, got n_adult={n_adult}, n_pages={n_pages}"
         )
-    for name, value in (
-        ("overlap", overlap),
-        ("xxx_fraction", xxx_fraction),
-        ("disclaimer_fraction", disclaimer_fraction),
-    ):
-        if not 0 <= value <= 1:  # False for NaN too
+    check_count("seed", seed, 0)
+    for name, value in (("overlap", overlap), ("xxx_fraction", xxx_fraction),
+                        ("disclaimer_fraction", disclaimer_fraction)):
+        if not 0 <= check_number(name, value) <= 1:  # False for NaN too
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    if type(url_prefix) is not str or url_prefix.splitlines() not in ([], [url_prefix]):
+        raise ValueError(f"url_prefix must be a str without a line break, got {url_prefix!r}")
     import numpy as np
 
     rng = np.random.default_rng(seed)

@@ -103,14 +103,14 @@ BAD_ROWS = {
 _SPLIT = '{{"attr": "nbr_img", "thr": {}, "left": {{"label": "safe"}}, "right": {{"label": "adult"}}}}'
 BAD_NUMBER_MODELS = {
     "NaN threshold": (_SPLIT.format("NaN"), 0.5, "NaN split threshold"),
-    "string threshold": (_SPLIT.format('"0.5"'), 0.5, "expected a number, got '0.5'"),
-    "bool threshold": (_SPLIT.format("true"), 0.5, "expected a number, got True"),
+    "string threshold": (_SPLIT.format('"0.5"'), 0.5, "thr must be a number, got '0.5'"),
+    "bool threshold": (_SPLIT.format("true"), 0.5, "thr must be a number, got True"),
     "huge threshold": (_SPLIT.format("1" + "0" * 400), 0.5, "OverflowError"),
-    "string weights": ('{"label": "safe", "weights": "12"}', 0.5, "expected a number, got '1'"),
-    "bool weight": ('{"label": "safe", "weights": [true, 2]}', 0.5, "expected a number, got True"),
+    "string weights": ('{"label": "safe", "weights": "12"}', 0.5, "weights must be a number, got '1'"),
+    "bool weight": ('{"label": "safe", "weights": [true, 2]}', 0.5, "weights must be a number, got True"),
     "NaN weight": ('{"label": "safe", "weights": [NaN, 2]}', 0.5, "NaN leaf weight"),
     "three weights": ('{"label": "safe", "weights": [1, 2, 3]}', 0.5, "too many values"),
-    "string vote threshold": ('{"label": "safe"}', '"0.5"', "expected a number, got '0.5'"),
+    "string vote threshold": ('{"label": "safe"}', '"0.5"', "vote_threshold must be a number, got '0.5'"),
 }
 
 # texts parse_json refuses: a syntax error, an int past the digit limit
@@ -239,6 +239,8 @@ def oracle_parse_url(url: str) -> UrlParts:
     labels = host.strip(".").split(".")
     if not labels or any(not lbl for lbl in labels):
         raise MalformedUrlError(f"no recognizable host in {url!r}")
+    if any(not c.isprintable() or c.isspace() for c in host):
+        raise MalformedUrlError(f"whitespace or non-printable character in host of {url!r}")
 
     if ":" in host or labels[-1].isdigit():  # an IP literal; no TLD is numeric
         return UrlParts(lowered, host.strip("."), "")

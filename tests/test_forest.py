@@ -1,3 +1,4 @@
+import ast
 import collections
 import copy
 import dataclasses
@@ -6,6 +7,7 @@ import math
 import pickle
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from safeindex import (
     train_forest,
 )
 import safeindex.forest
-from safeindex.errors import ConfigError, TrainingError
+from safeindex.errors import TrainingError
 from safeindex.evaluation import attribute_usage
 from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import (
@@ -49,7 +51,7 @@ from safeindex.forest import (
 )
 
 from safeindex.pipeline import FilterState
-from safeindex.synth import generate_corpus
+from safeindex.synth import generate_corpus, generate_lexicon_materials
 
 from helpers import (
     BAD_NUMBER_MODELS,
@@ -922,21 +924,28 @@ COUNT_SETTINGS = {
     "FilterState.blacklist_trigger": lambda v, lex: FilterState(blacklist_trigger=v),
     "generate_corpus n_pages": lambda v, lex: generate_corpus(lex, v, 0, seed=0),
     "generate_corpus n_adult": lambda v, lex: generate_corpus(lex, 3, v, seed=0),
+    "generate_corpus seed": lambda v, lex: generate_corpus(lex, 3, 1, seed=v),
+    "generate_lexicon_materials seed": lambda v, lex: generate_lexicon_materials(v),
 }
 NUMBER_SETTINGS = {
     "TrainConfig.fn_cost": lambda v, lex: TrainConfig(fn_cost=v),
     "TrainConfig.min_leaf_weight": lambda v, lex: TrainConfig(min_leaf_weight=v),
     "TrainConfig.vote_threshold": lambda v, lex: TrainConfig(vote_threshold=v),
     "Forest.vote_threshold": lambda v, lex: Forest((Leaf(SAFE),), v),
+    "generate_corpus overlap": lambda v, lex: generate_corpus(lex, 3, 1, seed=0, overlap=v),
+    "generate_corpus xxx_fraction": lambda v, lex: generate_corpus(lex, 3, 1, seed=0, xxx_fraction=v),
+    "generate_corpus disclaimer_fraction":
+        lambda v, lex: generate_corpus(lex, 3, 1, seed=0, disclaimer_fraction=v),
 }
-# type -> an in-range value of it, as a count and as a number; no int lies
-# in a vote threshold's (0, 1), so its int case is the range's to refuse
+# type -> an in-range value of it, as a count and as a number (1 lies in a
+# fraction's [0, 1]); no int lies in a vote threshold's (0, 1), so its int
+# case is the range's to refuse
 TYPED_VALUES = {
-    "int": (3, 2),
+    "int": (3, 1),
     "float": (3.0, 0.5),
     "bool": (True, True),
     "np.float64": (np.float64(3), np.float64(0.5)),
-    "np.int64": (np.int64(3), np.int64(2)),
+    "np.int64": (np.int64(3), np.int64(1)),
     "str": ("3", "0.5"),
     "None": (None, None),
 }
@@ -963,8 +972,77 @@ class TestSettingTypes:
         if accepted:
             call(value, lexicons)
         else:
-            with pytest.raises((ValueError, ConfigError), match=f"got {re.escape(repr(value))}"):
+            with pytest.raises(ValueError, match=f"got {re.escape(repr(value))}"):
                 call(value, lexicons)
+
+
+def _scoped_nodes(node: ast.AST, function: str = ""):
+    """(name of the innermost enclosing function, node) for every node below `node`."""
+    for child in ast.iter_child_nodes(node):
+        scope = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield scope, child
+        yield from _scoped_nodes(child, scope)
+
+
+def _type_names(node: ast.AST) -> set[str]:
+    """The bare names in `node`, or in its elements if it is a tuple, list or set."""
+    elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return {e.id for e in elts if isinstance(e, ast.Name)}
+
+
+def setting_type_tests(source: str) -> list[str]:
+    """The functions in source that test a value's type against a number type
+    by hand: a type(...) compared (is, is not, in, not in, ==, !=) with int
+    or float, or an isinstance against bool, int or float.  One entry, the
+    function's name, per test."""
+    found = []
+    for function, node in _scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            calls_type = any(isinstance(o, ast.Call) and getattr(o.func, "id", None) == "type"
+                             for o in operands)
+            if calls_type and any(_type_names(o) & {"int", "float"} for o in operands) and all(
+                isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn, ast.Eq, ast.NotEq))
+                for op in node.ops
+            ):
+                found.append(function)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and len(node.args) == 2 and _type_names(node.args[1]) & {"bool", "int", "float"}):
+            found.append(function)
+    return found
+
+
+def test_only_the_two_checks_test_a_setting_type():
+    """The setting rule has one implementation, errors.check_count and
+    errors.check_number.  The model version's own test stays: it is a file
+    format check, and its message names the version."""
+    allowed = {"errors.py": ["check_count", "check_number"], "forest.py": ["forest_from_json"]}
+    sources = sorted(Path(safeindex.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for source in sources:
+        found = setting_type_tests(source.read_text(encoding="utf-8"))
+        assert found == allowed.get(source.name, []), f"{source.name} tests a setting type itself"
+
+
+@pytest.mark.parametrize("snippet, found", [
+    ("type(v) is int", [""]),
+    ("type(v) is not int", [""]),
+    ("int is type(v)", [""]),
+    ("type(v) in (int, float)", [""]),
+    ("type(v) not in [float, int]", [""]),
+    ("type(v) == float", [""]),
+    ("isinstance(v, bool)", [""]),
+    ("isinstance(v, (str, int))", [""]),
+    ("def f(v):\n    return isinstance(v, float)", ["f"]),
+    ("class C:\n    def g(self):\n        return type(self.x) is int", ["g"]),
+    ("type(v) is str", []),
+    ("type(node) is Split", []),
+    ("isinstance(v, str)", []),
+    ("isinstance(v, (dict, list))", []),
+    ("int(v) is v", []),
+])
+def test_setting_type_guard_sees_each_test(snippet, found):
+    assert setting_type_tests(snippet) == found
 
 
 class TestSerialization:

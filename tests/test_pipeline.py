@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import safeindex.pipeline
 
@@ -23,7 +26,7 @@ from safeindex import (
     save_blacklist,
     train_forest,
 )
-from safeindex.errors import ConfigError
+from safeindex.errors import MalformedUrlError
 from safeindex.lexicon import TermMatcher
 from safeindex.page import PageLoadFailure, extract_text
 from safeindex.synth import generate_corpus, render_html
@@ -152,7 +155,7 @@ class TestBlacklistTrigger:
          (2.7, "must be an integer"), (True, "must be an integer"), (None, "must be an integer")],
     )
     def test_invalid_trigger_is_a_config_error(self, trigger, message):
-        with pytest.raises(ConfigError, match=f"blacklist_trigger {message}"):
+        with pytest.raises(ValueError, match=f"blacklist_trigger {message}"):
             FilterState(blacklist_trigger=trigger)
 
     def test_three_strikes_blacklists_the_domain(self, tiny_lexicons):
@@ -376,6 +379,20 @@ class TestBlacklistIO:
         save_blacklist({"b.com", "a.com"}, path)
         assert path.read_text(encoding="utf-8") == "a.com\nb.com\n"
         assert load_blacklist(path) == {"a.com", "b.com"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(string.ascii_lowercase[:6] + "XYZ019.-:@[]_éΣİẞ \t\u3000\u200b\ufeff\x85",
+                   min_size=1, max_size=12))
+    def test_every_parsed_domain_survives_a_round_trip(self, tmp_path_factory, host):
+        """A domain that gathers strikes must be the same key after a restart,
+        so a host the blacklist file would change is a malformed URL."""
+        try:
+            domain = parse_url(f"http://{host}/1").registrable_domain
+        except MalformedUrlError:
+            return
+        path = tmp_path_factory.getbasetemp() / "round-trip-blacklist.txt"
+        save_blacklist({domain}, path)
+        assert load_blacklist(path) == {domain}
 
     def test_load_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "blacklist.txt"

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -124,6 +125,15 @@ class TestCountArguments:
     def test_fraction_bounds_are_kept(self, lexicons, name):
         for value in (0, 1):
             assert len(generate_corpus(lexicons, 4, 2, seed=0, **{name: value})) == 4
+
+    @pytest.mark.parametrize("prefix", [5, None, b"t", "a\nb", "t\r", "a\u2028b"])
+    def test_url_prefix_must_be_a_str_without_a_line_break(self, lexicons, prefix, monkeypatch):
+        """Refused before any draw: 5 built http://…/5a0, and "a\\nb" was a
+        MalformedUrlError from the page loop."""
+        monkeypatch.setattr(np.random, "default_rng", None)  # so no generator can be made
+        message = f"^url_prefix must be a str without a line break, got {re.escape(repr(prefix))}$"
+        with pytest.raises(ValueError, match=message):
+            generate_corpus(lexicons, 3, 1, seed=0, url_prefix=prefix)
 
     def test_overlap_0_puts_one_term_on_each_safe_page(self, lexicons):
         terms = set().union(*lexicons.content.values())
