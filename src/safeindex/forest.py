@@ -21,6 +21,13 @@ through the node's order, as SLIQ reads its lists in place.  Each leaf
 writes its vote for the rows that reach it, so a round gets its tree's
 predictions on the training rows without walking the tree.
 
+The split search ranks its candidates with logs from np.log2, which can
+differ from math.log2 in the last bit, and takes math.log2 only for the
+few candidates whose rank that bit could change (a floating-point filter,
+as in Shewchuk's exact geometric predicates).  Every gain, split entropy
+and ratio it decides by or returns comes from math.log2, so a trained
+model is bit-identical to the one-boundary-at-a-time search's.
+
 numpy is imported inside the training functions that use it (`best_split`,
 `_entropies`, `train_forest`), not at module load: loading,
 scoring and printing a model never touch it, and importing numpy would be
@@ -180,6 +187,13 @@ class SplitChoice:
     gain_ratio: float
 
 
+# How far a gain or split entropy from np.log2 may be from math.log2's
+# before best_split takes the exact value.  np.log2 is within 1 ULP of
+# math.log2 (a test holds it to 4), which moves an entropy term by about
+# 1e-16 and a gain by less than 1e-15: about a millionth of this margin.
+_SLACK = 1e-9
+
+
 def best_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -211,12 +225,26 @@ def best_split(
     with the same operations in the same order as entropy() applied to one
     boundary at a time, so the choice is bit-identical to that loop.  A
     candidate is one flat index into the (attribute, position) arrays, so
-    each filter selects one index array.  The split entropy of the gain
-    ratio is taken only for the candidates that pass the positive-gain
-    filter and the mean-gain guard.  The winner is the argmax of the gain
-    ratio; only when several candidates share the maximum are those few
-    sorted by the tie-breaks, and only then are their attribute names
-    looked up.
+    each filter selects one index array.
+
+    The pass takes its logs from np.log2, which may differ from math.log2
+    in the last bit, so its gains are approximate; every value that decides
+    or is returned is exact (from math.log2), as in a filtered exact
+    geometric predicate (Shewchuk 1997).  An approximate gain g~ is within
+    _SLACK of the exact one, and the search, in its own order:
+    - takes the exact gain of each candidate with |g~| <= _SLACK, so the
+      sign of every gain is certain;
+    - takes every gain exactly, and goes on as without the filter, if a
+      positive g~ lies within 2 * _SLACK of the mean-gain guard's edge
+      (mean - 1e-12, both from g~);
+    - ranks the guard's survivors by the approximate ratio r~ = g~ / S~,
+      with S~ the split entropy from np.log2, whose error is at most
+      e = _SLACK * (1 + r~) / S~.  The exact best, and every exact tie of
+      it, has r~ + e >= max r~ - max e, so only those candidates get an
+      exact gain, split entropy and ratio.
+    The winner is the argmax of those exact ratios; only when several
+    candidates share the maximum are those few sorted by the tie-breaks,
+    and only then are their attribute names looked up.
     """
     import numpy as np
 
@@ -236,23 +264,37 @@ def best_split(
     ws = w[order]
     cw = np.cumsum(ws, axis=1).ravel()
     ca = np.cumsum(np.where(y[order], ws, 0.0), axis=1).ravel()
+
+    def score(at, approximate=False, split=False):
+        """The gains of the candidates at flat indices `at`, and with
+        `split` their split entropies (else an empty array)."""
+        wl = cw[at]
+        wr = total - wl
+        la = ca[at]
+        ls = np.maximum(wl - la, 0.0)
+        ra = np.maximum(total_adult - la, 0.0)
+        rs = np.maximum(total_safe - ls, 0.0)
+        adult, safe = [la, ra], [ls, rs]
+        if split:
+            adult.append(wl)
+            safe.append(wr)
+        # every entropy in one call: lefts, then rights, then splits
+        h = _entropies(np.concatenate(adult), np.concatenate(safe), approximate)
+        k = len(at)
+        return parent - (wl * h[:k] + wr * h[k : 2 * k]) / total, h[2 * k :]
+
     # boundaries attribute by attribute, each attribute's in sorted order,
     # as flat indices into the (n_attr, n) arrays: the comparison's flat
     # index i, over n - 1 columns, is i + i // (n - 1) over n
     at = np.flatnonzero(xs[:, :-1] < xs[:, 1:])
     at += at // (n - 1)
     wl = cw[at]
-    wr = total - wl
-    keep = (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
-    at, wl, wr = at[keep], wl[keep], wr[keep]
-    la = ca[at]
-    ls = np.maximum(wl - la, 0.0)
-    ra = np.maximum(total_adult - la, 0.0)
-    rs = np.maximum(total_safe - ls, 0.0)
-    # both sides' entropies in one call: lefts first, then rights
-    h = _entropies(np.concatenate([la, ra]), np.concatenate([ls, rs]))
-    h_left, h_right = h[: len(la)], h[len(la) :]
-    gain = parent - (wl * h_left + wr * h_right) / total
+    at = at[(wl >= min_leaf_weight) & (total - wl >= min_leaf_weight)]
+    approximate = True  # while some gain is from np.log2
+    gain, _ = score(at, approximate)
+    near = np.flatnonzero(np.abs(gain) <= _SLACK)
+    if len(near):
+        gain[near] = score(at[near])[0]
     positive = gain > 0
     if not positive.any():
         return None
@@ -262,34 +304,52 @@ def best_split(
     # which can move the mean in the last bit); epsilon keeps the guard
     # from starving on all-equal gains (float noise)
     mean_gain = sum(gain.tolist()) / len(gain)
+    if (np.abs(gain - (mean_gain - 1e-12)) <= 2 * _SLACK).any():
+        approximate = False  # too close to call: every gain exactly
+        gain = score(at)[0]
+        mean_gain = sum(gain.tolist()) / len(gain)
     eligible = gain >= mean_gain - 1e-12
     at, gain = at[eligible], gain[eligible]
     wl = cw[at]
-    gain_ratio = gain / _entropies(wl, total - wl)
+    split = _entropies(wl, total - wl, approximate)
+    if approximate:
+        ratio = gain / split
+        error = _SLACK * (1.0 + ratio) / split
+        at = at[ratio + error >= ratio.max() - error.max()]
+        gain, split = score(at, split=True)
+    gain_ratio = gain / split
     best_ratio = gain_ratio.max()
     top = np.flatnonzero(gain_ratio == best_ratio)
     at, gain = at[top], gain[top]
     xs = xs.ravel()
-    threshold = (xs[at] + xs[at + 1]) / 2.0
+    threshold = [_midpoint(a, b) for a, b in zip(xs[at].tolist(), xs[at + 1].tolist())]
     best = 0
     if len(top) > 1:  # a tied ratio: higher gain, then name, then threshold
         names = np.asarray(attr_names)[at // n]
         best = np.lexsort((threshold, names, -gain))[0]
-    return SplitChoice(
-        attr_names[at[best] // n], float(threshold[best]), float(best_ratio)
-    )
+    return SplitChoice(attr_names[at[best] // n], threshold[best], float(best_ratio))
 
 
-def _entropies(adult: np.ndarray, safe: np.ndarray) -> np.ndarray:
+def _midpoint(a: float, b: float) -> float:
+    """The threshold between two adjacent values; a / 2 + b / 2 where
+    a + b overflows, so every other threshold is (a + b) / 2 to the bit."""
+    mid = (a + b) / 2.0
+    return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
+
+
+def _entropies(adult: np.ndarray, safe: np.ndarray, approximate: bool = False) -> np.ndarray:
     """entropy() of every weight pair of two 1-D arrays, elementwise and
-    bit for bit.
+    bit for bit; with `approximate`, within about 1e-15 of it.
 
     Each present probability (weight > 0) other than 1.0 gets its log from
     math.log2: np.log2 may use vector code that differs from it in the last
-    bit, which can change a chosen split.  A probability of 1.0 gives the
-    term 1.0 * 0.0 == 0.0, which the zero fill already holds, so it takes
-    no log.  One that underflows to 0.0 is still present and raises
-    ValueError, as entropy() does.  Pairs must have a positive total.
+    bit, which can change a chosen split.  An approximate call takes
+    np.log2, whose vector code is much cheaper per log, for best_split to
+    rank candidates with; no value it gives is returned or decides.  A
+    probability of 1.0 gives the term 1.0 * 0.0 == 0.0, which the zero
+    fill already holds, so it takes no log.  One that underflows to 0.0 is
+    still present, takes math.log2 in either form and raises ValueError,
+    as entropy() does.  Pairs must have a positive total.
     """
     import numpy as np
 
@@ -299,7 +359,10 @@ def _entropies(adult: np.ndarray, safe: np.ndarray) -> np.ndarray:
     logged = (np.concatenate([adult, safe]) > 0) & (p != 1.0)
     kept = p[logged]
     terms = np.zeros_like(p)
-    terms[logged] = kept * np.fromiter(map(math.log2, kept.tolist()), float, len(kept))
+    if approximate and kept.all():
+        terms[logged] = kept * np.log2(kept)
+    else:
+        terms[logged] = kept * np.fromiter(map(math.log2, kept.tolist()), float, len(kept))
     return (0.0 - terms[:n]) - terms[n:]
 
 
@@ -422,8 +485,9 @@ def train_forest(
     tree again: that tree, its stats and its votes fill the remaining
     rounds, and no further tree is grown.  Weights are kept normalized to
     the row count so min_leaf_weight speaks in "cases".  Every label must
-    be ADULT or SAFE.  The forest votes at config.vote_threshold, and the
-    report's global error is its error at that threshold.
+    be ADULT or SAFE, and every attribute value finite.  The forest votes
+    at config.vote_threshold, and the report's global error is its error
+    at that threshold.
     """
     import numpy as np
 
@@ -439,6 +503,14 @@ def train_forest(
     if y.all() or not y.any():
         raise TrainingError("degenerate class distribution")
     X = np.array([fv.values for fv in vectors], dtype=float)
+    # a threshold beside inf or NaN is inf or NaN, and sets no row apart
+    not_finite = np.argwhere(~np.isfinite(X))
+    if len(not_finite):
+        row, column = not_finite[0].tolist()
+        raise TrainingError(
+            f"attribute {ATTRIBUTE_NAMES[column]} of training row {row} "
+            f"is {X[row, column]}, not finite"
+        )
     # the rows never change, only their weights: sorted once, filtered per node
     order = np.argsort(X.T, axis=1, kind="stable")
     rows = np.arange(n)

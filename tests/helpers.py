@@ -393,7 +393,10 @@ def loop_split_candidates(X, y, w, attr_names, min_leaf_weight):
             if gain <= 0:
                 continue
             gain_ratio = gain / entropy(wl, wr)
-            threshold = (float(xv[i]) + float(xv[i + 1])) / 2.0
+            lo, hi = float(xv[i]), float(xv[i + 1])
+            threshold = (lo + hi) / 2.0
+            if math.isinf(threshold):  # lo + hi overflowed
+                threshold = lo / 2.0 + hi / 2.0
             candidates.append((gain_ratio, gain, name, threshold))
 
     if not candidates:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safeindex import (
@@ -137,6 +137,35 @@ class TestEntropy:
         with pytest.raises(ValueError):
             _entropies(np.array([5e-324]), np.array([1e300]))
 
+    def test_approximate_form_is_close_and_raises_on_underflow(self):
+        rnd = random.Random(6)
+        weights = [0.0, 1e-300, 0.1, 1.0, 20.0] + [rnd.uniform(0.0, 40.0) for _ in range(2000)]
+        adult = np.array(weights)
+        safe = np.array(weights[1:] + weights[:1])
+        gap = _entropies(adult, safe, approximate=True) - _entropies(adult, safe)
+        assert np.abs(gap).max() <= 1e-14
+        # an underflowed probability takes math.log2, which raises
+        with pytest.raises(ValueError):
+            _entropies(np.array([5e-324]), np.array([1e300]), approximate=True)
+
+    def test_np_log2_is_within_4_ulp_of_math_log2(self):
+        """best_split's margin, _SLACK, is about a million times what a gap
+        of 1 ULP moves a gain by; a numpy whose log2 strays further fails
+        here, before it can change a model."""
+        rng = np.random.default_rng(2015)
+        x = np.concatenate([
+            rng.uniform(0.0, 1.0, 510_000),
+            np.exp2(rng.uniform(-1074.0, 0.0, 510_000)),  # every binade, subnormals too
+            [5e-324, 2.0**-1022, math.nextafter(2.0**-1022, 0.0), 0.5, 1.0 - 2.0**-53],
+        ])
+        x = x[(x > 0.0) & (x < 1.0)]
+        assert len(x) >= 1_000_000
+        exact = np.fromiter(map(math.log2, x.tolist()), float, len(x))
+        approx = np.log2(x)
+        # both negative, so their gap in ULP is the gap of their bit patterns
+        assert (exact < 0.0).all() and (approx < 0.0).all()
+        assert np.abs(exact.view(np.int64) - approx.view(np.int64)).max() <= 4
+
 
 class TestLeafLabel:
     def test_cost_shifts_the_boundary(self):
@@ -149,6 +178,49 @@ class TestLeafLabel:
     def test_unit_cost_is_majority(self):
         assert leaf_label(3.0, 2.0, 1.0) == ADULT
         assert leaf_label(2.0, 3.0, 1.0) == SAFE
+
+
+@st.composite
+def _near_tie_nodes(draw):
+    """(X, y, w, names, min_leaf) of a node whose columns are copies and
+    mirrors of a few small-integer columns, or constant, whose rows may
+    come back with the other label (zero-gain boundaries), and whose
+    weights come from a few values (tied and nearly tied gains)."""
+    n = draw(st.integers(2, 24))
+    value = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    base = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=3))
+    kinds = draw(st.lists(
+        st.tuples(st.sampled_from(["copy", "mirror", "constant"]), st.integers(0, len(base) - 1)),
+        min_size=1, max_size=6,
+    ))
+    X = np.array([
+        base[j] if kind == "copy" else [3.0 - v for v in base[j]] if kind == "mirror" else [1.0] * n
+        for kind, j in kinds
+    ]).T
+    y = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    weight = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 20.0])
+    w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    twins = draw(st.sampled_from(["none", "all", "some"]))
+    if twins != "none":
+        picked = np.ones(n, bool) if twins == "all" else np.array(
+            draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        X = np.concatenate([X, X[picked]])
+        y = np.concatenate([y, ~y[picked]])
+        w = np.concatenate([w, w[picked]])
+    names = draw(st.permutations("abcdef"))[: X.shape[1]]
+    return X, y, w, names, draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+
+
+def _off_log2(log2, calls):
+    """np.log2 off by a relative error of up to 1e-11, which turns on the
+    low bits of each input, so values 1 ULP apart move apart."""
+
+    def off(x):
+        calls.append(len(x))
+        bits = np.asarray(x, dtype=float).view(np.int64)
+        return log2(x) * (1.0 + 1e-11 * ((bits % 2001 - 1000) / 1000.0))
+
+    return off
 
 
 class TestBestSplit:
@@ -280,6 +352,33 @@ class TestBestSplit:
         # only a tied table sorts, and it sorts only the candidates that tie
         assert tied and lexsorts == tied
         assert set(decided_by) == {"gain", "name", "threshold"}
+
+    @settings(max_examples=400, deadline=None)
+    @given(_near_tie_nodes())
+    # every gain is 0, which the off log moves above 0
+    @example((np.array([[0.0], [1.0], [0.0], [1.0]]), np.array([False, False, True, True]),
+              np.array([0.1] * 4), ["a"], 0.1))
+    # mirrored columns whose best ratios are 1 ULP apart, which the off log swaps
+    @example((np.array([[0.0, 3.0], [3.0, 0.0], [0.0, 3.0], [2.0, 1.0], [3.0, 0.0]]),
+              np.array([False, True, True, True, True]),
+              np.array([0.2, 0.7, 0.3, 0.3, 0.7]), ["a", "b"], 0.1))
+    # b's gain on the mean-gain guard's edge, which the off log moves below it
+    @example((np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]),
+              np.array([False, False, True, True, True, False]),
+              np.array([1.441878044240356, 2.6747288018478637, 1.465482362432195,
+                        2.667081341066402, 1.4962573410717517, 0.7564320642524609]),
+              ["a", "b"], 0.1))
+    def test_the_approximate_log_never_decides(self, node):
+        """np.log2 off by tens of thousands of times its real gap to
+        math.log2 still leaves every choice to the exact values."""
+        X, y, w, names, min_leaf = node
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "log2", _off_log2(np.log2, calls))
+            got = best_split(X, y, w, names, min_leaf)
+        assert got == loop_best_split(X, y, w, names, min_leaf)
+        if loop_split_candidates(X, y, w, names, min_leaf):
+            assert calls
 
 
 class TestGrowTree:
@@ -875,6 +974,58 @@ class TestTrainForest:
         # ten adult rows at 1e307 weigh 1e308 in all, which is finite
         forest, _ = train_forest(vectors, labels, TrainConfig(fn_cost=1e307))
         assert len(forest.trees) == 10
+
+    def test_non_finite_value_raises(self):
+        name = ATTRIBUTE_NAMES[0]
+        vectors = [make_vector(**{name: -math.inf})] * 5 + [make_vector(**{name: math.inf})] * 5
+        labels = [ADULT] * 5 + [SAFE] * 5
+        config = TrainConfig(fn_cost=1.0, min_leaf_weight=1.0)
+        with pytest.raises(TrainingError, match=f"attribute {name} of training row 0 is -inf"):
+            train_forest(vectors, labels, config)
+        vectors = [make_vector(**{name: float(i)}) for i in range(10)]
+        vectors[7] = make_vector(**{ATTRIBUTE_NAMES[4]: math.nan})
+        with pytest.raises(TrainingError, match=f"attribute {ATTRIBUTE_NAMES[4]} of training row 7 is nan"):
+            train_forest(vectors, labels, config)
+
+    def test_huge_values_split_at_their_midpoint(self):
+        """1e308 + 1.5e308 overflows, so their threshold is the sum of the
+        halves; no warning is raised, as every warning fails a test here."""
+        name = ATTRIBUTE_NAMES[0]
+        vectors = [make_vector(**{name: 1e308})] * 5 + [make_vector(**{name: 1.5e308})] * 5
+        labels = [ADULT] * 5 + [SAFE] * 5
+        config = TrainConfig(fn_cost=1.0, min_leaf_weight=1.0)
+        forest, report = train_forest(vectors, labels, config)
+        assert forest.trees[0].threshold == 1.25e308
+        assert report.per_tree[0].size == 3
+        assert report.global_training_error == 0.0
+        # the loop reference takes the same rule, and leaves the others be
+        X = np.array([[1e308, 0.1], [1.5e308, 0.2], [-1.5e308, 0.3], [-1e308, 0.7]])
+        y = np.array([True, False, True, False])
+        for w in ([1.0, 1.0, 1.0, 1.0], [1.0, 3.0, 1.0, 0.5]):
+            for column in ([0], [1], [0, 1]):
+                args = X[:, column], y, np.array(w), ["ab"[c] for c in column], 0.5
+                assert best_split(*args) == loop_best_split(*args)
+
+    def test_exact_logs_stay_rare(self, monkeypatch):
+        """One training on 60 noisy rows took 62,577 math.log2 calls when
+        every gain and split entropy took exact logs; with np.log2 ranking
+        the candidates, at most 5% of those remain."""
+        doc = json.loads((Path(__file__).resolve().parents[1] / "bench" / "data"
+                          / "train_rows.json").read_text(encoding="utf-8"))
+        rows = [i for i, label in enumerate(doc["labels"]) if label == ADULT][:30]
+        rows += [i for i, label in enumerate(doc["labels"]) if label == SAFE][:30]
+        vectors = [safeindex.FeatureVector(tuple(doc["rows"][i])) for i in rows]
+        logs = []
+        log2 = math.log2
+
+        def counting(x):
+            logs.append(x)
+            return log2(x)
+
+        monkeypatch.setattr(safeindex.forest.math, "log2", counting)
+        _, report = train_forest(vectors, [doc["labels"][i] for i in rows], TrainConfig())
+        assert sum(ts.size for ts in report.per_tree) > 50  # many nodes searched
+        assert 0 < len(logs) <= 0.05 * 62_577
 
     def test_report_shape(self):
         vectors, labels = self._separable()
