@@ -21,17 +21,20 @@ through the node's order, as SLIQ reads its lists in place.  Each leaf
 writes its vote for the rows that reach it, so a round gets its tree's
 predictions on the training rows without walking the tree.
 
-The split search ranks its candidates with logs from np.log2, which can
-differ from math.log2 in the last bit, and takes math.log2 only for the
-few candidates whose rank that bit could change (a floating-point filter,
-as in Shewchuk's exact geometric predicates).  Every gain, split entropy
-and ratio it decides by or returns comes from math.log2, so a trained
-model is bit-identical to the one-boundary-at-a-time search's.
+The split search scores every candidate in one pass: x log2 x of each
+candidate's six weight sums, from one np.log2 call, gives an approximate
+gain and split entropy.  np.log2 can differ from math.log2 in the last
+bit, so the pass only ranks: entropy() (math.log2) gives the exact values
+of the few candidates whose rank the pass's error could change (a
+floating-point filter, as in Shewchuk's exact geometric predicates).
+Every gain, split entropy and ratio the search decides by or returns
+comes from math.log2, so a trained model is bit-identical to the
+one-boundary-at-a-time search's.
 
 numpy is imported inside the training functions that use it (`best_split`,
-`_entropies`, `train_forest`), not at module load: loading,
-scoring and printing a model never touch it, and importing numpy would be
-most of the start-up time of a process that only filters.
+`_approximate_scores`, `_entropies`, `train_forest`), not at module load:
+loading, scoring and printing a model never touch it, and importing numpy
+would be most of the start-up time of a process that only filters.
 """
 
 from __future__ import annotations
@@ -187,11 +190,17 @@ class SplitChoice:
     gain_ratio: float
 
 
-# How far a gain or split entropy from np.log2 may be from math.log2's
-# before best_split takes the exact value.  np.log2 is within 1 ULP of
-# math.log2 (a test holds it to 4), which moves an entropy term by about
-# 1e-16 and a gain by less than 1e-15: about a millionth of this margin.
+# The margin within which best_split does not trust an approximate gain or
+# split entropy.  Their error is at most the bound its docstring states,
+# below 1e-12 on any node of total weight up to 1e6, a thousandth of this.
 _SLACK = 1e-9
+
+# best_split takes exact values only on a node whose lightest row weighs
+# less than this share of its total, or less than this at all, or whose
+# total is above its inverse: there a share of a side's weight can round
+# to 0, whose log raises ValueError in entropy(), and x log2 x of a weight
+# can be subnormal, too coarse to rank by, or overflow.
+_LIGHTEST = 2.0**-900
 
 
 def best_split(
@@ -221,28 +230,53 @@ def best_split(
     trained node sorts nothing and copies no row.  A call without them
     searches every row of X: it sorts X here and sums w.
 
-    Every candidate of every attribute is scored in one pass over arrays,
-    with the same operations in the same order as entropy() applied to one
-    boundary at a time, so the choice is bit-identical to that loop.  A
-    candidate is one flat index into the (attribute, position) arrays, so
-    each filter selects one index array.
+    Every candidate of every attribute is a flat index into the
+    (attribute, position) arrays, so each filter selects one index array.
+    The choice is bit-identical to the loop that scores one boundary at a
+    time with entropy(): every value that decides or is returned comes
+    from entropy() or from _entropies, its exact array form, as in a
+    filtered exact geometric predicate (Shewchuk 1997).
 
-    The pass takes its logs from np.log2, which may differ from math.log2
-    in the last bit, so its gains are approximate; every value that decides
-    or is returned is exact (from math.log2), as in a filtered exact
-    geometric predicate (Shewchuk 1997).  An approximate gain g~ is within
-    _SLACK of the exact one, and the search, in its own order:
+    A candidate's left side weighs wl, la of it adult and ls safe; its
+    right side wr, ra and rs.  One pass (_approximate_scores) takes
+    F(x) = x log2 x, F(0) = 0, of these six sums for every candidate with
+    one np.log2 call, and
+      g~ = parent - (F(wl) + F(wr) - F(la) - F(ls) - F(ra) - F(rs)) / total
+      S~ = log2(total) - (F(wl) + F(wr)) / total
+    approximate its gain and split entropy.  Their error is absolute: each
+    F is within a few ULP of its own size (np.log2 is within 4 ULP of
+    math.log2, a test holds it there), and la + ls and ra + rs are wl and
+    wr up to rounding, so g~ and S~ are within a few ULP of
+    sum |F| / total, which is at most about 2 |log2 total| + 3.  The bound
+    beta = 2**-48 * (2 |log2 total| + 4) holds them (a test checks it on
+    nodes of up to 1e6), and is below 1e-12, a thousandth of the margin
+    _SLACK = 1e-9 the search allows, on any total up to 1e6; training
+    weights sum to the row count.  In its own order, the search:
     - takes the exact gain of each candidate with |g~| <= _SLACK, so the
       sign of every gain is certain;
-    - takes every gain exactly, and goes on as without the filter, if a
+    - takes every gain exactly, and goes on as without the pass, if a
       positive g~ lies within 2 * _SLACK of the mean-gain guard's edge
       (mean - 1e-12, both from g~);
-    - ranks the guard's survivors by the approximate ratio r~ = g~ / S~,
-      with S~ the split entropy from np.log2, whose error is at most
-      e = _SLACK * (1 + r~) / S~.  The exact best, and every exact tie of
-      it, has r~ + e >= max r~ - max e, so only those candidates get an
-      exact gain, split entropy and ratio.
-    The winner is the argmax of those exact ratios; only when several
+    - keeps, of the guard's survivors, those that can hold the best exact
+      ratio.  With S~ > _SLACK the exact ratio r lies within
+      e = _SLACK * (1 + r~) / (S~ - _SLACK) of r~ = g~ / S~, since g and S
+      each lie within _SLACK of g~ and S~.  The exact best is at least
+      every candidate's lower bound, so at least their highest,
+      L = max (g~ - _SLACK) / (S~ + _SLACK); a candidate is kept if
+      r~ + e >= L, written g~ + _SLACK >= L * (S~ - _SLACK) so that one
+      whose S~ is not above _SLACK is kept too.  The kept set holds the
+      exact best and every exact tie of it, and is one or two candidates
+      on most nodes; each gets its exact gain and split entropy from three
+      entropy() calls.
+    A node whose lightest row weighs less than _LIGHTEST of its total or
+    less than _LIGHTEST (2**-900) at all, or whose total is above 2**900,
+    takes every gain exactly instead, and the split entropy of the guard's
+    survivors: there a probability can underflow to 0, and the search
+    raises ValueError just where the loop does, or an F can be subnormal,
+    with too few bits to rank by, or overflow.  Either way a search takes
+    an exact value only where the loop takes one: a gain for every
+    candidate, a split entropy for a survivor of the guard.
+    The winner is the argmax of the exact ratios; only when several
     candidates share the maximum are those few sorted by the tie-breaks,
     and only then are their attribute names looked up.
     """
@@ -265,23 +299,16 @@ def best_split(
     cw = np.cumsum(ws, axis=1).ravel()
     ca = np.cumsum(np.where(y[order], ws, 0.0), axis=1).ravel()
 
-    def score(at, approximate=False, split=False):
-        """The gains of the candidates at flat indices `at`, and with
-        `split` their split entropies (else an empty array)."""
+    def exact_gains(at):
+        """The gains of the candidates at flat indices `at`, from _entropies."""
         wl = cw[at]
-        wr = total - wl
         la = ca[at]
         ls = np.maximum(wl - la, 0.0)
         ra = np.maximum(total_adult - la, 0.0)
         rs = np.maximum(total_safe - ls, 0.0)
-        adult, safe = [la, ra], [ls, rs]
-        if split:
-            adult.append(wl)
-            safe.append(wr)
-        # every entropy in one call: lefts, then rights, then splits
-        h = _entropies(np.concatenate(adult), np.concatenate(safe), approximate)
+        h = _entropies(np.concatenate([la, ra]), np.concatenate([ls, rs]))
         k = len(at)
-        return parent - (wl * h[:k] + wr * h[k : 2 * k]) / total, h[2 * k :]
+        return parent - (wl * h[:k] + (total - wl) * h[k:]) / total
 
     # boundaries attribute by attribute, each attribute's in sorted order,
     # as flat indices into the (n_attr, n) arrays: the comparison's flat
@@ -289,12 +316,18 @@ def best_split(
     at = np.flatnonzero(xs[:, :-1] < xs[:, 1:])
     at += at // (n - 1)
     wl = cw[at]
-    at = at[(wl >= min_leaf_weight) & (total - wl >= min_leaf_weight)]
-    approximate = True  # while some gain is from np.log2
-    gain, _ = score(at, approximate)
-    near = np.flatnonzero(np.abs(gain) <= _SLACK)
-    if len(near):
-        gain[near] = score(at[near])[0]
+    keep = (wl >= min_leaf_weight) & (total - wl >= min_leaf_weight)
+    at = at[keep]
+    if not len(at):
+        return None
+    exact = bool(ws[0].min() < max(total, 1.0) * _LIGHTEST or total * _LIGHTEST > 1.0)
+    if exact:
+        gain = exact_gains(at)
+    else:
+        gain, split = _approximate_scores(wl[keep], ca[at], total, total_adult, parent)
+        near = np.flatnonzero(np.abs(gain) <= _SLACK)
+        if len(near):
+            gain[near] = exact_gains(at[near])
     positive = gain > 0
     if not positive.any():
         return None
@@ -304,19 +337,27 @@ def best_split(
     # which can move the mean in the last bit); epsilon keeps the guard
     # from starving on all-equal gains (float noise)
     mean_gain = sum(gain.tolist()) / len(gain)
-    if (np.abs(gain - (mean_gain - 1e-12)) <= 2 * _SLACK).any():
-        approximate = False  # too close to call: every gain exactly
-        gain = score(at)[0]
+    if not exact and (np.abs(gain - (mean_gain - 1e-12)) <= 2 * _SLACK).any():
+        exact = True  # too close to call: every gain exactly
+        gain = exact_gains(at)
         mean_gain = sum(gain.tolist()) / len(gain)
     eligible = gain >= mean_gain - 1e-12
     at, gain = at[eligible], gain[eligible]
-    wl = cw[at]
-    split = _entropies(wl, total - wl, approximate)
-    if approximate:
-        ratio = gain / split
-        error = _SLACK * (1.0 + ratio) / split
-        at = at[ratio + error >= ratio.max() - error.max()]
-        gain, split = score(at, split=True)
+    if exact:
+        wl = cw[at]
+        split = _entropies(wl, total - wl)
+    else:
+        split = split[positive][eligible]
+        lowest = ((gain - _SLACK) / (split + _SLACK)).max()
+        at = at[gain + _SLACK >= lowest * (split - _SLACK)]
+        scores = []
+        for wl, la in zip(cw[at].tolist(), ca[at].tolist()):
+            wr = total - wl
+            ls = max(wl - la, 0.0)
+            ra, rs = max(total_adult - la, 0.0), max(total_safe - ls, 0.0)
+            left_right = wl * entropy(la, ls) + wr * entropy(ra, rs)
+            scores.append((parent - left_right / total, entropy(wl, wr)))
+        gain, split = np.array(scores).T
     gain_ratio = gain / split
     best_ratio = gain_ratio.max()
     top = np.flatnonzero(gain_ratio == best_ratio)
@@ -330,6 +371,32 @@ def best_split(
     return SplitChoice(attr_names[at[best] // n], threshold[best], float(best_ratio))
 
 
+def _approximate_scores(
+    wl: np.ndarray, la: np.ndarray, total: float, total_adult: float, parent: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """best_split's approximate gains g~ and split entropies S~ of the
+    candidates whose left sides weigh `wl`, `la` of it adult, in a node
+    of weight `total`, `total_adult` of it adult, whose entropy is
+    `parent`: F(x) = x log2 x of the six weight sums, in one np.log2 call
+    over a (6, k) array.  The sums are clamped at 0 as the exact gains'
+    are, and a sum of 0 takes the log of the least float, so F(0) == 0."""
+    import numpy as np
+
+    x = np.empty((6, len(wl)))
+    x[0] = wl
+    np.subtract(total, wl, out=x[1])
+    x[2] = la
+    np.subtract(wl, la, out=x[3])
+    np.maximum(x[3], 0.0, out=x[3])
+    np.subtract(total_adult, la, out=x[4])
+    np.subtract(total - total_adult, x[3], out=x[5])
+    np.maximum(x[4:], 0.0, out=x[4:])
+    f = x * np.log2(np.maximum(x, 5e-324))
+    sides = f[0] + f[1]
+    split = math.log2(total) - sides / total
+    return parent - (sides - f[2:].sum(axis=0)) / total, split
+
+
 def _midpoint(a: float, b: float) -> float:
     """The threshold between two adjacent values; a / 2 + b / 2 where
     a + b overflows, so every other threshold is (a + b) / 2 to the bit."""
@@ -337,19 +404,17 @@ def _midpoint(a: float, b: float) -> float:
     return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
 
 
-def _entropies(adult: np.ndarray, safe: np.ndarray, approximate: bool = False) -> np.ndarray:
+def _entropies(adult: np.ndarray, safe: np.ndarray) -> np.ndarray:
     """entropy() of every weight pair of two 1-D arrays, elementwise and
-    bit for bit; with `approximate`, within about 1e-15 of it.
+    bit for bit.
 
     Each present probability (weight > 0) other than 1.0 gets its log from
     math.log2: np.log2 may use vector code that differs from it in the last
-    bit, which can change a chosen split.  An approximate call takes
-    np.log2, whose vector code is much cheaper per log, for best_split to
-    rank candidates with; no value it gives is returned or decides.  A
-    probability of 1.0 gives the term 1.0 * 0.0 == 0.0, which the zero
-    fill already holds, so it takes no log.  One that underflows to 0.0 is
-    still present, takes math.log2 in either form and raises ValueError,
-    as entropy() does.  Pairs must have a positive total.
+    bit, which can change a chosen split.  A probability of 1.0 gives the
+    term 1.0 * 0.0 == 0.0, which the zero fill already holds, so it takes
+    no log.  One that underflows to 0.0 is still present, and raises
+    ValueError, as entropy() does.  Pairs must have a positive total.
+    best_split takes it for near-zero gains and on its two exact paths.
     """
     import numpy as np
 
@@ -359,10 +424,7 @@ def _entropies(adult: np.ndarray, safe: np.ndarray, approximate: bool = False) -
     logged = (np.concatenate([adult, safe]) > 0) & (p != 1.0)
     kept = p[logged]
     terms = np.zeros_like(p)
-    if approximate and kept.all():
-        terms[logged] = kept * np.log2(kept)
-    else:
-        terms[logged] = kept * np.fromiter(map(math.log2, kept.tolist()), float, len(kept))
+    terms[logged] = kept * np.fromiter(map(math.log2, kept.tolist()), float, len(kept))
     return (0.0 - terms[:n]) - terms[n:]
 
 
@@ -487,7 +549,10 @@ def train_forest(
     the row count so min_leaf_weight speaks in "cases".  Every label must
     be ADULT or SAFE, and every attribute value finite.  The forest votes
     at config.vote_threshold, and the report's global error is its error
-    at that threshold.
+    at that threshold.  An fn_cost that puts the row weights so far apart
+    that a class's share of a node underflows to 0, or that a round's
+    error is too small to have a finite boost (1 - e) / e, raises
+    TrainingError naming it.
     """
     import numpy as np
 
@@ -532,7 +597,13 @@ def train_forest(
     restarts = 0
     while len(trees) < config.n_trees:
         pred = np.empty(n, dtype=bool)
-        tree = grow_tree(X, y, w, rows, order, pred, config)
+        try:
+            tree = grow_tree(X, y, w, rows, order, pred, config)
+        except ValueError as exc:  # the log of a probability that underflowed to 0
+            raise TrainingError(
+                f"fn_cost {config.fn_cost} puts the row weights too far apart to train: "
+                "a class's share of a node's weight underflows to 0"
+            ) from exc
         wrong = pred != y
         eps = float(w[wrong].sum() / w.sum())
         # a perfect round's tree stands for itself in every remaining round
@@ -547,10 +618,17 @@ def train_forest(
                 rng = np.random.default_rng(config.rng_seed)
             w = initial * rng.uniform(0.8, 1.2, n)
             w *= n / w.sum()
-        elif eps > 0.0:
-            w[wrong] *= (1.0 - eps) / eps
+        elif eps > 0.0 and len(trees) < config.n_trees:
+            boost = (1.0 - eps) / eps
+            if boost == math.inf:  # it would make every weight NaN
+                raise TrainingError(
+                    f"fn_cost {config.fn_cost} puts the row weights too far apart to train: "
+                    f"a round's weighted error of {eps} has no finite boost"
+                )
+            w[wrong] *= boost
             w *= n / w.sum()
-        # eps == 0: the copies above filled the forest
+        # eps == 0: the copies above filled the forest; after the last
+        # round, no weight is read again
 
     forest = Forest(tuple(trees), config.vote_threshold)
     scores = (votes / config.n_trees).tolist()

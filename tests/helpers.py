@@ -363,7 +363,9 @@ def loop_best_split(X, y, w, attr_names, min_leaf_weight):
 def loop_split_candidates(X, y, w, attr_names, min_leaf_weight):
     """The (gain ratio, gain, attribute, threshold) of every candidate that
     passes the positive-gain filter and the mean-gain guard, in
-    loop_best_split's arithmetic; empty when the node has no candidate."""
+    loop_best_split's arithmetic; empty when the node has no candidate.
+    Only a survivor of the guard gets a split entropy, so only there can
+    its log raise ValueError."""
     total = float(w.sum())
     total_adult = float(w[y].sum())
     total_safe = total - total_adult
@@ -392,17 +394,20 @@ def loop_split_candidates(X, y, w, attr_names, min_leaf_weight):
             gain = parent - children
             if gain <= 0:
                 continue
-            gain_ratio = gain / entropy(wl, wr)
             lo, hi = float(xv[i]), float(xv[i + 1])
             threshold = (lo + hi) / 2.0
             if math.isinf(threshold):  # lo + hi overflowed
                 threshold = lo / 2.0 + hi / 2.0
-            candidates.append((gain_ratio, gain, name, threshold))
+            candidates.append((gain, name, threshold, wl, wr))
 
     if not candidates:
         return []
-    mean_gain = sum(c[1] for c in candidates) / len(candidates)
-    return [c for c in candidates if c[1] >= mean_gain - 1e-12]
+    mean_gain = sum(c[0] for c in candidates) / len(candidates)
+    return [
+        (gain / entropy(wl, wr), gain, name, threshold)
+        for gain, name, threshold, wl, wr in candidates
+        if gain >= mean_gain - 1e-12
+    ]
 
 
 # ---------------------------------------------------------------------------

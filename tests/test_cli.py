@@ -274,6 +274,25 @@ class TestTrain:
         assert "error: fn_cost 1e+307 is too large" in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("fn_cost, reason", [
+        # adult rows weigh about 1e-323, so an adult share of a node underflows to 0
+        ("5e-324", "a class's share of a node's weight underflows to 0"),
+        # a round's error is so small that (1 - e) / e overflows
+        ("1e-320", "a round's weighted error of .* has no finite boost"),
+    ])
+    def test_tiny_fn_cost_exits_1(self, lexicons, tmp_path, capsys, fn_cost, reason):
+        """Every numpy warning fails a test here, so this also holds the
+        run to none."""
+        manifest = write_corpus(generate_corpus(lexicons, 40, 20, seed=1, overlap=0.3), tmp_path)
+        model = tmp_path / "m.json"
+        code = main(["train", "--corpus", str(manifest), "--lexicons", LEXICON_MANIFEST,
+                     "--model", str(model), "--fn-cost", fn_cost])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert re.search(f"^error: fn_cost {fn_cost} puts the row weights too far apart "
+                         f"to train: {reason}$", err, re.MULTILINE), err
+        assert not model.exists()
+
 
 class TestFilter:
     def test_builds_index_and_updates_blacklist(self, workspace, capsys):

@@ -30,7 +30,7 @@ ABSENT = object()  # the option is not given at all
 # option kind -> its pool; a path's pool is named, as its files are made per run
 PATH_POOL = ("", "nul", "missing", "directory", "under missing", "valid")
 COUNT_POOL = (-1, 0, 3, 201, True, 2.7, "3", None)
-NUMBER_POOL = (0, -1, 0.5, 1, 1e308, math.nan, True, "x")
+NUMBER_POOL = (0, -1, 0.5, 1, 1e308, 5e-324, math.nan, True, "x")
 POOLS = {str: PATH_POOL, int: COUNT_POOL, float: NUMBER_POOL}
 MAX_TREES = 12  # a draw of more trees is made this many, to keep runs short
 
@@ -80,11 +80,13 @@ def _path(name: str, option: str, command: str, inputs: dict, out: Path) -> str:
 
 def _valid(command: str, **given) -> tuple:
     """A run of `command` with every option absent but its required paths,
-    which are valid unless `given` names them otherwise; each option maps
-    to (its config-file value, its flag value)."""
+    which are valid, and the options `given` names, which are flags with
+    those values; each option maps to (its config-file value, its flag
+    value)."""
     required = build_parser().parse_args([command]).required
     values = {name: (ABSENT, ABSENT) for name in _options(command)}
-    values.update({name: (ABSENT, given.get(name, "valid")) for name in required})
+    values.update({name: (ABSENT, "valid") for name in required})
+    values.update({name: (ABSENT, value) for name, value in given.items()})
     return command, values
 
 
@@ -107,6 +109,7 @@ def _runs(draw):
 @example(_valid("eval", lexicons=""))
 @example(_valid("train"))
 @example(_valid("filter"))
+@example(_valid("train", fn_cost=5e-324))  # a class's share of a node underflows
 def test_every_run_exits_0_or_1(inputs, run):
     command, values = run
     out = Path(tempfile.mkdtemp(dir=inputs["root"]))

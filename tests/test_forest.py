@@ -37,6 +37,7 @@ from safeindex.evaluation import attribute_usage
 from safeindex.features import ATTRIBUTE_NAMES
 from safeindex.forest import (
     MAX_DEPTH,
+    _approximate_scores,
     _entropies,
     _filter_order,
     best_split,
@@ -137,16 +138,52 @@ class TestEntropy:
         with pytest.raises(ValueError):
             _entropies(np.array([5e-324]), np.array([1e300]))
 
-    def test_approximate_form_is_close_and_raises_on_underflow(self):
-        rnd = random.Random(6)
-        weights = [0.0, 1e-300, 0.1, 1.0, 20.0] + [rnd.uniform(0.0, 40.0) for _ in range(2000)]
-        adult = np.array(weights)
-        safe = np.array(weights[1:] + weights[:1])
-        gap = _entropies(adult, safe, approximate=True) - _entropies(adult, safe)
-        assert np.abs(gap).max() <= 1e-14
-        # an underflowed probability takes math.log2, which raises
+    def test_approximate_pass_is_within_its_bound(self, monkeypatch):
+        """best_split's one np.log2 pass (_approximate_scores) gives every
+        gain and split entropy within beta = 2**-48 * (2 |log2 total| + 4)
+        of entropy()'s, a thousandth of _SLACK or less at totals up to 1e6.
+        Seeded nodes of 2 to 1000 rows weigh 1e-10 to 1e3 a row, many of
+        them mixed across that whole range."""
+        rng = np.random.default_rng(38)
+        candidates = widest = 0
+        for node in range(150):
+            n = int(rng.integers(2, 1001)) if node % 3 else int(rng.integers(2, 40))
+            w = 10.0 ** rng.uniform(rng.uniform(-10.0, 3.0), 3.0, n)
+            y = rng.random(n) < rng.uniform(0.05, 0.95)
+            if y.all() or not y.any():
+                continue
+            total, total_adult = float(w.sum()), float(w[y].sum())
+            total_safe = total - total_adult
+            parent = entropy(total_adult, total_safe)
+            order = rng.permutation(n)
+            cw = np.cumsum(w[order])[:-1]  # every boundary of one attribute
+            ca = np.cumsum(np.where(y[order], w[order], 0.0))[:-1]
+            keep = (cw >= 1e-3) & (total - cw >= 1e-3)
+            gains, splits = _approximate_scores(cw[keep], ca[keep], total, total_adult, parent)
+            beta = 2.0**-48 * (2 * abs(math.log2(total)) + 4)
+            assert beta <= safeindex.forest._SLACK / 1000
+            for wl, la, gain, split in zip(cw[keep].tolist(), ca[keep].tolist(), gains, splits):
+                wr, ls = total - wl, max(wl - la, 0.0)
+                ra, rs = max(total_adult - la, 0.0), max(total_safe - ls, 0.0)
+                exact = parent - (wl * entropy(la, ls) + wr * entropy(ra, rs)) / total
+                assert abs(gain - exact) <= beta
+                assert abs(split - entropy(wl, wr)) <= beta
+                candidates += 1
+            widest = max(widest, total)
+        assert candidates > 20_000 and widest > 1e5
+        # a share that underflows to 0 takes the exact search, with no np.log2,
+        # and raises as entropy() does: 5e-324 beside 3 is a probability of 0
+        calls = []
+        monkeypatch.setattr(np, "log2", _off_log2(np.log2, calls))
+        X = np.array([[0.0], [0.0], [1.0], [1.0]])
+        y = np.array([True, False, True, False])
+        w = np.array([5e-324, 3.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            _entropies(np.array([5e-324]), np.array([1e300]), approximate=True)
+            entropy(5e-324, 3.0)
+        for search in (best_split, loop_best_split):
+            with pytest.raises(ValueError):
+                search(X, y, w, ["a"], 0.5)
+        assert calls == []
 
     def test_np_log2_is_within_4_ulp_of_math_log2(self):
         """best_split's margin, _SLACK, is about a million times what a gap
@@ -209,6 +246,20 @@ def _near_tie_nodes(draw):
         w = np.concatenate([w, w[picked]])
     names = draw(st.permutations("abcdef"))[: X.shape[1]]
     return X, y, w, names, draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+
+
+@st.composite
+def _tiny_weight_nodes(draw):
+    """(X, y, w, names, min_leaf) of a node whose row weights span
+    5e-324 to 1e300, so that shares of a side can underflow to 0."""
+    n = draw(st.integers(2, 10))
+    value = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    X = np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=3))).T
+    y = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    weight = st.sampled_from([5e-324, 1e-310, 1e-300, 1e-10, 1.0, 3.0, 1e300])
+    w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    names = list("abc"[: X.shape[1]])
+    return X, y, w, names, draw(st.sampled_from([5e-324, 1e-300, 0.5]))
 
 
 def _off_log2(log2, calls):
@@ -379,6 +430,42 @@ class TestBestSplit:
         assert got == loop_best_split(X, y, w, names, min_leaf)
         if loop_split_candidates(X, y, w, names, min_leaf):
             assert calls
+
+    @settings(max_examples=500, deadline=None)
+    @given(_tiny_weight_nodes())
+    # 5e-324 beside 3 on the left of the one boundary: a probability of 0
+    @example((np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([True, False, True, False]),
+              np.array([5e-324, 3.0, 1.0, 1.0]), ["a"], 0.5))
+    # only a candidate the mean-gain guard drops has a split entropy that
+    # underflows, so neither search takes it (the reference once did)
+    @example((np.array([[3, 2], [2, 1], [0, 3], [1, 0], [1, 2], [2, 2], [0, 1], [0, 0]], dtype=float),
+              np.array([True, False, False, False, True, True, True, False]),
+              np.array([1e-10, 1e-300, 3, 5e-324, 1, 1, 1e-310, 5e-324]), ["a", "b"], 5e-324))
+    # one gain the loop takes has a side of 1e-310 adult beside 1e300 safe,
+    # whose share underflows; the approximate pass alone returns a split
+    @example((np.array([[1, 1], [3, 2], [2, 0], [1, 0], [2, 3], [0, 1], [3, 0]], dtype=float),
+              np.array([False, False, False, True, False, True, False]),
+              np.array([5e-324, 3, 3, 1e-310, 1e300, 1e300, 1e300]), ["a", "b"], 0.5))
+    # subnormal weights, whose x log2 x have too few bits for the pass to
+    # rank by: the search takes exact values, and splits where the loop does
+    @example((np.array([[3.0], [0.0], [3.0]]), np.array([False, False, True]),
+              np.array([1e-322, 5e-324, 1e-322]), ["a"], 5e-324))
+    # weights whose x log2 x overflows, which every numpy warning fails on
+    @example((np.array([[0.0], [1.0], [2.0]]), np.array([True, False, True]),
+              np.array([1e307, 1e307, 1e307]), ["a"], 0.5))
+    def test_raises_where_the_loop_raises(self, node):
+        """On weights a probability can underflow on, the search raises
+        ValueError (the log of 0) exactly where the loop does, and
+        otherwise returns its choice, on subnormal and huge weights too."""
+        X, y, w, names, min_leaf = node
+
+        def outcome(search):
+            try:
+                return search(X, y, w, names, min_leaf)
+            except ValueError:
+                return ValueError
+
+        assert outcome(best_split) == outcome(loop_best_split)
 
 
 class TestGrowTree:
@@ -1006,15 +1093,21 @@ class TestTrainForest:
                 args = X[:, column], y, np.array(w), ["ab"[c] for c in column], 0.5
                 assert best_split(*args) == loop_best_split(*args)
 
-    def test_exact_logs_stay_rare(self, monkeypatch):
-        """One training on 60 noisy rows took 62,577 math.log2 calls when
-        every gain and split entropy took exact logs; with np.log2 ranking
-        the candidates, at most 5% of those remain."""
+    @staticmethod
+    def _noisy_60():
+        """The first 30 adult and 30 safe rows of the bench's training rows."""
         doc = json.loads((Path(__file__).resolve().parents[1] / "bench" / "data"
                           / "train_rows.json").read_text(encoding="utf-8"))
         rows = [i for i, label in enumerate(doc["labels"]) if label == ADULT][:30]
         rows += [i for i, label in enumerate(doc["labels"]) if label == SAFE][:30]
         vectors = [safeindex.FeatureVector(tuple(doc["rows"][i])) for i in rows]
+        return vectors, [doc["labels"][i] for i in rows]
+
+    def test_exact_logs_stay_rare(self, monkeypatch):
+        """One training on 60 noisy rows took 62,577 math.log2 calls when
+        every gain and split entropy took exact logs; with np.log2 ranking
+        the candidates, at most 5% of those remain."""
+        vectors, labels = self._noisy_60()
         logs = []
         log2 = math.log2
 
@@ -1023,9 +1116,29 @@ class TestTrainForest:
             return log2(x)
 
         monkeypatch.setattr(safeindex.forest.math, "log2", counting)
-        _, report = train_forest(vectors, [doc["labels"][i] for i in rows], TrainConfig())
+        _, report = train_forest(vectors, labels, TrainConfig())
         assert sum(ts.size for ts in report.per_tree) > 50  # many nodes searched
         assert 0 < len(logs) <= 0.05 * 62_577
+
+    def test_one_np_log2_call_per_search(self, monkeypatch):
+        """best_split scores every candidate in one np.log2 pass: no search
+        of a 60-row training calls it twice, and most call it once."""
+        vectors, labels = self._noisy_60()
+        calls, per_search = [], []
+        search = safeindex.forest.best_split
+
+        def counting(*args, **kwargs):
+            before = len(calls)
+            choice = search(*args, **kwargs)
+            per_search.append(len(calls) - before)
+            return choice
+
+        monkeypatch.setattr(np, "log2", _off_log2(np.log2, calls))
+        monkeypatch.setattr(safeindex.forest, "best_split", counting)
+        train_forest(vectors, labels, TrainConfig())
+        assert len(per_search) > 40
+        assert max(per_search) == 1
+        assert sum(per_search) > len(per_search) / 2
 
     def test_report_shape(self):
         vectors, labels = self._separable()
